@@ -101,9 +101,7 @@ def _resolve_cache(path: str) -> Path:
     return p
 
 
-def _load_table(
-    form: QuadraticForm, cache: str | None, limit: int, threads: int
-) -> RepTable:
+def _load_table(form: QuadraticForm, cache: str | None, limit: int) -> RepTable:
     """Table covering primes up to limit, seeded from a cache when given."""
     seed = None
     if cache:
@@ -114,7 +112,7 @@ def _load_table(
         else:
             raise click.UsageError(f"cache file {path} does not exist")
     t0 = time.perf_counter()
-    table = ensure_table(form, limit, seed, threads)
+    table = ensure_table(form, limit, seed)
     dt = time.perf_counter() - t0
     if dt > 0.2:
         progress(f"representations: {len(table)} rows in {dt:.1f}s")
@@ -126,8 +124,10 @@ form_option = click.option(
 )
 mod_option = click.option("--mod", type=int, default=1, show_default=True, help="congruence modulus M")
 res_option = click.option("--res", type=int, default=None, help="congruence residue m")
+# kept so existing command lines still parse; representation runs in-process
 threads_option = click.option(
-    "--threads", type=int, default=lambda: os.cpu_count() or 1, help="worker processes"
+    "--threads", type=int, default=1, show_default=True, expose_value=False,
+    help="accepted for compatibility; has no effect",
 )
 cache_option = click.option("--cache", default=None, help="representation cache file (QFR1)")
 output_option = click.option(
@@ -175,10 +175,10 @@ def cmd_sieve(limit, lo, hi, out):
 @click.option("--cache", "cache_out", required=True, help="QFR1 cache file to write")
 @threads_option
 @handle_errors
-def cmd_represent(form, limit, cache_out, threads):
+def cmd_represent(form, limit, cache_out):
     """Compute canonical representations up to a bound and cache them."""
     t0 = time.perf_counter()
-    table = representation_table(form, sieve_range(2, limit), threads=threads)
+    table = representation_table(form, sieve_range(2, limit))
     dt = time.perf_counter() - t0
     path = _resolve_cache(cache_out)
     if path.parent and not path.parent.exists():
@@ -206,12 +206,12 @@ def _write_series_csv(path, pts) -> None:
 @cache_option
 @threads_option
 @handle_errors
-def cmd_series(form, mod, res, nmax, stride, output, cache, threads):
+def cmd_series(form, mod, res, nmax, stride, output, cache):
     """Bias series: cumulative coordinate sums at every stride-th prime index."""
     cls = _class_from(mod, res)
 
-    table = _load_table(form, cache, nth_prime_bound(nmax), threads)
-    ser = bias_series(form, cls, nmax, stride=stride, rep_table=table, threads=threads)
+    table = _load_table(form, cache, nth_prime_bound(nmax))
+    ser = bias_series(form, cls, nmax, stride=stride, rep_table=table)
     _write_series_csv(output, ser.points)
     final = ser.points[-1].F
     click.echo(_fmt_opt(final) if final is not None else "undefined")
@@ -227,16 +227,16 @@ def cmd_series(form, mod, res, nmax, stride, output, cache, threads):
 @cache_option
 @threads_option
 @handle_errors
-def cmd_ratio(form, mod, res, nmax, stride, output, cache, threads):
+def cmd_ratio(form, mod, res, nmax, stride, output, cache):
     """Ratio series: class bias series normalized by the all-primes series."""
     cls = _class_from(mod, res)
     if cls.is_trivial:
         raise click.UsageError("ratio needs a nontrivial congruence class")
 
-    table = _load_table(form, cache, nth_prime_bound(nmax), threads)
-    ser_cls = bias_series(form, cls, nmax, stride=stride, rep_table=table, threads=threads)
+    table = _load_table(form, cache, nth_prime_bound(nmax))
+    ser_cls = bias_series(form, cls, nmax, stride=stride, rep_table=table)
     ser_all = bias_series(
-        form, CongruenceClass.trivial(), nmax, stride=stride, rep_table=table, threads=threads
+        form, CongruenceClass.trivial(), nmax, stride=stride, rep_table=table
     )
     ratios = ratio_series(ser_cls, ser_all)
     with open(output, "w", encoding="utf-8") as fh:
@@ -270,11 +270,11 @@ def cmd_limit(form, k, poly_f, poly_g, tol):
 @cache_option
 @threads_option
 @handle_errors
-def cmd_dfunc(xmax, output, cache, threads):
+def cmd_dfunc(xmax, output, cache):
     """Counting-function differences for p = a^2 + 4b^2 in classes 1, 5 mod 8."""
     form = QuadraticForm(1, 0, 1)
-    table = _load_table(form, cache, xmax, threads)
-    d1, d2 = counting.d_functions(xmax, rep_table=table, threads=threads)
+    table = _load_table(form, cache, xmax)
+    d1, d2 = counting.d_functions(xmax, rep_table=table)
     merged = sorted(set(d1.x_grid) | set(d2.x_grid))
     with open(output, "w", encoding="utf-8") as fh:
         fh.write("x,D1,D2\n")
@@ -360,14 +360,14 @@ def cmd_density(delta, mod, res, x_max, output, budget):
 @threads_option
 @handle_errors
 def cmd_equidist(form, mod, res, limit, max_count, w, conjugates, output,
-                 stats_path, stats_stride, sectors, cache, threads):
+                 stats_path, stats_stride, sectors, cache):
     """Angle samples and equidistribution statistics for represented primes."""
     cls = _class_from(mod, res)
     if limit is None and cache is None:
         raise click.UsageError("need --limit (or a --cache covering the primes)")
     if w is None:
         w = equidist.root_count_for_form(form)
-    table = _load_table(form, cache, limit or 2, threads)
+    table = _load_table(form, cache, limit or 2)
     if limit is not None:
         table = table.slice_below(limit)
     table = table.slice_class(cls)
@@ -414,12 +414,12 @@ def cmd_equidist(form, mod, res, limit, max_count, w, conjugates, output,
 # ---------------------------------------------------------------------------
 
 
-def _repro_bias_pair(form, classes, n_max, stride, outdir, tag, threads):
+def _repro_bias_pair(form, classes, n_max, stride, outdir, tag):
 
-    table = ensure_table(form, nth_prime_bound(n_max), None, threads)
+    table = ensure_table(form, nth_prime_bound(n_max))
     named = []
     for cls in classes:
-        ser = bias_series(form, cls, n_max, stride=stride, rep_table=table, threads=threads)
+        ser = bias_series(form, cls, n_max, stride=stride, rep_table=table)
         path = outdir / f"{tag}_class{cls.residue}mod{cls.modulus}.csv"
         _write_series_csv(path, ser.points)
         named.append((cls, ser, path))
@@ -441,7 +441,7 @@ def _repro_bias_pair(form, classes, n_max, stride, outdir, tag, threads):
               help="shrink factor for the default desk-scale bounds")
 @threads_option
 @handle_errors
-def cmd_repro(outdir, figure, scale, threads):
+def cmd_repro(outdir, figure, scale):
     """Regenerate the experiment CSV files behind the four figures."""
     if scale <= 0 or scale > 1:
         raise click.UsageError("--scale must be in (0, 1]")
@@ -459,24 +459,24 @@ def cmd_repro(outdir, figure, scale, threads):
         table11 = _repro_bias_pair(
             form11,
             (CongruenceClass(1, 8), CongruenceClass(5, 8)),
-            scaled(500_000), stride, outdir, "fig1", threads,
+            scaled(500_000), stride, outdir, "fig1",
         )
     if "2" in want:
         _repro_bias_pair(
             QuadraticForm(1, 1, 1),
             (CongruenceClass(1, 12), CongruenceClass(7, 12)),
-            scaled(100_000), stride, outdir, "fig2", threads,
+            scaled(100_000), stride, outdir, "fig2",
         )
     if "3" in want:
 
         n_max = scaled(500_000)
-        table11 = ensure_table(form11, nth_prime_bound(n_max), table11, threads)
+        table11 = ensure_table(form11, nth_prime_bound(n_max), table11)
         ser_all = bias_series(form11, CongruenceClass.trivial(), n_max,
-                              stride=stride, rep_table=table11, threads=threads)
+                              stride=stride, rep_table=table11)
         for m in (1, 5):
             cls = CongruenceClass(m, 8)
             ser = bias_series(form11, cls, n_max, stride=stride,
-                              rep_table=table11, threads=threads)
+                              rep_table=table11)
             ratios = ratio_series(ser, ser_all)
             path = outdir / f"fig3_ratio{m}mod8.csv"
             with open(path, "w", encoding="utf-8") as fh:
@@ -486,8 +486,8 @@ def cmd_repro(outdir, figure, scale, threads):
             progress(f"fig3: final R[{cls}]={_fmt_opt(ratios[-1][1])}")
     if "4" in want:
         x_max = scaled(1_000_000, minimum=10_000)
-        table11 = ensure_table(form11, x_max, table11, threads)
-        d1, d2 = counting.d_functions(x_max, rep_table=table11, threads=threads)
+        table11 = ensure_table(form11, x_max, table11)
+        d1, d2 = counting.d_functions(x_max, rep_table=table11)
         merged = sorted(set(d1.x_grid) | set(d2.x_grid))
         path = outdir / "fig4_dfunctions.csv"
         with open(path, "w", encoding="utf-8") as fh:

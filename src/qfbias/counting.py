@@ -109,7 +109,6 @@ def negative_bias_fraction(series: CountSeries) -> BiasFractions:
 def d_functions(
     x_max: int,
     rep_table: RepTable | None = None,
-    threads: int = 1,
 ) -> tuple[CountSeries, CountSeries]:
     """Running differences of odd-vs-even dominance for p = a^2 + (2b)^2.
 
@@ -121,7 +120,7 @@ def d_functions(
     if x_max < 2:
         raise ValueError("x_max must be >= 2")
     form = QuadraticForm(1, 0, 1)
-    table = ensure_table(form, x_max, rep_table, threads)
+    table = ensure_table(form, x_max, rep_table)
     table = table.slice_below(x_max)
     # drop p = x_max itself: the definition counts p < x strictly
     if table.p.size and int(table.p[-1]) == x_max:

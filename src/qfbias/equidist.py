@@ -150,7 +150,6 @@ def sample_angles(
     w: int | None = None,
     include_conjugates: bool = False,
     rep_table: RepTable | None = None,
-    threads: int = 1,
 ) -> list[AngleSample]:
     """Angle samples for canonical representations of primes in a class.
 
@@ -161,7 +160,7 @@ def sample_angles(
         raise ValueError("need either a representation table or x_limit")
     if w is None:
         w = root_count_for_form(form)
-    table = ensure_table(form, x_limit or 2, rep_table, threads)
+    table = ensure_table(form, x_limit or 2, rep_table)
     if x_limit is not None:
         table = table.slice_below(x_limit)
     if cls is not None:

@@ -30,6 +30,10 @@ class OracleBoundError(ComputationError):
     """Exhaustive representation search requested above its bound."""
 
 
+class TableBoundError(ComputationError):
+    """A representation table would pass the sieve capacity or the int64 range."""
+
+
 class ConsistencyError(ComputationError):
     """Two independent routes to the same quantity disagree."""
 

@@ -1,11 +1,11 @@
 """Primitive positive-definite binary quadratic forms and prime representations.
 
-Two routes find the pairs (x, y) with Q(x, y) = p:
-
-  * a fast path for forms x^2 + c*y^2 built on a modular square root and the
-    Euclidean remainder chain, and
-  * an exhaustive enumeration oracle that walks x over the ellipse and solves
-    the remaining quadratic in y exactly.
+Bulk tables come from one lattice enumeration: every canonical point (x, y)
+whose value Q(x, y) lies in the range of the given primes is visited row by
+row in exact int64 arithmetic and kept when the value is one of those primes.
+The per-prime routes stay as independent oracles for tests: a remainder-chain
+solver (`cornacchia`) for forms x^2 + c*y^2, and an exhaustive ellipse walk
+(`brute_force_representations`) that solves the remaining quadratic in y.
 
 The canonical filter keeps pairs with x > y, x > 0, y >= 0; for x^2 + y^2
 this picks the unique representation with x > y > 0 of each p = 1 (mod 4).
@@ -16,14 +16,12 @@ for the ordering never fixes signs).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import distinct_prime_factors
-from .errors import OracleBoundError
-from .primes import CongruenceClass, sieve_range
+from .errors import OracleBoundError, TableBoundError
+from .primes import DEFAULT_CAPACITY, CongruenceClass, sieve_range
 
 DEFAULT_ORACLE_BOUND = 10**6
 
@@ -282,130 +280,68 @@ def _empty_table(form: QuadraticForm, limit: int = 0) -> RepTable:
     return RepTable(form, z, z.copy(), z.copy(), limit)
 
 
-def _residue_prefilter(c: int, primes: np.ndarray) -> np.ndarray:
-    """Mask of primes that can possibly satisfy x^2 + c*y^2 = p (c in 1..3).
-
-    These are the classical residue criteria for -c being a square mod p;
-    other c values are left unfiltered and decided by the square-root attempt.
-    """
-    if c == 1:
-        return primes % 4 == 1
-    if c == 2:
-        r = primes % 8
-        return (r == 1) | (r == 3)
-    if c == 3:
-        return primes % 3 == 1
-    return np.ones(primes.shape, dtype=bool)
-
-
-def _special_pairs(form: QuadraticForm, p: int) -> list[tuple[int, int]]:
-    # p = 2 or p | c: tiny, handled by the exact oracle
-    return canonical_filter(brute_force_representations(form, p, bound=max(p, 4)))
-
-
-def _fast_block(form: QuadraticForm, primes: np.ndarray) -> list[tuple[int, int, int]]:
-    """Canonical rows for a block of primes, form x^2 + c*y^2."""
-    c = form.c
-    rows: list[tuple[int, int, int]] = []
-    # p = 2 and p | c sidestep the remainder chain; there are only a few
-    for p in sorted({2, *distinct_prime_factors(c)}):
-        i = int(np.searchsorted(primes, p))
-        if i < primes.size and primes[i] == p:
-            rows.extend((p, x, y) for x, y in _special_pairs(form, p))
-    for p in primes[_residue_prefilter(c, primes)].tolist():
-        if p == 2 or c % p == 0:
-            continue
-        rows.extend((p, x, y) for x, y in canonical_filter(_fast_pairs(c, p)))
-    rows.sort()
-    return rows
-
-
-def _oracle_rows_vec(form: QuadraticForm, p: int) -> list[tuple[int, int, int]]:
-    """Canonical rows for one prime via vectorized ellipse enumeration.
-
-    Same enumeration as brute_force_representations restricted to x >= 1
-    (canonical pairs need x > 0), with exact int64 verification of every
-    candidate. Used by the bulk path for general forms.
-    """
-    a, b, c = form.a, form.b, form.c
-    disc = form.disc
-    xs = np.arange(1, _x_extent(form, p) + 1, dtype=np.int64)
-    dd = disc * xs * xs + 4 * c * p
-    keep = dd >= 0
-    xs, dd = xs[keep], dd[keep]
-    s = np.sqrt(dd.astype(np.float64)).astype(np.int64)
-    s = np.where((s + 1) * (s + 1) <= dd, s + 1, s)
-    s = np.where(s * s > dd, s - 1, s)
-    sq = s * s == dd
-    xs, dd, s = xs[sq], dd[sq], s[sq]
-    rows = []
-    for sign in (1, -1):
-        num = -b * xs + sign * s
-        ok = num % (2 * c) == 0
-        y = num[ok] // (2 * c)
-        x = xs[ok]
-        good = (x > y) & (y >= 0) & (a * x * x + b * x * y + c * y * y == p)
-        rows.extend((p, int(xv), int(yv)) for xv, yv in zip(x[good], y[good]))
-    return sorted(set(rows))
-
-
-def _oracle_block(form: QuadraticForm, primes: np.ndarray) -> list[tuple[int, int, int]]:
-    rows: list[tuple[int, int, int]] = []
-    # every int64 intermediate in the vectorized path is below ~term_scale*p
-    term_scale = max(16 * (1 + form.b * form.b // form.D), 8 * form.c)
-    for p in primes.tolist():
-        if term_scale * p < (1 << 62):
-            rows.extend(_oracle_rows_vec(form, p))
-        else:
-            kept = canonical_filter(brute_force_representations(form, p, bound=p))
-            rows.extend((p, x, y) for x, y in kept)
-    rows.sort()
-    return rows
-
-
-def _table_block(args) -> list[tuple[int, int, int]]:
-    (a, b, c), primes = args
-    form = QuadraticForm(a, b, c)
-    if form.a == 1 and form.b == 0:
-        return _fast_block(form, primes)
-    return _oracle_block(form, primes)
-
-
 def representation_table(
     form: QuadraticForm, primes: np.ndarray, threads: int = 1
 ) -> RepTable:
     """Canonical representation rows for every prime in the given array.
 
-    Blocks of primes may be processed by worker processes; blocks are reduced
-    in ascending order so the result is identical for any thread count. The
-    table's coverage limit is the largest prime processed.
+    One lattice enumeration serves every form. With lo and hi the smallest
+    and largest given prime, each row y >= 0 contributes the x > y stretch of
+    the annulus lo <= Q(x, y) <= hi, whose ends follow exactly from
+    4a*Q = (2ax + by)^2 + D*y^2. Q is evaluated there in int64 and kept where
+    it hits a given prime; the rows are finally sorted by (p, x, y). Primes
+    missing from the array get no rows, so class-masked arrays and extension
+    windows work as they are. The table's coverage limit is the array's last
+    prime. `threads` is accepted and ignored, so existing callers keep working.
+
+    Raises TableBoundError past the sieve capacity or when an int64
+    intermediate could overflow.
     """
     primes = np.asarray(primes, dtype=np.int64)
     if primes.size == 0:
         return _empty_table(form)
+    lo, hi = int(primes.min()), int(primes.max())
+    if hi > DEFAULT_CAPACITY:
+        raise TableBoundError(
+            f"representation table to {hi} exceeds capacity {DEFAULT_CAPACITY}"
+        )
+    a, b, c, D = form.a, form.b, form.c, form.D
+    y_max = math.isqrt(4 * a * hi // D)
+    x_max = _x_extent(form, hi)
+    if max(a * x_max**2, abs(b) * x_max * y_max, c * y_max**2) >= 1 << 62:
+        raise TableBoundError(f"form ({form}) to {hi} exceeds the int64 range")
+    flags = np.zeros(hi - lo + 1, dtype=bool)
+    flags[primes - lo] = True
+    ps, xs, ys = [], [], []
+    for y in range(min(y_max, x_max - 1) + 1):  # canonical pairs have x > y
+        # Q(x, y) in [lo, hi]  <=>  r_in <= |2ax + by| <= r_out
+        r_out = math.isqrt(4 * a * hi - D * y * y)
+        s_lo = 4 * a * lo - D * y * y
+        r_in = math.isqrt(s_lo - 1) + 1 if s_lo > 0 else 0
+        for t_lo, t_hi in ((-r_out, -max(r_in, 1)), (r_in, r_out)):
+            x_lo = max(-((b * y - t_lo) // (2 * a)), y + 1)
+            x_hi = (t_hi - b * y) // (2 * a)
+            if x_lo > x_hi:
+                continue
+            x = np.arange(x_lo, x_hi + 1, dtype=np.int64)
+            q = (a * x + b * y) * x + c * y * y
+            hit = flags[q - lo]
+            ps.append(q[hit])
+            xs.append(x[hit])
+            ys.append(np.full(ps[-1].size, y, dtype=np.int64))
     limit = int(primes[-1])
-    coeffs = (form.a, form.b, form.c)
-    if threads <= 1 or primes.size < 4096:
-        rows = _table_block((coeffs, primes))
-    else:
-        blocks = np.array_split(primes, threads * 4)
-        rows = []
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(_table_block, [(coeffs, blk) for blk in blocks]):
-                rows.extend(part)
-    if not rows:
+    if not ps:
         return _empty_table(form, limit)
-    arr = np.array(rows, dtype=np.int64)
-    return RepTable(form, arr[:, 0], arr[:, 1], arr[:, 2], limit)
+    p, x, y = np.concatenate(ps), np.concatenate(xs), np.concatenate(ys)
+    order = np.lexsort((y, x, p))
+    return RepTable(form, p[order], x[order], y[order], limit)
 
 
-def extend_table(table: RepTable, new_limit: int, threads: int = 1) -> RepTable:
+def extend_table(table: RepTable, new_limit: int) -> RepTable:
     """Grow a table's coverage to new_limit, reusing the existing rows."""
     if new_limit <= table.limit:
         return table
-    extra = representation_table(
-        table.form, sieve_range(table.limit + 1, new_limit), threads=threads
-    )
+    extra = representation_table(table.form, sieve_range(table.limit + 1, new_limit))
     return RepTable(
         table.form,
         np.concatenate([table.p, extra.p]),
@@ -419,11 +355,10 @@ def ensure_table(
     form: QuadraticForm,
     limit: int,
     rep_table: RepTable | None = None,
-    threads: int = 1,
 ) -> RepTable:
     """Reuse the caller's table, extending its coverage to limit if short."""
     if rep_table is not None:
         if rep_table.form != form:
             raise ValueError("representation table computed for a different form")
-        return extend_table(rep_table, limit, threads=threads)
-    return representation_table(form, sieve_range(2, limit), threads=threads)
+        return extend_table(rep_table, limit)
+    return representation_table(form, sieve_range(2, limit))

@@ -75,7 +75,6 @@ def moment_sum(
     k: int,
     x_limit: int,
     rep_table: RepTable | None = None,
-    threads: int = 1,
 ) -> MomentSums:
     """Exact sums of x^k and y^k over canonical pairs with p <= x_limit in cls.
 
@@ -84,7 +83,7 @@ def moment_sum(
     """
     if k < 0 or k > MAX_MOMENT_POWER:
         raise ValueError(f"moment power {k} outside supported range 0..{MAX_MOMENT_POWER}")
-    table = ensure_table(form, x_limit, rep_table, threads).slice_below(x_limit)
+    table = ensure_table(form, x_limit, rep_table).slice_below(x_limit)
     table = table.slice_class(cls)
     sum_a = sum(int(v) ** k for v in table.x.tolist())
     sum_b = sum(int(v) ** k for v in table.y.tolist())
@@ -97,12 +96,11 @@ def poly_sum(
     poly: BivariatePolynomial,
     x_limit: int,
     rep_table: RepTable | None = None,
-    threads: int = 1,
 ) -> Fraction:
     """Exact sum of poly(x, y) over qualifying canonical pairs."""
     if poly.is_zero:
         raise ValueError("zero polynomial rejected")
-    table = ensure_table(form, x_limit, rep_table, threads).slice_below(x_limit)
+    table = ensure_table(form, x_limit, rep_table).slice_below(x_limit)
     table = table.slice_class(cls)
     total = Fraction(0)
     for _, x, y in table.rows():
@@ -116,7 +114,6 @@ def bias_series(
     n_max: int,
     stride: int = 100,
     rep_table: RepTable | None = None,
-    threads: int = 1,
     capacity: int = DEFAULT_CAPACITY,
 ) -> BiasSeries:
     """Bias points at each multiple of stride up to the prime index n_max.
@@ -141,7 +138,7 @@ def bias_series(
         primes = sieve_range(2, bound)
     primes = primes[:n_max]
 
-    table = ensure_table(form, int(primes[-1]), rep_table, threads)
+    table = ensure_table(form, int(primes[-1]), rep_table)
     table = table.slice_below(int(primes[-1])).slice_class(cls)
     # max coordinate is sqrt(p/a) <= sqrt(Pr(N)); guard the int64 prefix sums
     if table.p.size and int(table.p.size) * int(math.isqrt(int(primes[-1]))) >= 2**62:

@@ -96,6 +96,12 @@ class TestRepresentCommand:
         invoke(runner, *common, "--cache", str(c2), "--threads", "2")
         assert c1.read_bytes() == c2.read_bytes()
 
+    def test_int64_range_is_computation_error(self, runner, tmp_path):
+        result = runner.invoke(main, ["represent", "--form", f"{2**62},1,1", "--limit", "100",
+                                      "--cache", str(tmp_path / "c.qfr")])
+        assert result.exit_code == 3
+        assert not (tmp_path / "c.qfr").exists()
+
 
 class TestSeriesCommand:
     def test_pinned_row(self, runner, tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfbias.errors import OracleBoundError
+from qfbias.errors import OracleBoundError, TableBoundError
 from qfbias.forms import (
     QuadraticForm,
     Representation,
@@ -25,6 +26,12 @@ from conftest import trial_division_primes
 
 Q11 = QuadraticForm(1, 0, 1)
 Q111 = QuadraticForm(1, 1, 1)
+# diagonal, general and negative-b forms the bulk table is checked against;
+# the last two are not reduced (b < -2a), so some canonical x lie left of the
+# ellipse centre
+ORACLE_FORMS = [(1, 0, 1), (1, 0, 2), (1, 1, 1), (2, 1, 3), (1, -1, 2),
+                (3, -2, 5), (2, -1, 1), (1, 1, 3), (5, 4, 7), (1, -3, 5), (2, -5, 4)]
+PROPERTY_BOUND = 200_000
 
 
 def exhaustive_roots(n: int, p: int) -> list[int]:
@@ -236,3 +243,65 @@ class TestRepresentationTable:
         table = representation_table(Q11, sieve_range(2, 100))
         with pytest.raises(ValueError):
             ensure_table(Q111, 100, table)
+
+
+@functools.lru_cache(maxsize=None)
+def _full_table(coeffs):
+    return representation_table(QuadraticForm(*coeffs), sieve_range(2, PROPERTY_BOUND))
+
+
+class TestLatticeEngine:
+    @pytest.mark.parametrize("coeffs", ORACLE_FORMS, ids=lambda c: "%d,%d,%d" % c)
+    def test_matches_per_prime_oracles_to_3e5(self, coeffs):
+        form = QuadraticForm(*coeffs)
+        primes = sieve_range(2, 3 * 10**5)
+        rows = list(representation_table(form, primes).rows())
+        want = [(p, r.x, r.y) for p in primes.tolist() for r in canonical_pairs(form, p)]
+        assert rows == want
+
+    @given(
+        coeffs=st.sampled_from(ORACLE_FORMS),
+        lo=st.integers(min_value=2, max_value=PROPERTY_BOUND),
+        span=st.integers(min_value=0, max_value=PROPERTY_BOUND),
+        modulus=st.integers(min_value=1, max_value=24),
+        residue=st.integers(min_value=0, max_value=23),
+        stride=st.integers(min_value=1, max_value=50),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_subset_is_filtered_full_table(self, coeffs, lo, span, modulus, residue, stride):
+        full = _full_table(coeffs)
+        primes = sieve_range(lo, min(lo + span, PROPERTY_BOUND))
+        subset = primes[primes % modulus == residue % modulus][::stride]
+        table = representation_table(full.form, subset)
+        keep = np.isin(full.p, subset)
+        assert np.array_equal(table.p, full.p[keep])
+        assert np.array_equal(table.x, full.x[keep])
+        assert np.array_equal(table.y, full.y[keep])
+        assert table.limit == (int(subset[-1]) if subset.size else 0)
+
+    @given(
+        coeffs=st.sampled_from(ORACLE_FORMS),
+        split=st.integers(min_value=2, max_value=PROPERTY_BOUND),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_extend_from_any_split_matches_direct(self, coeffs, split):
+        full = _full_table(coeffs)
+        grown = extend_table(
+            representation_table(full.form, sieve_range(2, split)), PROPERTY_BOUND
+        )
+        assert np.array_equal(grown.p, full.p)
+        assert np.array_equal(grown.x, full.x)
+        assert np.array_equal(grown.y, full.y)
+        assert grown.limit == PROPERTY_BOUND
+
+    def test_huge_coefficient_with_small_primes_is_empty(self):
+        table = representation_table(QuadraticForm(1, 0, 2**60), sieve_range(2, 100))
+        assert len(table) == 0 and table.limit == 97
+
+    def test_prime_past_capacity_is_refused(self):
+        with pytest.raises(TableBoundError, match="capacity"):
+            representation_table(Q11, np.array([2**61 - 1]))
+
+    def test_int64_overflow_is_refused(self):
+        with pytest.raises(TableBoundError, match="int64"):
+            representation_table(QuadraticForm(2**62, 1, 1), sieve_range(2, 100))
