@@ -1,14 +1,5 @@
 """Small exact-arithmetic helpers used across modules."""
 
-import math
-
-
-def is_perfect_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
-
 
 def euler_phi(n: int) -> int:
     """Euler's totient, by trial-division factoring."""

@@ -15,6 +15,7 @@ import time
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import counting, equidist
 from .cache import read_cache, write_cache
@@ -87,10 +88,7 @@ def _class_from(mod: int, res: int | None) -> CongruenceClass:
         return CongruenceClass.trivial()
     if res is None:
         raise click.UsageError("--res is required when --mod is given")
-    try:
-        return CongruenceClass(res, mod)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    return CongruenceClass(res, mod)
 
 
 def _resolve_cache(path: str) -> Path:
@@ -196,6 +194,21 @@ def _write_series_csv(path, pts) -> None:
             fh.write(f"{pt.N},{pt.PrN},{pt.sum_a},{pt.sum_b},{_fmt_opt(pt.F)}\n")
 
 
+def _write_ratio_csv(path, ratios) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("N,R\n")
+        for n, r in ratios:
+            fh.write(f"{n},{_fmt_opt(r)}\n")
+
+
+def _write_dfunc_csv(path, d1, d2) -> None:
+    merged = sorted(set(d1.x_grid) | set(d2.x_grid))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("x,D1,D2\n")
+        for g in merged:
+            fh.write(f"{g},{d1.value_at(g)},{d2.value_at(g)}\n")
+
+
 @main.command("series")
 @form_option
 @mod_option
@@ -239,10 +252,7 @@ def cmd_ratio(form, mod, res, nmax, stride, output, cache):
         form, CongruenceClass.trivial(), nmax, stride=stride, rep_table=table
     )
     ratios = ratio_series(ser_cls, ser_all)
-    with open(output, "w", encoding="utf-8") as fh:
-        fh.write("N,R\n")
-        for n, r in ratios:
-            fh.write(f"{n},{_fmt_opt(r)}\n")
+    _write_ratio_csv(output, ratios)
     final = ratios[-1][1]
     click.echo(_fmt_opt(final) if final is not None else "undefined")
 
@@ -256,11 +266,7 @@ def cmd_ratio(form, mod, res, nmax, stride, output, cache):
 @handle_errors
 def cmd_limit(form, k, poly_f, poly_g, tol):
     """Exact limit of the bias series, by quadrature of the closed form."""
-    try:
-        problem = LimitProblem(form=form, k=k, f=poly_f, g=poly_g)
-        value = problem.solve(tol=tol)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    value = LimitProblem(form=form, k=k, f=poly_f, g=poly_g).solve(tol=tol)
     click.echo(_fmt(value))
 
 
@@ -275,11 +281,7 @@ def cmd_dfunc(xmax, output, cache):
     form = QuadraticForm(1, 0, 1)
     table = _load_table(form, cache, xmax)
     d1, d2 = counting.d_functions(xmax, rep_table=table)
-    merged = sorted(set(d1.x_grid) | set(d2.x_grid))
-    with open(output, "w", encoding="utf-8") as fh:
-        fh.write("x,D1,D2\n")
-        for g in merged:
-            fh.write(f"{g},{d1.value_at(g)},{d2.value_at(g)}\n")
+    _write_dfunc_csv(output, d1, d2)
     f1 = counting.negative_bias_fraction(d1)
     f2 = counting.negative_bias_fraction(d2)
     progress(
@@ -297,11 +299,8 @@ def cmd_dfunc(xmax, output, cache):
 @handle_errors
 def cmd_acoeff(delta, mod, res, budget):
     """Density coefficient A(m, M) as a norm-residue subgroup index."""
-    try:
-        fs = FieldSplitting(delta)
-        cls = _class_from(mod, res)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    fs = FieldSplitting(delta)
+    cls = _class_from(mod, res)
     click.echo(str(counting.a_coefficient(fs, cls, prime_budget=budget)))
 
 
@@ -315,11 +314,8 @@ def cmd_acoeff(delta, mod, res, budget):
 @handle_errors
 def cmd_density(delta, mod, res, x_max, output, budget):
     """Prime-ideal counts against the predicted leading term, at checkpoints."""
-    try:
-        fs = FieldSplitting(delta)
-        cls = _class_from(mod, res)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    fs = FieldSplitting(delta)
+    cls = _class_from(mod, res)
     if x_max < 100:
         raise click.UsageError("--x must be at least 100")
     checkpoints = []
@@ -372,8 +368,7 @@ def cmd_equidist(form, mod, res, limit, max_count, w, conjugates, output,
         table = table.slice_below(limit)
     table = table.slice_class(cls)
     if max_count is not None:
-        table = RepTable(table.form, table.p[:max_count], table.x[:max_count],
-                         table.y[:max_count], table.limit)
+        table = table.slice_first(max_count)
     if len(table) == 0:
         raise ComputationError("no canonical representations in the requested range")
     raw, theta = equidist.angle_arrays(table, w)
@@ -401,9 +396,9 @@ def cmd_equidist(form, mod, res, limit, max_count, w, conjugates, output,
                 cols += [equidist.weyl_sum(prefix, j, quarter) for j in range(1, 6)]
                 fh.write(f"{m}," + ",".join(_fmt(c) for c in cols) + "\n")
     if sectors > 0:
-        vals = theta.tolist()
+        vals = theta
         if conjugates:
-            vals = vals + [(-t) % (2 * math.pi) for t in vals]
+            vals = np.concatenate([theta, np.mod(-theta, equidist.TWO_PI)])
         counts = equidist.sector_counts(vals, sectors)
         progress("sector counts: " + " ".join(str(c) for c in counts))
     click.echo(_fmt(ks))
@@ -478,22 +473,13 @@ def cmd_repro(outdir, figure, scale):
             ser = bias_series(form11, cls, n_max, stride=stride,
                               rep_table=table11)
             ratios = ratio_series(ser, ser_all)
-            path = outdir / f"fig3_ratio{m}mod8.csv"
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("N,R\n")
-                for n, r in ratios:
-                    fh.write(f"{n},{_fmt_opt(r)}\n")
+            _write_ratio_csv(outdir / f"fig3_ratio{m}mod8.csv", ratios)
             progress(f"fig3: final R[{cls}]={_fmt_opt(ratios[-1][1])}")
     if "4" in want:
         x_max = scaled(1_000_000, minimum=10_000)
         table11 = ensure_table(form11, x_max, table11)
         d1, d2 = counting.d_functions(x_max, rep_table=table11)
-        merged = sorted(set(d1.x_grid) | set(d2.x_grid))
-        path = outdir / "fig4_dfunctions.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("x,D1,D2\n")
-            for g in merged:
-                fh.write(f"{g},{d1.value_at(g)},{d2.value_at(g)}\n")
+        _write_dfunc_csv(outdir / "fig4_dfunctions.csv", d1, d2)
         f1 = counting.negative_bias_fraction(d1)
         f2 = counting.negative_bias_fraction(d2)
         progress(

@@ -6,6 +6,10 @@ where w is the number of roots of unity of the relevant field (4 for
 delta = -1, 6 for delta = -3, else 2). One representative per prime covers
 only the fundamental domain of theta; appending the conjugate sample mirrors
 theta to 2pi - theta and fills the circle.
+
+The statistics (weyl_sum, ks_statistic, sector_counts, Sector.count) take
+float arrays, converted once with np.asarray. An AngleSample counts as its
+theta, so lists of samples, or of samples mixed with floats, work too.
 """
 
 from __future__ import annotations
@@ -30,6 +34,9 @@ class AngleSample:
     theta: float
     raw_arg: float
 
+    def __float__(self) -> float:
+        return self.theta
+
 
 @dataclass(frozen=True)
 class Sector:
@@ -50,7 +57,7 @@ class Sector:
         return self.phi1 <= theta < self.phi2
 
     def count(self, samples) -> int:
-        vals = _angle_values(samples)
+        vals = np.asarray(samples, dtype=np.float64)
         return int(np.count_nonzero((vals >= self.phi1) & (vals < self.phi2)))
 
 
@@ -85,18 +92,13 @@ def conjugate_sample(sample: AngleSample) -> AngleSample:
     )
 
 
-def _angle_values(samples, attr: str = "theta") -> np.ndarray:
-    vals = [getattr(s, attr) if isinstance(s, AngleSample) else float(s) for s in samples]
-    return np.asarray(vals, dtype=np.float64)
-
-
 def weyl_sum(samples, n: int, interval: float = TWO_PI) -> float:
     """|average of exp(2*pi*i*n*theta/interval)| over the samples, in [0, 1]."""
     if n == 0:
         raise ValueError("Weyl frequency must be nonzero")
     if interval <= 0:
         raise ValueError("interval length must be positive")
-    vals = _angle_values(samples)
+    vals = np.asarray(samples, dtype=np.float64)
     if vals.size == 0:
         raise ValueError("empty sample list")
     return float(abs(np.exp(2j * math.pi * n * vals / interval).mean()))
@@ -106,7 +108,7 @@ def ks_statistic(samples, interval: float = TWO_PI) -> float:
     """Sup distance between the empirical CDF and the uniform CDF on [0, L)."""
     if interval <= 0:
         raise ValueError("interval length must be positive")
-    vals = np.sort(_angle_values(samples)) / interval
+    vals = np.sort(np.asarray(samples, dtype=np.float64)) / interval
     n = vals.size
     if n == 0:
         raise ValueError("empty sample list")
@@ -122,7 +124,7 @@ def sector_counts(samples, k: int) -> list[int]:
     """Counts of theta values in the k equal sectors [2pi(j-1)/k, 2pi j/k)."""
     if k < 1:
         raise ValueError("sector count must be >= 1")
-    vals = _angle_values(samples)
+    vals = np.asarray(samples, dtype=np.float64)
     bins = np.floor(vals * (k / TWO_PI)).astype(np.int64)
     bins = np.clip(bins, 0, k - 1)
     return np.bincount(bins, minlength=k).astype(int).tolist()
@@ -166,13 +168,7 @@ def sample_angles(
     if cls is not None:
         table = table.slice_class(cls)
     if max_count is not None:
-        table = RepTable(
-            table.form,
-            table.p[:max_count],
-            table.x[:max_count],
-            table.y[:max_count],
-            table.limit,
-        )
+        table = table.slice_first(max_count)
     raw, theta = angle_arrays(table, w)
     out = []
     for pi, ri, ti in zip(table.p.tolist(), raw.tolist(), theta.tolist()):

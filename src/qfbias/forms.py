@@ -271,6 +271,12 @@ class RepTable:
             self.form, self.p[:hi], self.x[:hi], self.y[:hi], min(self.limit, limit)
         )
 
+    def slice_first(self, count: int) -> "RepTable":
+        """The first count rows (smallest primes first)."""
+        return RepTable(
+            self.form, self.p[:count], self.x[:count], self.y[:count], self.limit
+        )
+
     def rows(self):
         return zip(self.p.tolist(), self.x.tolist(), self.y.tolist())
 
@@ -280,9 +286,7 @@ def _empty_table(form: QuadraticForm, limit: int = 0) -> RepTable:
     return RepTable(form, z, z.copy(), z.copy(), limit)
 
 
-def representation_table(
-    form: QuadraticForm, primes: np.ndarray, threads: int = 1
-) -> RepTable:
+def representation_table(form: QuadraticForm, primes: np.ndarray) -> RepTable:
     """Canonical representation rows for every prime in the given array.
 
     One lattice enumeration serves every form. With lo and hi the smallest
@@ -292,7 +296,7 @@ def representation_table(
     it hits a given prime; the rows are finally sorted by (p, x, y). Primes
     missing from the array get no rows, so class-masked arrays and extension
     windows work as they are. The table's coverage limit is the array's last
-    prime. `threads` is accepted and ignored, so existing callers keep working.
+    prime.
 
     Raises TableBoundError past the sieve capacity or when an int64
     intermediate could overflow.

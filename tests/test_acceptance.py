@@ -225,12 +225,9 @@ def test_criterion_11_performance(tmp_path):
     assert len(primes_1e8) == 5761455
     assert sieve_time < 10.0
 
-    import os
-
-    threads = min(os.cpu_count() or 1, 8)
     t0 = time.perf_counter()
     mask = primes_1e8 <= 10**7
-    table = representation_table(Q11, primes_1e8[mask], threads=threads)
+    table = representation_table(Q11, primes_1e8[mask])
     rep_time = time.perf_counter() - t0
     expected = int(np.count_nonzero(primes_1e8[mask] % 4 == 1))
     assert len(table) == expected
@@ -246,7 +243,7 @@ def test_criterion_11_performance(tmp_path):
                   catch_exceptions=False)
     assert out1.read_bytes() == out2.read_bytes()
     report(11, f"sieve to 1e8 in {sieve_time:.1f}s; {len(table)} representations "
-               f"to 1e7 in {rep_time:.1f}s ({threads} workers); CSVs byte-identical "
+               f"to 1e7 in {rep_time:.1f}s; CSVs byte-identical "
                f"across thread counts")
 
 

@@ -1,8 +1,13 @@
 
+import math
+
 import pytest
 from click.testing import CliRunner
 
 from qfbias.cli import main
+from qfbias.equidist import sample_angles, sector_counts
+from qfbias.forms import QuadraticForm
+from qfbias.primes import CongruenceClass
 
 
 @pytest.fixture
@@ -154,6 +159,13 @@ class TestSeriesCommand:
                                       "-o", str(tmp_path / "s.csv")])
         assert result.exit_code == 2
 
+    def test_residue_not_coprime_is_usage_error(self, runner, tmp_path):
+        result = runner.invoke(main, ["series", "--form", "1,0,1", "--mod", "8", "--res", "2",
+                                      "--nmax", "10", "--stride", "10",
+                                      "-o", str(tmp_path / "s.csv")])
+        assert result.exit_code == 2
+        assert "not coprime" in result.stderr
+
     def test_thread_count_does_not_change_bytes(self, runner, tmp_path):
         out1, out2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
         common = ["series", "--form", "1,0,1", "--mod", "8", "--res", "1",
@@ -241,6 +253,23 @@ class TestEquidistCommand:
         assert lines[0] == "N,ks,weyl_1,weyl_2,weyl_3,weyl_4,weyl_5"
         assert lines[1].split(",")[0] == "100"
 
+    def test_count_sectors_conjugates_match_library(self, runner, tmp_path):
+        out = tmp_path / "a.csv"
+        result = invoke(runner, "equidist", "--form", "1,0,1", "--mod", "8", "--res", "1",
+                        "--limit", "5000", "--count", "50", "--sectors", "8", "--conjugates",
+                        "-o", str(out))
+        samples = sample_angles(QuadraticForm(1, 0, 1), cls=CongruenceClass(1, 8),
+                                x_limit=5000, max_count=50, include_conjugates=True)
+        principal = samples[::2]
+        rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+        assert len(rows) == len(principal) == 50
+        for (p, x, y, _, theta), s in zip(rows, principal):
+            assert int(p) == s.p
+            assert math.atan2(int(y), int(x)) == s.raw_arg
+            assert theta == f"{s.theta:.12f}"
+        counts = " ".join(str(c) for c in sector_counts(samples, 8))
+        assert f"sector counts: {counts}" in result.stderr.splitlines()
+
     def test_empty_selection_is_computation_error(self, runner, tmp_path):
         result = runner.invoke(main, ["equidist", "--form", "1,0,1", "--mod", "4",
                                       "--res", "3", "--limit", "100",
@@ -269,3 +298,38 @@ class TestReproCommand:
     def test_bad_scale(self, runner, tmp_path):
         result = runner.invoke(main, ["repro", "--outdir", str(tmp_path), "--scale", "2"])
         assert result.exit_code == 2
+
+    def test_figures_3_and_4_match_ratio_and_dfunc(self, runner, tmp_path):
+        outdir = tmp_path / "repro"
+        invoke(runner, "repro", "--outdir", str(outdir), "--scale", "0.002", "--figure", "3")
+        invoke(runner, "repro", "--outdir", str(outdir), "--scale", "0.002", "--figure", "4")
+        for m in (1, 5):
+            out = tmp_path / f"r{m}.csv"
+            invoke(runner, "ratio", "--form", "1,0,1", "--mod", "8", "--res", str(m),
+                   "--nmax", "1000", "--stride", "100", "-o", str(out))
+            assert (outdir / f"fig3_ratio{m}mod8.csv").read_bytes() == out.read_bytes()
+        out = tmp_path / "d.csv"
+        invoke(runner, "dfunc", "--xmax", "10000", "-o", str(out))
+        assert (outdir / "fig4_dfunctions.csv").read_bytes() == out.read_bytes()
+
+
+THREADED_COMMANDS = {
+    "represent": ["--form", "1,0,1", "--limit", "100", "--cache", "c.qfr"],
+    "series": ["--form", "1,0,1", "--mod", "4", "--res", "1", "--nmax", "10",
+               "--stride", "10", "-o", "s.csv"],
+    "ratio": ["--form", "1,0,1", "--mod", "8", "--res", "1", "--nmax", "10",
+              "--stride", "10", "-o", "r.csv"],
+    "dfunc": ["--xmax", "20", "-o", "d.csv"],
+    "equidist": ["--form", "1,0,1", "--limit", "200", "-o", "a.csv"],
+    "repro": ["--outdir", "out", "--scale", "0.002", "--figure", "3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(THREADED_COMMANDS))
+def test_threads_flag_still_accepted(runner, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    args = [command, *THREADED_COMMANDS[command]]
+    plain = invoke(runner, *args)
+    threaded = invoke(runner, *args, "--threads", "3")
+    assert threaded.exit_code == 0
+    assert threaded.stdout == plain.stdout

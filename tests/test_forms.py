@@ -215,15 +215,6 @@ class TestRepresentationTable:
             ]
             assert rows == want
 
-    @pytest.mark.parametrize("form", [Q11, Q111])
-    def test_multiprocess_reduction_is_deterministic(self, form):
-        primes = sieve_range(2, 80_000)  # large enough to engage the pool
-        t1 = representation_table(form, primes, threads=1)
-        t2 = representation_table(form, primes, threads=2)
-        assert np.array_equal(t1.p, t2.p)
-        assert np.array_equal(t1.x, t2.x)
-        assert np.array_equal(t1.y, t2.y)
-
     def test_extend_matches_direct(self):
         direct = representation_table(Q11, sieve_range(2, 2000))
         grown = extend_table(representation_table(Q11, sieve_range(2, 500)), 2000)
