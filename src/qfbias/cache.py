@@ -8,6 +8,7 @@ the largest stored prime as the trusted coverage limit.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -23,16 +24,30 @@ _RECORD_DTYPE = np.dtype([("p", "<u8"), ("x", "<i8"), ("y", "<i8")])
 
 
 def write_cache(path, table: RepTable) -> None:
-    """Write a representation table in the QFR1 layout."""
+    """Write a representation table in the QFR1 layout.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces path in one rename: a write that fails leaves any previous
+    cache at path whole and removes the temporary file.
+    """
+    path = Path(path)
     form = table.form
     records = np.empty(len(table), dtype=_RECORD_DTYPE)
     records["p"] = table.p.astype(np.uint64)
     records["x"] = table.x
     records["y"] = table.y
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(_HEADER.pack(form.a, form.b, form.c, len(table)))
-        fh.write(records.tobytes())
+    # "x" refuses to reuse a name; an unlucky clash fails before touching path
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(MAGIC)
+            fh.write(_HEADER.pack(form.a, form.b, form.c, len(table)))
+            fh.write(records.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_cache(path, expected_form: QuadraticForm | None = None) -> RepTable:

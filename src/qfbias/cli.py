@@ -17,7 +17,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import counting, equidist
+from . import __version__, counting, equidist
 from .cache import read_cache, write_cache
 from .counting import FieldSplitting
 from .errors import ComputationError
@@ -134,7 +134,7 @@ output_option = click.option(
 
 
 @click.group()
-@click.version_option(package_name="qfbias")
+@click.version_option(version=__version__)
 def main():
     """Prime representations by quadratic forms: bias series and statistics."""
 
@@ -201,12 +201,33 @@ def _write_ratio_csv(path, ratios) -> None:
             fh.write(f"{n},{_fmt_opt(r)}\n")
 
 
+_ROW_BLOCK = 1 << 12
+
+
+def _write_rows(fh, fmt: str, *columns) -> None:
+    """Write fmt.format(*row) for the rows of equal-length arrays.
+
+    Rows go out a block at a time, so the Python objects behind one block
+    are all that is held beside the arrays.
+    """
+    for lo in range(0, len(columns[0]), _ROW_BLOCK):
+        block = (c[lo : lo + _ROW_BLOCK].tolist() for c in columns)
+        fh.writelines(map(fmt.format, *block))
+
+
 def _write_dfunc_csv(path, d1, d2) -> None:
-    merged = sorted(set(d1.x_grid) | set(d2.x_grid))
+    # both grids are strictly increasing and share only the x_max endpoint;
+    # a sorted concatenation with neighbours dropped is their union
+    merged = np.sort(np.concatenate((d1.x_grid, d2.x_grid), dtype=np.int64))
+    merged = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
+    # CountSeries.value_at over the whole merged grid at once
+    cols = [
+        np.concatenate(([0], s.values))[np.searchsorted(s.x_grid, merged, side="right")]
+        for s in (d1, d2)
+    ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,D1,D2\n")
-        for g in merged:
-            fh.write(f"{g},{d1.value_at(g)},{d2.value_at(g)}\n")
+        _write_rows(fh, "{},{},{}\n", merged, *cols)
 
 
 @main.command("series")
@@ -374,27 +395,20 @@ def cmd_equidist(form, mod, res, limit, max_count, w, conjugates, output,
     raw, theta = equidist.angle_arrays(table, w)
     with open(output, "w", encoding="utf-8") as fh:
         fh.write("p,x,y,raw_arg,theta\n")
-        for p, x, y, r, t in zip(
-            table.p.tolist(), table.x.tolist(), table.y.tolist(),
-            raw.tolist(), theta.tolist(),
-        ):
-            fh.write(f"{p},{x},{y},{_fmt(r)},{_fmt(t)}\n")
+        _write_rows(fh, "{},{},{},{:.12f},{:.12f}\n", table.p, table.x, table.y, raw, theta)
 
     quarter = math.pi / 4
     ks = equidist.ks_statistic(raw, quarter)
     if stats_path:
         n = raw.size
         stride = stats_stride if stats_stride > 0 else max(1, n // 20)
+        grid = list(range(stride, n + 1, stride))
+        if not grid or grid[-1] != n:
+            grid.append(n)
+        stats = equidist.prefix_statistics(raw, grid, quarter)
         with open(stats_path, "w", encoding="utf-8") as fh:
             fh.write("N,ks,weyl_1,weyl_2,weyl_3,weyl_4,weyl_5\n")
-            grid = list(range(stride, n + 1, stride))
-            if not grid or grid[-1] != n:
-                grid.append(n)
-            for m in grid:
-                prefix = raw[:m]
-                cols = [equidist.ks_statistic(prefix, quarter)]
-                cols += [equidist.weyl_sum(prefix, j, quarter) for j in range(1, 6)]
-                fh.write(f"{m}," + ",".join(_fmt(c) for c in cols) + "\n")
+            _write_rows(fh, "{}" + ",{:.12f}" * 6 + "\n", np.asarray(grid), *stats.T)
     if sectors > 0:
         vals = theta
         if conjugates:

@@ -10,6 +10,12 @@ theta to 2pi - theta and fills the circle.
 The statistics (weyl_sum, ks_statistic, sector_counts, Sector.count) take
 float arrays, converted once with np.asarray. An AngleSample counts as its
 theta, so lists of samples, or of samples mixed with floats, work too.
+
+prefix_statistics is the `equidist --stats` sweep over growing prefixes. It
+computes the phases of each Weyl frequency once for all samples and averages
+prefixes of them, so every value equals weyl_sum / ks_statistic on that
+prefix bit for bit and the sweep CSV bytes are those of a per-prefix
+recomputation.
 """
 
 from __future__ import annotations
@@ -101,7 +107,12 @@ def weyl_sum(samples, n: int, interval: float = TWO_PI) -> float:
     vals = np.asarray(samples, dtype=np.float64)
     if vals.size == 0:
         raise ValueError("empty sample list")
-    return float(abs(np.exp(2j * math.pi * n * vals / interval).mean()))
+    return float(abs(_phases(vals, n, interval).mean()))
+
+
+def _phases(vals: np.ndarray, n: int, interval: float) -> np.ndarray:
+    """exp(2*pi*i*n*v/interval) per element; shared by weyl_sum and the sweep."""
+    return np.exp(2j * math.pi * n * vals / interval)
 
 
 def ks_statistic(samples, interval: float = TWO_PI) -> float:
@@ -120,6 +131,28 @@ def ks_statistic(samples, interval: float = TWO_PI) -> float:
     return max(below, above)
 
 
+def prefix_statistics(samples, grid, interval: float = TWO_PI) -> np.ndarray:
+    """KS distance and Weyl sums 1..5 of each prefix samples[:m], m in grid.
+
+    Row r holds ks_statistic(samples[:m]) and weyl_sum(samples[:m], j) for
+    j = 1..5, with m = grid[r], bit for bit. The phases of each frequency are
+    computed once for all samples; a prefix's Weyl sum is the mean of the
+    first m of them, the same numbers weyl_sum would reduce.
+    """
+    if interval <= 0:
+        raise ValueError("interval length must be positive")
+    vals = np.asarray(samples, dtype=np.float64)
+    grid = list(grid)
+    if any(m < 1 or m > vals.size for m in grid):
+        raise ValueError("prefix lengths must lie in 1..len(samples)")
+    out = np.empty((len(grid), 6), dtype=np.float64)
+    out[:, 0] = [ks_statistic(vals[:m], interval) for m in grid]
+    for j in range(1, 6):
+        z = _phases(vals, j, interval)
+        out[:, j] = [abs(z[:m].mean()) for m in grid]
+    return out
+
+
 def sector_counts(samples, k: int) -> list[int]:
     """Counts of theta values in the k equal sectors [2pi(j-1)/k, 2pi j/k)."""
     if k < 1:
@@ -136,9 +169,9 @@ def angle_arrays(table: RepTable, w: int) -> tuple[np.ndarray, np.ndarray]:
     Uses math.atan2 per row so results agree bit-for-bit with hecke_angle
     (numpy's arctan2 can differ in the last ulp).
     """
-    raw = np.array(
-        [math.atan2(y, x) for x, y in zip(table.x.tolist(), table.y.tolist())],
-        dtype=np.float64,
+    raw = np.fromiter(
+        map(math.atan2, table.y.tolist(), table.x.tolist()),
+        dtype=np.float64, count=len(table),
     )
     theta = np.mod(w * raw, TWO_PI)
     return raw, theta

@@ -143,16 +143,19 @@ def bias_series(
     # max coordinate is sqrt(p/a) <= sqrt(Pr(N)); guard the int64 prefix sums
     if table.p.size and int(table.p.size) * int(math.isqrt(int(primes[-1]))) >= 2**62:
         raise SieveCapacityError("prefix sums would overflow int64 accumulation")
-    cum_x = np.cumsum(table.x, dtype=np.int64)
-    cum_y = np.cumsum(table.y, dtype=np.int64)
+    # prefix sums with a leading 0, so index k sums the first k rows
+    cum_x = np.concatenate(([0], np.cumsum(table.x, dtype=np.int64)))
+    cum_y = np.concatenate(([0], np.cumsum(table.y, dtype=np.int64)))
 
-    points = []
-    for n in range(stride, n_max + 1, stride):
-        pr_n = int(primes[n - 1])
-        idx = int(np.searchsorted(table.p, pr_n, side="right"))
-        sum_a = int(cum_x[idx - 1]) if idx else 0
-        sum_b = int(cum_y[idx - 1]) if idx else 0
-        points.append(BiasPoint(N=n, PrN=pr_n, sum_a=sum_a, sum_b=sum_b))
+    ns = np.arange(stride, n_max + 1, stride)
+    pr = primes[ns - 1]
+    idx = np.searchsorted(table.p, pr, side="right")
+    points = [
+        BiasPoint(N=n, PrN=pr_n, sum_a=a, sum_b=b)
+        for n, pr_n, a, b in zip(
+            ns.tolist(), pr.tolist(), cum_x[idx].tolist(), cum_y[idx].tolist()
+        )
+    ]
     return BiasSeries(form=form, cls=cls, stride=stride, points=points)
 
 

@@ -1,8 +1,11 @@
+import errno
+import io
 import struct
 
 import numpy as np
 import pytest
 
+from qfbias import cache
 from qfbias.cache import MAGIC, read_cache, write_cache
 from qfbias.errors import CacheFormatError
 from qfbias.forms import QuadraticForm, RepTable, representation_table
@@ -87,3 +90,29 @@ def test_empty_cache_round_trip(tmp_path):
     back = read_cache(path, expected_form=Q11)
     assert len(back) == 0
     assert back.limit == 0
+
+
+class _FullDisk(io.FileIO):
+    """A file that takes the first write, then half of the next and fails."""
+
+    def write(self, data):
+        if self.tell() == 0:
+            return super().write(data)
+        super().write(bytes(data)[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_write_keeps_previous_cache(tmp_path, monkeypatch):
+    path = tmp_path / "t.qfr"
+    old = representation_table(Q11, sieve_range(2, 500))
+    write_cache(path, old)
+    assert [p.name for p in tmp_path.iterdir()] == ["t.qfr"]
+    before = path.read_bytes()
+
+    monkeypatch.setattr(cache, "open", _FullDisk, raising=False)
+    with pytest.raises(OSError):
+        write_cache(path, representation_table(Q11, sieve_range(2, 5000)))
+    assert [p.name for p in tmp_path.iterdir()] == ["t.qfr"]
+    assert path.read_bytes() == before
+    back = read_cache(path, expected_form=Q11)
+    assert np.array_equal(back.p, old.p)

@@ -3,11 +3,15 @@ import math
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qfbias.cli import main
-from qfbias.equidist import sample_angles, sector_counts
-from qfbias.forms import QuadraticForm
-from qfbias.primes import CongruenceClass
+from qfbias import __version__
+from qfbias.cli import _fmt, main
+from qfbias.counting import d_functions
+from qfbias.equidist import angle_arrays, ks_statistic, sample_angles, sector_counts, weyl_sum
+from qfbias.forms import QuadraticForm, representation_table
+from qfbias.primes import CongruenceClass, sieve_range
 
 
 @pytest.fixture
@@ -17,6 +21,12 @@ def runner():
 
 def invoke(runner, *args, **kwargs):
     return runner.invoke(main, list(args), catch_exceptions=False, **kwargs)
+
+
+def test_version_from_source_checkout(runner):
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0
+    assert result.stdout.split()[-1] == __version__ == "0.1.0"
 
 
 class TestLimitCommand:
@@ -201,6 +211,17 @@ class TestDfuncCommand:
         assert lines[3] == "17,-1,0"
         assert lines[4] == "20,-1,0"
 
+    # 13, 29 are 5 mod 8 and 17 is 1 mod 8, so x_max itself is dropped;
+    # below 10 the D1 grid holds only the endpoint
+    @pytest.mark.parametrize("xmax", [2, 10, 13, 17, 20, 29, 100_000])
+    def test_csv_equals_per_row_value_at(self, runner, tmp_path, xmax):
+        out = tmp_path / "d.csv"
+        invoke(runner, "dfunc", "--xmax", str(xmax), "-o", str(out))
+        d1, d2 = d_functions(xmax)
+        merged = sorted(set(d1.x_grid) | set(d2.x_grid))
+        rows = "".join(f"{g},{d1.value_at(g)},{d2.value_at(g)}\n" for g in merged)
+        assert out.read_text() == "x,D1,D2\n" + rows
+
 
 class TestAcoeffCommand:
     def test_value(self, runner):
@@ -252,6 +273,28 @@ class TestEquidistCommand:
         lines = stats.read_text().splitlines()
         assert lines[0] == "N,ks,weyl_1,weyl_2,weyl_3,weyl_4,weyl_5"
         assert lines[1].split(",")[0] == "100"
+
+    @given(form=st.sampled_from(["1,0,1", "1,1,1", "2,1,3"]), stride=st.integers(1, 400))
+    @settings(max_examples=30, deadline=None)
+    def test_stats_rows_equal_per_prefix_recomputation(self, tmp_path_factory, form, stride):
+        tmp = tmp_path_factory.mktemp("stats")
+        out, stats = tmp / "a.csv", tmp / "stats.csv"
+        invoke(CliRunner(), "equidist", "--form", form, "--limit", "3000", "-o", str(out),
+               "--stats", str(stats), "--stats-stride", str(stride))
+        table = representation_table(QuadraticForm(*map(int, form.split(","))),
+                                     sieve_range(2, 3000))
+        raw, _ = angle_arrays(table, 2)
+        n = raw.size
+        grid = list(range(stride, n + 1, stride))
+        if not grid or grid[-1] != n:
+            grid.append(n)
+        quarter = math.pi / 4
+        expected = ["N,ks,weyl_1,weyl_2,weyl_3,weyl_4,weyl_5"]
+        for m in grid:
+            cols = [ks_statistic(raw[:m], quarter)]
+            cols += [weyl_sum(raw[:m], j, quarter) for j in range(1, 6)]
+            expected.append(f"{m}," + ",".join(_fmt(c) for c in cols))
+        assert stats.read_text().splitlines() == expected
 
     def test_count_sectors_conjugates_match_library(self, runner, tmp_path):
         out = tmp_path / "a.csv"

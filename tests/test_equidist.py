@@ -12,6 +12,7 @@ from qfbias.equidist import (
     default_root_count,
     hecke_angle,
     ks_statistic,
+    prefix_statistics,
     root_count_for_form,
     sample_angles,
     sector_counts,
@@ -147,6 +148,28 @@ class TestSectorCounts:
         assert sector.count([0.5, 3.5, AngleSample(p=5, theta=1.0, raw_arg=0.2)]) == 2
         with pytest.raises(ValueError):
             Sector(3.0, 2.0)
+
+
+class TestPrefixStatistics:
+    @given(st.lists(st.floats(min_value=0.0, max_value=math.pi / 4, exclude_max=True),
+                    min_size=1, max_size=300), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_per_prefix_calls(self, vals, data):
+        quarter = math.pi / 4
+        grid = data.draw(st.lists(st.integers(1, len(vals)), min_size=1, max_size=20))
+        stats = prefix_statistics(vals, grid, quarter)
+        for row, m in zip(stats.tolist(), grid):
+            expected = [ks_statistic(vals[:m], quarter)]
+            expected += [weyl_sum(vals[:m], j, quarter) for j in range(1, 6)]
+            assert row == expected
+
+    def test_prefix_length_validation(self):
+        with pytest.raises(ValueError):
+            prefix_statistics([0.1, 0.2], [0], 1.0)
+        with pytest.raises(ValueError):
+            prefix_statistics([0.1, 0.2], [3], 1.0)
+        with pytest.raises(ValueError):
+            prefix_statistics([0.1, 0.2], [1], 0.0)
 
 
 class TestSampleAngles:

@@ -1,12 +1,13 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfbias.forms import QuadraticForm, representation_table
 from qfbias.polynomials import BivariatePolynomial, parse_polynomial
-from qfbias.primes import CongruenceClass, sieve_range
+from qfbias.primes import CongruenceClass, nth_prime_bound, sieve_range
 from qfbias.series import (
     bias_series,
     moment_sum,
@@ -123,6 +124,52 @@ class TestBiasSeries:
             bias_series(Q11, C14, 10, stride=0)
         with pytest.raises(ValueError):
             bias_series(Q11, C14, 5, stride=10)
+
+
+def _bias_values_by_loop(cls, n_max, stride, table):
+    """Reference: one searchsorted per point over the class's prefix sums."""
+    primes = sieve_range(2, nth_prime_bound(n_max))[:n_max]
+    rows = table.slice_below(int(primes[-1])).slice_class(cls)
+    cum_x, cum_y = np.cumsum(rows.x), np.cumsum(rows.y)
+    out = []
+    for n in range(stride, n_max + 1, stride):
+        pr_n = int(primes[n - 1])
+        idx = int(np.searchsorted(rows.p, pr_n, side="right"))
+        sum_a = int(cum_x[idx - 1]) if idx else 0
+        sum_b = int(cum_y[idx - 1]) if idx else 0
+        out.append((n, pr_n, sum_a, sum_b))
+    return out
+
+
+@pytest.fixture(scope="module")
+def tables_to_n3000():
+    primes = sieve_range(2, nth_prime_bound(3000))
+    return {form: representation_table(form, primes)
+            for form in (Q11, QuadraticForm(1, 1, 1), QuadraticForm(2, 1, 3))}
+
+
+# (1,0,1) never represents 3 mod 4, (1,1,1) never 2 mod 3: every F is None
+SERIES_CASES = [
+    (Q11, TRIVIAL), (Q11, C14), (Q11, CongruenceClass(3, 4)), (Q11, CongruenceClass(5, 8)),
+    (QuadraticForm(1, 1, 1), CongruenceClass(7, 12)),
+    (QuadraticForm(1, 1, 1), CongruenceClass(2, 3)),
+    (QuadraticForm(2, 1, 3), CongruenceClass(3, 5)),
+]
+
+
+class TestBiasSeriesAgainstLoop:
+    @given(case=st.sampled_from(SERIES_CASES), n_max=st.integers(1, 3000),
+           stride=st.integers(1, 3000))
+    @settings(max_examples=60, deadline=None)
+    def test_points_equal_per_point_searchsorted(self, tables_to_n3000, case, n_max, stride):
+        form, cls = case
+        stride = min(stride, n_max)
+        table = tables_to_n3000[form]
+        ser = bias_series(form, cls, n_max, stride=stride, rep_table=table)
+        got = [(pt.N, pt.PrN, pt.sum_a, pt.sum_b) for pt in ser.points]
+        assert got == _bias_values_by_loop(cls, n_max, stride, table)
+        assert all(type(v) is int for row in got for v in row)
+        assert all((pt.F is None) == (pt.sum_b == 0) for pt in ser.points)
 
 
 class TestRatioSeries:
