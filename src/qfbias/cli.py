@@ -21,11 +21,11 @@ from . import __version__, counting, equidist
 from .cache import read_cache, write_cache
 from .counting import FieldSplitting
 from .errors import ComputationError
-from .forms import QuadraticForm, RepTable, ensure_table, representation_table
+from .forms import QuadraticForm, RepTable, ensure_table
 from .limits import LimitProblem
 from .polynomials import parse_polynomial
 from .primes import CongruenceClass, nth_prime_bound, sieve_range
-from .series import bias_series, ratio_series, sign_changes
+from .series import BiasSeries, bias_series, ratio_series, sign_changes
 
 CACHE_DIR_ENV = "QFBIAS_CACHE_DIR"
 
@@ -47,8 +47,6 @@ def handle_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except click.ClickException:
-            raise
         except ComputationError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
@@ -104,11 +102,10 @@ def _load_table(form: QuadraticForm, cache: str | None, limit: int) -> RepTable:
     seed = None
     if cache:
         path = _resolve_cache(cache)
-        if path.exists():
-            seed = read_cache(path, expected_form=form)
-            progress(f"cache: {len(seed)} records up to {seed.max_prime} from {path}")
-        else:
+        if not path.exists():
             raise click.UsageError(f"cache file {path} does not exist")
+        seed = read_cache(path, expected_form=form)
+        progress(f"cache: {len(seed)} records up to {seed.max_prime} from {path}")
     t0 = time.perf_counter()
     table = ensure_table(form, limit, seed)
     dt = time.perf_counter() - t0
@@ -176,58 +173,55 @@ def cmd_sieve(limit, lo, hi, out):
 def cmd_represent(form, limit, cache_out):
     """Compute canonical representations up to a bound and cache them."""
     t0 = time.perf_counter()
-    table = representation_table(form, sieve_range(2, limit))
+    table = ensure_table(form, limit)
     dt = time.perf_counter() - t0
     path = _resolve_cache(cache_out)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
     write_cache(path, table)
     rate = len(table) / dt if dt > 0 else float("inf")
     progress(f"{len(table)} records in {dt:.1f}s ({rate:,.0f} records/s) -> {path}")
     click.echo(str(len(table)))
 
 
-def _write_series_csv(path, pts) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("N,PrN,sum_a,sum_b,F\n")
-        for pt in pts:
-            fh.write(f"{pt.N},{pt.PrN},{pt.sum_a},{pt.sum_b},{_fmt_opt(pt.F)}\n")
-
-
-def _write_ratio_csv(path, ratios) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("N,R\n")
-        for n, r in ratios:
-            fh.write(f"{n},{_fmt_opt(r)}\n")
-
-
 _ROW_BLOCK = 1 << 12
 
 
-def _write_rows(fh, fmt: str, *columns) -> None:
-    """Write fmt.format(*row) for the rows of equal-length arrays.
+def _write_csv(path, header: str, fmt: str, *columns) -> None:
+    """Write the header and one fmt.format(*row) line per row of the columns.
 
-    Rows go out a block at a time, so the Python objects behind one block
-    are all that is held beside the arrays.
+    Rows are formatted a block at a time; undefined values come as _fmt_opt strings.
     """
-    for lo in range(0, len(columns[0]), _ROW_BLOCK):
-        block = (c[lo : lo + _ROW_BLOCK].tolist() for c in columns)
-        fh.writelines(map(fmt.format, *block))
+    columns = [np.asarray(c) for c in columns]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, len(columns[0]), _ROW_BLOCK):
+            block = (c[lo : lo + _ROW_BLOCK].tolist() for c in columns)
+            fh.writelines(map(fmt.format, *block))
 
 
-def _write_dfunc_csv(path, d1, d2) -> None:
+def _series_step(path, ser: BiasSeries) -> float | None:
+    """Write a bias series CSV; returns the final F."""
+    rows = ((pt.N, pt.PrN, pt.sum_a, pt.sum_b, _fmt_opt(pt.F)) for pt in ser.points)
+    _write_csv(path, "N,PrN,sum_a,sum_b,F", "{},{},{},{},{}\n", *zip(*rows))
+    return ser.points[-1].F
+
+
+def _ratio_step(path, ser_cls: BiasSeries, ser_all: BiasSeries) -> float | None:
+    """Write the ratio CSV of a class series over the all-primes one; returns the final R."""
+    ns, rs = zip(*ratio_series(ser_cls, ser_all))
+    _write_csv(path, "N,R", "{},{}\n", ns, [_fmt_opt(r) for r in rs])
+    return rs[-1]
+
+
+def _dfunc_step(path, x_max: int, table: RepTable):
+    """Write the D1/D2 CSV; returns both series and their negative fractions."""
+    d1, d2 = counting.d_functions(x_max, rep_table=table)
     # both grids are strictly increasing and share only the x_max endpoint;
     # a sorted concatenation with neighbours dropped is their union
-    merged = np.sort(np.concatenate((d1.x_grid, d2.x_grid), dtype=np.int64))
+    merged = np.sort(np.concatenate((d1.x_grid, d2.x_grid)))
     merged = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
-    # CountSeries.value_at over the whole merged grid at once
-    cols = [
-        np.concatenate(([0], s.values))[np.searchsorted(s.x_grid, merged, side="right")]
-        for s in (d1, d2)
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,D1,D2\n")
-        _write_rows(fh, "{},{},{}\n", merged, *cols)
+    _write_csv(path, "x,D1,D2", "{},{},{}\n", merged, d1.value_at(merged), d2.value_at(merged))
+    return d1, d2, counting.negative_bias_fraction(d1), counting.negative_bias_fraction(d2)
 
 
 @main.command("series")
@@ -245,9 +239,7 @@ def cmd_series(form, mod, res, nmax, stride, output, cache):
     cls = _class_from(mod, res)
 
     table = _load_table(form, cache, nth_prime_bound(nmax))
-    ser = bias_series(form, cls, nmax, stride=stride, rep_table=table)
-    _write_series_csv(output, ser.points)
-    final = ser.points[-1].F
+    final = _series_step(output, bias_series(form, cls, nmax, stride=stride, rep_table=table))
     click.echo(_fmt_opt(final) if final is not None else "undefined")
 
 
@@ -269,12 +261,8 @@ def cmd_ratio(form, mod, res, nmax, stride, output, cache):
 
     table = _load_table(form, cache, nth_prime_bound(nmax))
     ser_cls = bias_series(form, cls, nmax, stride=stride, rep_table=table)
-    ser_all = bias_series(
-        form, CongruenceClass.trivial(), nmax, stride=stride, rep_table=table
-    )
-    ratios = ratio_series(ser_cls, ser_all)
-    _write_ratio_csv(output, ratios)
-    final = ratios[-1][1]
+    ser_all = bias_series(form, CongruenceClass.trivial(), nmax, stride=stride, rep_table=table)
+    final = _ratio_step(output, ser_cls, ser_all)
     click.echo(_fmt_opt(final) if final is not None else "undefined")
 
 
@@ -301,10 +289,7 @@ def cmd_dfunc(xmax, output, cache):
     """Counting-function differences for p = a^2 + 4b^2 in classes 1, 5 mod 8."""
     form = QuadraticForm(1, 0, 1)
     table = _load_table(form, cache, xmax)
-    d1, d2 = counting.d_functions(xmax, rep_table=table)
-    _write_dfunc_csv(output, d1, d2)
-    f1 = counting.negative_bias_fraction(d1)
-    f2 = counting.negative_bias_fraction(d2)
+    d1, d2, f1, f2 = _dfunc_step(output, xmax, table)
     progress(
         f"negative fraction: D1 {f1.negative:.4f} (<=0: {f1.nonpositive:.4f}), "
         f"D2 {f2.negative:.4f} (<=0: {f2.nonpositive:.4f})"
@@ -350,12 +335,8 @@ def cmd_density(delta, mod, res, x_max, output, budget):
         counting.density_check(fs, cls, cp, prime_budget=budget, subgroup=subgroup)
         for cp in checkpoints
     ]
-    with open(output, "w", encoding="utf-8") as fh:
-        fh.write("x,empirical,predicted,ratio\n")
-        for rep in reports:
-            fh.write(
-                f"{rep.x},{rep.empirical},{_fmt(rep.predicted)},{_fmt_opt(rep.ratio)}\n"
-            )
+    rows = ((r.x, r.empirical, r.predicted, _fmt_opt(r.ratio)) for r in reports)
+    _write_csv(output, "x,empirical,predicted,ratio", "{},{},{:.12f},{}\n", *zip(*rows))
     final = reports[-1].ratio
     click.echo(_fmt_opt(final) if final is not None else "exact-zero")
 
@@ -393,9 +374,8 @@ def cmd_equidist(form, mod, res, limit, max_count, w, conjugates, output,
     if len(table) == 0:
         raise ComputationError("no canonical representations in the requested range")
     raw, theta = equidist.angle_arrays(table, w)
-    with open(output, "w", encoding="utf-8") as fh:
-        fh.write("p,x,y,raw_arg,theta\n")
-        _write_rows(fh, "{},{},{},{:.12f},{:.12f}\n", table.p, table.x, table.y, raw, theta)
+    _write_csv(output, "p,x,y,raw_arg,theta", "{},{},{},{:.12f},{:.12f}\n",
+               table.p, table.x, table.y, raw, theta)
 
     quarter = math.pi / 4
     ks = equidist.ks_statistic(raw, quarter)
@@ -406,9 +386,8 @@ def cmd_equidist(form, mod, res, limit, max_count, w, conjugates, output,
         if not grid or grid[-1] != n:
             grid.append(n)
         stats = equidist.prefix_statistics(raw, grid, quarter)
-        with open(stats_path, "w", encoding="utf-8") as fh:
-            fh.write("N,ks,weyl_1,weyl_2,weyl_3,weyl_4,weyl_5\n")
-            _write_rows(fh, "{}" + ",{:.12f}" * 6 + "\n", np.asarray(grid), *stats.T)
+        _write_csv(stats_path, "N,ks,weyl_1,weyl_2,weyl_3,weyl_4,weyl_5",
+                   "{}" + ",{:.12f}" * 6 + "\n", grid, *stats.T)
     if sectors > 0:
         vals = theta
         if conjugates:
@@ -423,25 +402,6 @@ def cmd_equidist(form, mod, res, limit, max_count, w, conjugates, output,
 # ---------------------------------------------------------------------------
 
 
-def _repro_bias_pair(form, classes, n_max, stride, outdir, tag):
-
-    table = ensure_table(form, nth_prime_bound(n_max))
-    named = []
-    for cls in classes:
-        ser = bias_series(form, cls, n_max, stride=stride, rep_table=table)
-        path = outdir / f"{tag}_class{cls.residue}mod{cls.modulus}.csv"
-        _write_series_csv(path, ser.points)
-        named.append((cls, ser, path))
-    (c1, s1, _), (c2, s2, _) = named
-    count, _ = sign_changes(s1.values(), s2.values())
-    f1, f2 = s1.points[-1].F, s2.points[-1].F
-    progress(
-        f"{tag}: final F[{c1}]={_fmt_opt(f1)} F[{c2}]={_fmt_opt(f2)}; "
-        f"{count} sign changes of the difference"
-    )
-    return table
-
-
 @main.command("repro")
 @click.option("--outdir", type=click.Path(file_okay=False), default="repro_out", show_default=True)
 @click.option("--figure", type=click.Choice(["all", "1", "2", "3", "4"]), default="all",
@@ -452,53 +412,54 @@ def _repro_bias_pair(form, classes, n_max, stride, outdir, tag):
 @handle_errors
 def cmd_repro(outdir, figure, scale):
     """Regenerate the experiment CSV files behind the four figures."""
+    # each figure runs the step of the series, ratio or dfunc command, so its
+    # files equal that command's output; tables and series are built once
     if scale <= 0 or scale > 1:
         raise click.UsageError("--scale must be in (0, 1]")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    stride = 100
     want = {"1", "2", "3", "4"} if figure == "all" else {figure}
     form11 = QuadraticForm(1, 0, 1)
+    n11 = max(int(500_000 * scale), 1000)
+    tables: dict[QuadraticForm, RepTable] = {}
 
-    def scaled(n, minimum=1000):
-        return max(int(n * scale), minimum)
+    def table_for(form, limit):
+        tables[form] = ensure_table(form, limit, tables.get(form))
+        return tables[form]
 
-    table11 = None
-    if "1" in want:
-        table11 = _repro_bias_pair(
-            form11,
-            (CongruenceClass(1, 8), CongruenceClass(5, 8)),
-            scaled(500_000), stride, outdir, "fig1",
+    @functools.cache
+    def series(form, cls, n_max):
+        table = table_for(form, nth_prime_bound(n_max))
+        return bias_series(form, cls, n_max, stride=100, rep_table=table)
+
+    def bias_pair(fig, form, classes, n_max):
+        s1, s2 = (series(form, cls, n_max) for cls in classes)
+        f1, f2 = (
+            _series_step(outdir / f"fig{fig}_class{s.cls.residue}mod{s.cls.modulus}.csv", s)
+            for s in (s1, s2)
         )
-    if "2" in want:
-        _repro_bias_pair(
-            QuadraticForm(1, 1, 1),
-            (CongruenceClass(1, 12), CongruenceClass(7, 12)),
-            scaled(100_000), stride, outdir, "fig2",
-        )
-    if "3" in want:
-
-        n_max = scaled(500_000)
-        table11 = ensure_table(form11, nth_prime_bound(n_max), table11)
-        ser_all = bias_series(form11, CongruenceClass.trivial(), n_max,
-                              stride=stride, rep_table=table11)
-        for m in (1, 5):
-            cls = CongruenceClass(m, 8)
-            ser = bias_series(form11, cls, n_max, stride=stride,
-                              rep_table=table11)
-            ratios = ratio_series(ser, ser_all)
-            _write_ratio_csv(outdir / f"fig3_ratio{m}mod8.csv", ratios)
-            progress(f"fig3: final R[{cls}]={_fmt_opt(ratios[-1][1])}")
-    if "4" in want:
-        x_max = scaled(1_000_000, minimum=10_000)
-        table11 = ensure_table(form11, x_max, table11)
-        d1, d2 = counting.d_functions(x_max, rep_table=table11)
-        _write_dfunc_csv(outdir / "fig4_dfunctions.csv", d1, d2)
-        f1 = counting.negative_bias_fraction(d1)
-        f2 = counting.negative_bias_fraction(d2)
+        count, _ = sign_changes(s1.values(), s2.values())
         progress(
-            f"fig4: negative fractions D1 {f1.negative:.4f}, D2 {f2.negative:.4f}"
+            f"fig{fig}: final F[{s1.cls}]={_fmt_opt(f1)} F[{s2.cls}]={_fmt_opt(f2)}; "
+            f"{count} sign changes of the difference"
         )
+
+    if "1" in want:
+        bias_pair("1", form11, (CongruenceClass(1, 8), CongruenceClass(5, 8)), n11)
+    if "2" in want:
+        bias_pair("2", QuadraticForm(1, 1, 1), (CongruenceClass(1, 12), CongruenceClass(7, 12)),
+                  max(int(100_000 * scale), 1000))
+    if "3" in want:
+        ser_all = series(form11, CongruenceClass.trivial(), n11)
+        for m in (1, 5):
+            ser = series(form11, CongruenceClass(m, 8), n11)
+            final = _ratio_step(outdir / f"fig3_ratio{m}mod8.csv", ser, ser_all)
+            progress(f"fig3: final R[{ser.cls}]={_fmt_opt(final)}")
+    if "4" in want:
+        x_max = max(int(1_000_000 * scale), 10_000)
+        table = table_for(form11, x_max)
+        *_, f1, f2 = _dfunc_step(outdir / "fig4_dfunctions.csv", x_max, table)
+        progress(f"fig4: negative fractions D1 {f1.negative:.4f}, D2 {f2.negative:.4f}")
     click.echo(str(outdir))
 
 

@@ -14,7 +14,6 @@ squarefree discriminant input delta < 0:
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -69,24 +68,27 @@ def splitting_type(fs: FieldSplitting, p: int) -> str:
 
 @dataclass(frozen=True)
 class CountSeries:
-    """A running integer count sampled at its event grid.
+    """A running integer count sampled at its event grid, as int64 arrays.
 
     Grid entries hold the value after the event at that point; evaluate(x)
-    returns the count over events strictly below x.
+    returns the count over events strictly below x. Both lookups take a
+    scalar or an array of points.
     """
 
-    x_grid: list[int]
-    values: list[int]
+    x_grid: np.ndarray
+    values: np.ndarray
 
-    def evaluate(self, x: int) -> int:
+    def __post_init__(self):
+        object.__setattr__(self, "x_grid", np.asarray(self.x_grid, dtype=np.int64))
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.int64))
+
+    def evaluate(self, x):
         # events strictly below x; the final grid entry is a plain endpoint
-        idx = bisect.bisect_left(self.x_grid, x)
-        return self.values[idx - 1] if idx else 0
+        return np.concatenate(([0], self.values))[np.searchsorted(self.x_grid, x)]
 
-    def value_at(self, x: int) -> int:
+    def value_at(self, x):
         """Running value including any event at x itself."""
-        idx = bisect.bisect_right(self.x_grid, x)
-        return self.values[idx - 1] if idx else 0
+        return np.concatenate(([0], self.values))[np.searchsorted(self.x_grid, x, "right")]
 
 
 class BiasFractions(NamedTuple):
@@ -96,10 +98,10 @@ class BiasFractions(NamedTuple):
 
 def negative_bias_fraction(series: CountSeries) -> BiasFractions:
     """Fraction of grid points with value < 0, and with value <= 0."""
-    if not series.values:
-        raise ValueError("empty count series")
-    vals = np.asarray(series.values)
+    vals = series.values
     n = vals.size
+    if n == 0:
+        raise ValueError("empty count series")
     return BiasFractions(
         negative=float(np.count_nonzero(vals < 0)) / n,
         nonpositive=float(np.count_nonzero(vals <= 0)) / n,
@@ -136,11 +138,9 @@ def d_functions(
     out = []
     for residue in (1, 5):
         mask = p % 8 == residue
-        grid = p[mask].tolist()
-        vals = np.cumsum(steps[mask]).tolist()
-        grid.append(x_max)
-        vals.append(vals[-1] if vals else 0)
-        out.append(CountSeries(x_grid=grid, values=vals))
+        vals = np.cumsum(steps[mask])
+        vals = np.append(vals, vals[-1] if vals.size else 0)
+        out.append(CountSeries(x_grid=np.append(p[mask], x_max), values=vals))
     return out[0], out[1]
 
 

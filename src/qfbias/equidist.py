@@ -169,6 +169,8 @@ def angle_arrays(table: RepTable, w: int) -> tuple[np.ndarray, np.ndarray]:
     Uses math.atan2 per row so results agree bit-for-bit with hecke_angle
     (numpy's arctan2 can differ in the last ulp).
     """
+    if w < 1:
+        raise ValueError("root count w must be positive")
     raw = np.fromiter(
         map(math.atan2, table.y.tolist(), table.x.tolist()),
         dtype=np.float64, count=len(table),

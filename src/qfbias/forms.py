@@ -16,7 +16,7 @@ for the ordering never fixes signs).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -196,8 +196,8 @@ def _fast_pairs(c: int, p: int) -> list[tuple[int, int]]:
 
     Returns the positive-quadrant candidates (plus the swap for c = 1); signs
     are restored by the caller's filter. Relies on the representation being
-    unique up to symmetry, which holds for the class-number-one cases c in
-    {1, 2, 3} this path is used for at scale.
+    unique up to symmetry. It serves canonical_pairs, the per-prime route
+    the tests use as an oracle; bulk tables come from the lattice enumeration.
     """
     sol = cornacchia(c, p)
     if sol is None:
@@ -272,7 +272,9 @@ class RepTable:
         )
 
     def slice_first(self, count: int) -> "RepTable":
-        """The first count rows (smallest primes first)."""
+        """The first count rows (smallest primes first); count must be >= 0."""
+        if count < 0:
+            raise ValueError(f"row count must be nonnegative, got {count}")
         return RepTable(
             self.form, self.p[:count], self.x[:count], self.y[:count], self.limit
         )
@@ -284,6 +286,13 @@ class RepTable:
 def _empty_table(form: QuadraticForm, limit: int = 0) -> RepTable:
     z = np.empty(0, dtype=np.int64)
     return RepTable(form, z, z.copy(), z.copy(), limit)
+
+
+def _check_capacity(limit: int) -> None:
+    if limit > DEFAULT_CAPACITY:
+        raise TableBoundError(
+            f"representation table to {limit} exceeds capacity {DEFAULT_CAPACITY}"
+        )
 
 
 def representation_table(form: QuadraticForm, primes: np.ndarray) -> RepTable:
@@ -305,10 +314,7 @@ def representation_table(form: QuadraticForm, primes: np.ndarray) -> RepTable:
     if primes.size == 0:
         return _empty_table(form)
     lo, hi = int(primes.min()), int(primes.max())
-    if hi > DEFAULT_CAPACITY:
-        raise TableBoundError(
-            f"representation table to {hi} exceeds capacity {DEFAULT_CAPACITY}"
-        )
+    _check_capacity(hi)
     a, b, c, D = form.a, form.b, form.c, form.D
     y_max = math.isqrt(4 * a * hi // D)
     x_max = _x_extent(form, hi)
@@ -345,6 +351,7 @@ def extend_table(table: RepTable, new_limit: int) -> RepTable:
     """Grow a table's coverage to new_limit, reusing the existing rows."""
     if new_limit <= table.limit:
         return table
+    _check_capacity(new_limit)
     extra = representation_table(table.form, sieve_range(table.limit + 1, new_limit))
     return RepTable(
         table.form,
@@ -365,4 +372,6 @@ def ensure_table(
         if rep_table.form != form:
             raise ValueError("representation table computed for a different form")
         return extend_table(rep_table, limit)
-    return representation_table(form, sieve_range(2, limit))
+    _check_capacity(limit)
+    # every prime <= limit was processed, so asking for limit again sieves nothing
+    return replace(representation_table(form, sieve_range(2, limit)), limit=limit)

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import SieveCapacityError
 
 DEFAULT_SEGMENT_SIZE = 1 << 20
-# generous desk-scale ceiling; nth_prime and series builders refuse past this
+# generous desk-scale ceiling; first_primes and table builders refuse past this
 DEFAULT_CAPACITY = 4_000_000_000
 
 
@@ -168,8 +168,8 @@ def nth_prime_bound(n: int) -> int:
     return int(n * (ln + math.log(ln))) + 1
 
 
-def nth_prime(n: int, capacity: int = DEFAULT_CAPACITY) -> int:
-    """The n-th prime, 1-indexed (n=1 gives 2)."""
+def first_primes(n: int, capacity: int = DEFAULT_CAPACITY) -> np.ndarray:
+    """The first n primes, ascending, as int64."""
     if n < 1:
         raise ValueError("prime index must be >= 1")
     bound = nth_prime_bound(n)
@@ -180,8 +180,13 @@ def nth_prime(n: int, capacity: int = DEFAULT_CAPACITY) -> int:
             )
         primes = sieve_range(2, bound)
         if len(primes) >= n:
-            return int(primes[n - 1])
+            return primes[:n]
         bound *= 2  # unreachable for n >= 6; keeps small n honest
+
+
+def nth_prime(n: int, capacity: int = DEFAULT_CAPACITY) -> int:
+    """The n-th prime, 1-indexed (n=1 gives 2)."""
+    return int(first_primes(n, capacity)[-1])
 
 
 def prime_count(limit: int) -> int:

@@ -16,12 +16,7 @@ import numpy as np
 from .errors import SieveCapacityError
 from .forms import QuadraticForm, RepTable, ensure_table
 from .polynomials import BivariatePolynomial
-from .primes import (
-    DEFAULT_CAPACITY,
-    CongruenceClass,
-    nth_prime_bound,
-    sieve_range,
-)
+from .primes import CongruenceClass, first_primes
 
 MAX_MOMENT_POWER = 8
 
@@ -114,7 +109,6 @@ def bias_series(
     n_max: int,
     stride: int = 100,
     rep_table: RepTable | None = None,
-    capacity: int = DEFAULT_CAPACITY,
 ) -> BiasSeries:
     """Bias points at each multiple of stride up to the prime index n_max.
 
@@ -125,19 +119,7 @@ def bias_series(
         raise ValueError("stride must be >= 1")
     if n_max < stride:
         raise ValueError("n_max must be at least the stride")
-    bound = nth_prime_bound(n_max)
-    if bound > capacity:
-        raise SieveCapacityError(
-            f"series to N={n_max} needs sieving to ~{bound}, beyond capacity {capacity}"
-        )
-    primes = sieve_range(2, bound)
-    while primes.size < n_max:  # bound is proven for n >= 6; belt and braces
-        bound *= 2
-        if bound > capacity:
-            raise SieveCapacityError(f"series bound {bound} beyond capacity")
-        primes = sieve_range(2, bound)
-    primes = primes[:n_max]
-
+    primes = first_primes(n_max)
     table = ensure_table(form, int(primes[-1]), rep_table)
     table = table.slice_below(int(primes[-1])).slice_class(cls)
     # max coordinate is sqrt(p/a) <= sqrt(Pr(N)); guard the int64 prefix sums

@@ -1,4 +1,5 @@
 
+import bisect
 import math
 
 import pytest
@@ -12,6 +13,7 @@ from qfbias.counting import d_functions
 from qfbias.equidist import angle_arrays, ks_statistic, sample_angles, sector_counts, weyl_sum
 from qfbias.forms import QuadraticForm, representation_table
 from qfbias.primes import CongruenceClass, sieve_range
+from qfbias.series import bias_series
 
 
 @pytest.fixture
@@ -21,6 +23,35 @@ def runner():
 
 def invoke(runner, *args, **kwargs):
     return runner.invoke(main, list(args), catch_exceptions=False, **kwargs)
+
+
+@pytest.fixture
+def sieve_spy(monkeypatch):
+    """Record the upper end of every sieve; fail any sieve too big for a test."""
+    calls = []
+
+    def spy(lo, hi, *args, **kwargs):
+        calls.append(hi)
+        if hi > 10**7:
+            raise AssertionError(f"test asked to sieve to {hi}")
+        return sieve_range(lo, hi, *args, **kwargs)
+
+    for module in ("primes", "forms", "cli"):
+        monkeypatch.setattr(f"qfbias.{module}.sieve_range", spy)
+    return calls
+
+
+@pytest.mark.parametrize("args", [
+    ["series", "--form", "1,0,1", "--nmax", "200000000", "-o", "s.csv"],
+    ["represent", "--form", "1,0,1", "--limit", "5000000000", "--cache", "c.qfr"],
+])
+def test_capacity_refused_before_sieving(runner, tmp_path, monkeypatch, sieve_spy, args):
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3
+    assert "exceeds capacity" in result.stderr
+    assert sieve_spy == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_version_from_source_checkout(runner):
@@ -217,9 +248,17 @@ class TestDfuncCommand:
     def test_csv_equals_per_row_value_at(self, runner, tmp_path, xmax):
         out = tmp_path / "d.csv"
         invoke(runner, "dfunc", "--xmax", str(xmax), "-o", str(out))
-        d1, d2 = d_functions(xmax)
-        merged = sorted(set(d1.x_grid) | set(d2.x_grid))
-        rows = "".join(f"{g},{d1.value_at(g)},{d2.value_at(g)}\n" for g in merged)
+        # reference: a per-row bisect over Python lists, independent of value_at
+        series = [(s.x_grid.tolist(), s.values.tolist()) for s in d_functions(xmax)]
+
+        def value_at(grid, values, g):
+            idx = bisect.bisect_right(grid, g)
+            return values[idx - 1] if idx else 0
+
+        merged = sorted(set(series[0][0]) | set(series[1][0]))
+        rows = "".join(
+            f"{g},{value_at(*series[0], g)},{value_at(*series[1], g)}\n" for g in merged
+        )
         assert out.read_text() == "x,D1,D2\n" + rows
 
 
@@ -313,6 +352,22 @@ class TestEquidistCommand:
         counts = " ".join(str(c) for c in sector_counts(samples, 8))
         assert f"sector counts: {counts}" in result.stderr.splitlines()
 
+    def test_negative_count_is_usage_error(self, runner, tmp_path):
+        result = runner.invoke(main, ["equidist", "--form", "1,0,1", "--limit", "1000",
+                                      "--count", "-5", "-o", str(tmp_path / "a.csv")])
+        assert result.exit_code == 2
+        assert not (tmp_path / "a.csv").exists()
+        with pytest.raises(ValueError, match="nonnegative"):
+            sample_angles(QuadraticForm(1, 0, 1), x_limit=1000, max_count=-5)
+
+    def test_winding_below_one_is_usage_error(self, runner, tmp_path):
+        result = runner.invoke(main, ["equidist", "--form", "1,0,1", "--limit", "1000",
+                                      "--w", "0", "-o", str(tmp_path / "a.csv")])
+        assert result.exit_code == 2
+        assert not (tmp_path / "a.csv").exists()
+        with pytest.raises(ValueError, match="positive"):
+            sample_angles(QuadraticForm(1, 0, 1), x_limit=1000, w=0)
+
     def test_empty_selection_is_computation_error(self, runner, tmp_path):
         result = runner.invoke(main, ["equidist", "--form", "1,0,1", "--mod", "4",
                                       "--res", "3", "--limit", "100",
@@ -354,6 +409,42 @@ class TestReproCommand:
         out = tmp_path / "d.csv"
         invoke(runner, "dfunc", "--xmax", "10000", "-o", str(out))
         assert (outdir / "fig4_dfunctions.csv").read_bytes() == out.read_bytes()
+
+    def test_figures_1_and_2_match_series(self, runner, tmp_path):
+        outdir = tmp_path / "repro"
+        invoke(runner, "repro", "--outdir", str(outdir), "--scale", "0.002", "--figure", "1")
+        invoke(runner, "repro", "--outdir", str(outdir), "--scale", "0.002", "--figure", "2")
+        # at this scale both figures run to N = 1000
+        for fig, form, mod, res in ((1, "1,0,1", 8, 1), (1, "1,0,1", 8, 5),
+                                    (2, "1,1,1", 12, 1), (2, "1,1,1", 12, 7)):
+            out = tmp_path / f"s{fig}_{res}.csv"
+            invoke(runner, "series", "--form", form, "--mod", str(mod), "--res", str(res),
+                   "--nmax", "1000", "--stride", "100", "-o", str(out))
+            assert (outdir / f"fig{fig}_class{res}mod{mod}.csv").read_bytes() == out.read_bytes()
+
+    def test_all_equals_separate_figures(self, runner, tmp_path):
+        together = invoke(runner, "repro", "--outdir", str(tmp_path / "all"), "--scale", "0.002")
+        stderr = ""
+        for fig in "1234":
+            stderr += invoke(runner, "repro", "--outdir", str(tmp_path / "one"),
+                             "--scale", "0.002", "--figure", fig).stderr
+        assert together.stderr == stderr
+        names = sorted(p.name for p in (tmp_path / "all").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "one").iterdir())
+        for name in names:
+            assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+    def test_all_computes_each_series_once(self, runner, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(form, cls, n_max, **kwargs):
+            calls.append((form, cls, n_max))
+            return bias_series(form, cls, n_max, **kwargs)
+
+        monkeypatch.setattr("qfbias.cli.bias_series", spy)
+        invoke(runner, "repro", "--outdir", str(tmp_path), "--scale", "0.002")
+        # fig1's two class series, fig2's two, and fig3's all-primes series
+        assert len(calls) == len(set(calls)) == 5
 
 
 THREADED_COMMANDS = {

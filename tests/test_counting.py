@@ -76,8 +76,10 @@ class TestDFunctions:
     def test_every_qualifying_prime_is_an_event(self):
         d1, d2 = d_functions(2000)
         primes = sieve_range(2, 1999).tolist()
-        assert d1.x_grid[:-1] == [p for p in primes if p % 8 == 1]
-        assert d2.x_grid[:-1] == [p for p in primes if p % 8 == 5]
+        np.testing.assert_array_equal(d1.x_grid[:-1], [p for p in primes if p % 8 == 1])
+        np.testing.assert_array_equal(d2.x_grid[:-1], [p for p in primes if p % 8 == 5])
+        for series in (d1, d2):
+            assert series.x_grid.dtype == series.values.dtype == np.int64
 
     def test_decomposition_matches_brute_force(self):
         # independent check of the odd/even split: enumerate a^2 + 4b^2 = p

@@ -20,7 +20,7 @@ from qfbias.forms import (
     representation_table,
     sqrt_mod,
 )
-from qfbias.primes import CongruenceClass, sieve_range
+from qfbias.primes import DEFAULT_CAPACITY, CongruenceClass, sieve_range
 
 from conftest import trial_division_primes
 
@@ -292,6 +292,22 @@ class TestLatticeEngine:
     def test_prime_past_capacity_is_refused(self):
         with pytest.raises(TableBoundError, match="capacity"):
             representation_table(Q11, np.array([2**61 - 1]))
+
+    def test_capacity_checked_before_sieving(self, monkeypatch):
+        seed = representation_table(Q11, sieve_range(2, 100))
+        calls = []
+        monkeypatch.setattr("qfbias.forms.sieve_range", lambda lo, hi, **kw: calls.append(hi))
+        for rep_table in (None, seed):
+            with pytest.raises(TableBoundError, match="capacity"):
+                ensure_table(Q11, DEFAULT_CAPACITY + 1, rep_table)
+        assert calls == []
+
+    def test_fresh_table_covers_its_limit(self, monkeypatch):
+        table = ensure_table(Q11, 100)
+        assert table.limit == 100 and table.max_prime == 97
+        monkeypatch.setattr("qfbias.forms.sieve_range",
+                            lambda lo, hi, **kw: pytest.fail(f"sieved [{lo}, {hi}]"))
+        assert ensure_table(Q11, 100, table) is table
 
     def test_int64_overflow_is_refused(self):
         with pytest.raises(TableBoundError, match="int64"):

@@ -7,6 +7,7 @@ from qfbias.errors import SieveCapacityError
 from qfbias.primes import (
     CongruenceClass,
     PrimeStream,
+    first_primes,
     nth_prime,
     nth_prime_bound,
     prime_count,
@@ -108,6 +109,13 @@ class TestNthPrime:
     def test_capacity_error(self):
         with pytest.raises(SieveCapacityError):
             nth_prime(10**9, capacity=10**6)
+
+    def test_first_primes_against_oracle_prefix(self):
+        oracle = trial_division_primes(2, 4000)
+        for n in (1, 5, 6, 7, 200, len(oracle)):
+            primes = first_primes(n)
+            assert primes.dtype == np.int64
+            assert primes.tolist() == oracle[:n]
 
 
 class TestCongruenceClass:

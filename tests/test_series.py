@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfbias.errors import SieveCapacityError
 from qfbias.forms import QuadraticForm, representation_table
 from qfbias.polynomials import BivariatePolynomial, parse_polynomial
 from qfbias.primes import CongruenceClass, nth_prime_bound, sieve_range
@@ -118,6 +119,14 @@ class TestBiasSeries:
         fresh = bias_series(Q11, C14, 500, stride=100)
         reused = bias_series(Q11, C14, 500, stride=100, rep_table=table)
         assert fresh == reused
+
+    def test_capacity_error_before_sieving(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("qfbias.primes.sieve_range", lambda lo, hi, **kw: calls.append(hi))
+        monkeypatch.setattr("qfbias.forms.sieve_range", lambda lo, hi, **kw: calls.append(hi))
+        with pytest.raises(SieveCapacityError, match="capacity"):
+            bias_series(Q11, C14, 200_000_000)
+        assert calls == []
 
     def test_stride_validation(self):
         with pytest.raises(ValueError):
