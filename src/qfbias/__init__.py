@@ -1,6 +1,12 @@
 """qfbias: primes represented by binary quadratic forms, their bias series,
 counting differences, angle equidistribution statistics, and limit values."""
 
+import os
+
+# qfbias never calls BLAS; numpy's OpenBLAS would otherwise start one
+# busy-waiting worker thread per extra core on import
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .counting import (
     BiasFractions,
     CountSeries,

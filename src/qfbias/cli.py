@@ -324,6 +324,7 @@ def cmd_density(delta, mod, res, x_max, output, budget):
     cls = _class_from(mod, res)
     if x_max < 100:
         raise click.UsageError("--x must be at least 100")
+    counting.check_capacity(x_max)
     checkpoints = []
     x = 100
     while x < x_max:
@@ -352,8 +353,10 @@ def cmd_density(delta, mod, res, x_max, output, budget):
 @output_option
 @click.option("--stats", "stats_path", type=click.Path(dir_okay=False), default=None,
               help="also write a prefix-statistics sweep CSV")
-@click.option("--stats-stride", type=int, default=0, help="sweep stride (0 = auto)")
-@click.option("--sectors", type=int, default=0, help="print counts for this many sectors")
+@click.option("--stats-stride", type=click.IntRange(min=0), default=0,
+              help="sweep stride (0 = auto)")
+@click.option("--sectors", type=click.IntRange(min=0), default=0,
+              help="print counts for this many sectors")
 @cache_option
 @threads_option
 @handle_errors

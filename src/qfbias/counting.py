@@ -14,6 +14,7 @@ squarefree discriminant input delta < 0:
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -22,10 +23,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import distinct_prime_factors, euler_phi, kronecker, squarefree_part
-from .errors import ConsistencyError, StabilizationWarning
+from .errors import ConsistencyError, SieveCapacityError, StabilizationWarning
 from .forms import QuadraticForm, RepTable, ensure_table
 from .limits import integrate
-from .primes import CongruenceClass, sieve_range
+from .primes import DEFAULT_CAPACITY, CongruenceClass, sieve_range
 
 SPLIT = "split"
 INERT = "inert"
@@ -149,10 +150,22 @@ def d_functions(
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
 def _chi_table(d: int) -> np.ndarray:
-    """Kronecker character values of d indexed by residue mod |d|."""
+    """Kronecker character values of d indexed by residue mod |d| (read-only,
+    built once per d)."""
     mod = abs(d)
-    return np.array([kronecker(d, r) for r in range(mod)], dtype=np.int64)
+    chi = np.array([kronecker(d, r) for r in range(mod)], dtype=np.int64)
+    chi.flags.writeable = False
+    return chi
+
+
+def check_capacity(x: int) -> None:
+    """Refuse a prime-ideal count to x before anything is sieved."""
+    if x > DEFAULT_CAPACITY:
+        raise SieveCapacityError(
+            f"prime-ideal count to {x} exceeds capacity {DEFAULT_CAPACITY}"
+        )
 
 
 def prime_ideal_count(
@@ -165,6 +178,7 @@ def prime_ideal_count(
     """
     if x < 1:
         raise ValueError("x must be >= 1")
+    check_capacity(x)
     d = fs.field_discriminant
     chi = _chi_table(d)
 

@@ -1,6 +1,10 @@
 
 import bisect
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -36,7 +40,7 @@ def sieve_spy(monkeypatch):
             raise AssertionError(f"test asked to sieve to {hi}")
         return sieve_range(lo, hi, *args, **kwargs)
 
-    for module in ("primes", "forms", "cli"):
+    for module in ("primes", "forms", "counting", "cli"):
         monkeypatch.setattr(f"qfbias.{module}.sieve_range", spy)
     return calls
 
@@ -44,6 +48,7 @@ def sieve_spy(monkeypatch):
 @pytest.mark.parametrize("args", [
     ["series", "--form", "1,0,1", "--nmax", "200000000", "-o", "s.csv"],
     ["represent", "--form", "1,0,1", "--limit", "5000000000", "--cache", "c.qfr"],
+    ["density", "--delta", "-1", "--x", "5000000000", "-o", "d.csv"],
 ])
 def test_capacity_refused_before_sieving(runner, tmp_path, monkeypatch, sieve_spy, args):
     monkeypatch.chdir(tmp_path)
@@ -58,6 +63,35 @@ def test_version_from_source_checkout(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
     assert result.stdout.split()[-1] == __version__ == "0.1.0"
+
+
+def _import_probe(openblas_threads=None):
+    """Native thread count and OPENBLAS_NUM_THREADS after a fresh
+    `import qfbias.cli`, with the variable unset or set to the given value."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import os, qfbias.cli; print(len(os.listdir('/proc/self/task')), "
+            "os.environ.get('OPENBLAS_NUM_THREADS', 'unset'))")
+    probe = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, check=True)
+    threads, setting = probe.stdout.split()
+    return int(threads), setting
+
+
+needs_proc = pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
+
+
+@needs_proc
+def test_import_starts_no_blas_pool():
+    assert _import_probe() == (1, "1")
+
+
+@needs_proc
+def test_import_keeps_callers_blas_setting():
+    assert _import_probe("2")[1] == "2"
 
 
 class TestLimitCommand:
@@ -367,6 +401,13 @@ class TestEquidistCommand:
         assert not (tmp_path / "a.csv").exists()
         with pytest.raises(ValueError, match="positive"):
             sample_angles(QuadraticForm(1, 0, 1), x_limit=1000, w=0)
+
+    @pytest.mark.parametrize("option", ["--sectors", "--stats-stride"])
+    def test_negative_option_is_usage_error(self, runner, tmp_path, option):
+        result = runner.invoke(main, ["equidist", "--form", "1,0,1", "--limit", "1000",
+                                      option, "-3", "-o", str(tmp_path / "a.csv")])
+        assert result.exit_code == 2
+        assert not (tmp_path / "a.csv").exists()
 
     def test_empty_selection_is_computation_error(self, runner, tmp_path):
         result = runner.invoke(main, ["equidist", "--form", "1,0,1", "--mod", "4",

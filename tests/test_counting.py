@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qfbias import counting
 from qfbias.arith import euler_phi, kronecker
 from qfbias.counting import (
     CountSeries,
@@ -17,8 +18,8 @@ from qfbias.counting import (
     prime_ideal_count,
     splitting_type,
 )
-from qfbias.errors import StabilizationWarning
-from qfbias.primes import CongruenceClass, sieve_range
+from qfbias.errors import SieveCapacityError, StabilizationWarning
+from qfbias.primes import DEFAULT_CAPACITY, CongruenceClass, sieve_range
 
 from conftest import trial_division_primes
 
@@ -168,6 +169,33 @@ class TestPrimeIdealCount:
         )
         shared = 1  # the single ramified ideal above 2 has norm 2, gcd(2, 8) > 1
         assert by_class == total - shared
+
+    def test_capacity_refused_before_sieving(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sieved before the capacity check")
+
+        monkeypatch.setattr(counting, "sieve_range", refuse)
+        with pytest.raises(SieveCapacityError, match="exceeds capacity"):
+            prime_ideal_count(GAUSS, DEFAULT_CAPACITY + 1)
+
+    def test_chi_table_built_once_and_read_only(self, monkeypatch):
+        calls = []
+
+        def spy(d, r):
+            calls.append(r)
+            return kronecker(d, r)
+
+        fs = FieldSplitting(-7)
+        monkeypatch.setattr(counting, "kronecker", spy)
+        counting._chi_table.cache_clear()
+        for x in (100, 1000, 10_000):
+            prime_ideal_count(fs, x)
+        assert len(calls) == 7
+        chi = counting._chi_table(fs.field_discriminant)
+        assert len(calls) == 7
+        assert chi.tolist() == [kronecker(-7, r) for r in range(7)]
+        with pytest.raises(ValueError, match="read-only"):
+            chi[1] = 0
 
 
 class TestNormResidueSubgroup:
