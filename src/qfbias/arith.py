@@ -1,5 +1,7 @@
 """Small exact-arithmetic helpers used across modules."""
 
+import numpy as np
+
 
 def euler_phi(n: int) -> int:
     """Euler's totient, by trial-division factoring."""
@@ -52,6 +54,44 @@ def kronecker(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
+
+
+def _split_twos(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(odd part, exponent of 2) of each positive int64 entry."""
+    twos = np.frexp(v & -v)[1] - 1  # the lowest set bit is 2**twos
+    return v >> twos, twos
+
+
+def kronecker_array(a: int, n: np.ndarray) -> np.ndarray:
+    """Kronecker symbols (a|n) for an int64 array of n >= 0, as int64.
+
+    The steps of `kronecker`, run on every entry at once: factors of 2 of n
+    first, then the Jacobi reciprocity loop on the entries still active.
+    """
+    n = np.asarray(n, dtype=np.int64)
+    if np.any(n < 0):
+        raise ValueError("kronecker_array needs n >= 0")
+    out = np.where(n == 0, int(a in (1, -1)), 1)
+    m, twos = _split_twos(np.where(n == 0, 1, n))
+    if a % 2 == 0:
+        out[twos > 0] = 0
+    elif a % 8 in (3, 5):
+        out[twos & 1 == 1] *= -1
+    # now m is odd and positive: Jacobi (a mod m | m) with reciprocity
+    r = a % m
+    live = np.flatnonzero(r)
+    r, m_live = r[live], m[live]
+    while live.size:
+        r, twos = _split_twos(r)
+        flip = (twos & 1 == 1) & ((m_live & 7 == 3) | (m_live & 7 == 5))
+        flip ^= (r & 3 == 3) & (m_live & 3 == 3)
+        out[live[flip]] *= -1
+        r, m_live = m_live % r, r
+        done = r == 0
+        m[live[done]] = m_live[done]
+        keep = ~done
+        live, r, m_live = live[keep], r[keep], m_live[keep]
+    return np.where(m == 1, out, 0)
 
 
 def squarefree_part(n: int) -> int:

@@ -21,29 +21,34 @@ MAGIC = b"QFR1"
 _HEADER = struct.Struct("<qqqQ")
 
 _RECORD_DTYPE = np.dtype([("p", "<u8"), ("x", "<i8"), ("y", "<i8")])
+_BLOCK = 1 << 16  # records per write: 1.5 MiB
 
 
 def write_cache(path, table: RepTable) -> None:
     """Write a representation table in the QFR1 layout.
 
-    The bytes go to a temporary file in the same directory, which then
-    replaces path in one rename: a write that fails leaves any previous
-    cache at path whole and removes the temporary file.
+    Records are packed and written _BLOCK at a time, so writing never holds
+    a second copy of the table. The bytes go to a temporary file in the same
+    directory, which then replaces path in one rename: a write that fails
+    leaves any previous cache at path whole and removes the temporary file.
     """
     path = Path(path)
     form = table.form
-    records = np.empty(len(table), dtype=_RECORD_DTYPE)
-    records["p"] = table.p.astype(np.uint64)
-    records["x"] = table.x
-    records["y"] = table.y
+    n = len(table)
+    block = np.empty(min(n, _BLOCK), dtype=_RECORD_DTYPE)
     # "x" refuses to reuse a name; an unlucky clash fails before touching path
     tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
     fh = open(tmp, "xb")
     try:
         with fh:
             fh.write(MAGIC)
-            fh.write(_HEADER.pack(form.a, form.b, form.c, len(table)))
-            fh.write(records.tobytes())
+            fh.write(_HEADER.pack(form.a, form.b, form.c, n))
+            for lo in range(0, n, _BLOCK):
+                rec = block[: min(_BLOCK, n - lo)]
+                rec["p"] = table.p[lo : lo + _BLOCK]
+                rec["x"] = table.x[lo : lo + _BLOCK]
+                rec["y"] = table.y[lo : lo + _BLOCK]
+                fh.write(rec.tobytes())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -20,11 +20,11 @@ import numpy as np
 from . import __version__, counting, equidist
 from .cache import read_cache, write_cache
 from .counting import FieldSplitting
-from .errors import ComputationError
+from .errors import ComputationError, SieveCapacityError
 from .forms import QuadraticForm, RepTable, ensure_table
 from .limits import LimitProblem
 from .polynomials import parse_polynomial
-from .primes import CongruenceClass, nth_prime_bound, sieve_range
+from .primes import DEFAULT_CAPACITY, CongruenceClass, nth_prime_bound, sieve_range
 from .series import BiasSeries, bias_series, ratio_series, sign_changes
 
 CACHE_DIR_ENV = "QFBIAS_CACHE_DIR"
@@ -155,6 +155,8 @@ def cmd_sieve(limit, lo, hi, out):
         raise click.UsageError("need --limit or both --lo and --hi")
     if lo > hi:
         raise click.UsageError("--lo must not exceed --hi")
+    if hi > DEFAULT_CAPACITY:
+        raise SieveCapacityError(f"sieve to {hi} exceeds capacity {DEFAULT_CAPACITY}")
     t0 = time.perf_counter()
     primes = sieve_range(lo, hi)
     progress(f"sieved [{lo}, {hi}] in {time.perf_counter() - t0:.2f}s")

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import distinct_prime_factors, euler_phi, kronecker, squarefree_part
+from .arith import distinct_prime_factors, euler_phi, kronecker, kronecker_array, squarefree_part
 from .errors import ConsistencyError, SieveCapacityError, StabilizationWarning
 from .forms import QuadraticForm, RepTable, ensure_table
 from .limits import integrate
@@ -33,6 +33,7 @@ INERT = "inert"
 RAMIFIED = "ramified"
 
 DEFAULT_PRIME_BUDGET = 10_000
+_CHI_BLOCK = 1 << 16
 STABILIZATION_WINDOW = 100
 
 
@@ -155,7 +156,10 @@ def _chi_table(d: int) -> np.ndarray:
     """Kronecker character values of d indexed by residue mod |d| (read-only,
     built once per d)."""
     mod = abs(d)
-    chi = np.array([kronecker(d, r) for r in range(mod)], dtype=np.int64)
+    chi = np.empty(mod, dtype=np.int64)
+    for lo in range(0, mod, _CHI_BLOCK):  # blocks bound the builder's temporaries
+        hi = min(lo + _CHI_BLOCK, mod)
+        chi[lo:hi] = kronecker_array(d, np.arange(lo, hi))
     chi.flags.writeable = False
     return chi
 

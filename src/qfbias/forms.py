@@ -1,8 +1,9 @@
 """Primitive positive-definite binary quadratic forms and prime representations.
 
 Bulk tables come from one lattice enumeration: every canonical point (x, y)
-whose value Q(x, y) lies in the range of the given primes is visited row by
-row in exact int64 arithmetic and kept when the value is one of those primes.
+whose value Q(x, y) lies in the range of the given primes is visited one
+value window at a time, all rows of a window at once, in exact int64
+arithmetic, and kept when the value is one of those primes.
 The per-prime routes stay as independent oracles for tests: a remainder-chain
 solver (`cornacchia`) for forms x^2 + c*y^2, and an exhaustive ellipse walk
 (`brute_force_representations`) that solves the remaining quadratic in y.
@@ -16,14 +17,17 @@ for the ordering never fixes signs).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OracleBoundError, TableBoundError
-from .primes import DEFAULT_CAPACITY, CongruenceClass, sieve_range
+from .primes import DEFAULT_CAPACITY, CongruenceClass, PrimeStream
 
 DEFAULT_ORACLE_BOUND = 10**6
+# values per lattice window: its prime flags take WINDOW bytes and its
+# candidate points (~0.2 * WINDOW for x^2 + y^2) a few int64 arrays each
+WINDOW = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -295,17 +299,96 @@ def _check_capacity(limit: int) -> None:
         )
 
 
+def _isqrt(s: np.ndarray) -> np.ndarray:
+    """Exact floor square roots of nonnegative int64 values below 2**62.
+
+    The float estimate is off by at most one there, so one fix-up step in
+    each direction makes it exact.
+    """
+    r = np.sqrt(s.astype(np.float64)).astype(np.int64)
+    r -= r * r > s
+    r += (r + 1) * (r + 1) <= s
+    return r
+
+
+def _window_rows(
+    form: QuadraticForm, primes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical (p, x, y) rows, sorted, for ascending primes in one window.
+
+    The window is [lo, hi] with lo and hi its first and last prime. Every
+    row y >= 0 contributes the x > y stretch of the annulus lo <= Q(x, y) <=
+    hi; its ends follow exactly from 4a*Q = (2ax + by)^2 + D*y^2, for all
+    rows at once. Since Q = x*(a + b*y) + c*y (mod 2), rows with a + b*y odd
+    need only the x of one parity, and rows where Q is always even are
+    skipped, unless the window holds 2. The caller has checked that every
+    intermediate fits int64.
+    """
+    lo, hi = int(primes[0]), int(primes[-1])
+    a, b, c, D = form.a, form.b, form.c, form.D
+    y_top = min(math.isqrt(4 * a * hi // D), _x_extent(form, hi) - 1)
+    if y_top == 0:
+        b = c = D = 0  # they only multiply y = 0 here, and may not fit int64
+    y = np.arange(y_top + 1, dtype=np.int64)
+    dy2 = D * y * y
+    r_out = _isqrt(4 * a * hi - dy2)
+    s_in = 4 * a * lo - dy2
+    r_in = np.where(s_in > 0, _isqrt(np.maximum(s_in - 1, 0)) + 1, 0)
+    # t = 2ax + by runs over [r_in, r_out] and [-r_out, -max(r_in, 1)]
+    y = np.concatenate((y, y))
+    t_lo = np.concatenate((r_in, -r_out)) - b * y
+    t_hi = np.concatenate((r_out, -np.maximum(r_in, 1))) - b * y
+    x_lo = np.maximum(-(-t_lo // (2 * a)), y + 1)
+    x_hi = t_hi // (2 * a)
+    step = np.ones_like(y)
+    if lo > 2:
+        odd_coef = (a + b * y) & 1 == 1
+        keep = odd_coef | ((c * y) & 1 == 1)
+        x_lo += np.where(odd_coef, (1 + c * y - x_lo) & 1, 0)  # the x parity giving odd Q
+        step[odd_coef] = 2
+        x_hi = np.where(keep, x_hi, x_lo - 1)
+    n = np.maximum((x_hi - x_lo) // step + 1, 0)
+    # one ragged enumeration of every row's stretch
+    x = np.arange(int(n.sum()), dtype=np.int64)
+    x -= np.repeat(np.cumsum(n) - n, n)
+    x *= np.repeat(step, n)
+    x += np.repeat(x_lo, n)
+    y = np.repeat(y, n)
+    q = (a * x + b * y) * x + c * y * y
+    flags = np.zeros(hi - lo + 1, dtype=bool)
+    flags[primes - lo] = True
+    hit = flags[q - lo]
+    p, x, y = q[hit], x[hit], y[hit]
+    order = np.lexsort((y, x, p))
+    return p[order], x[order], y[order]
+
+
+def _stack(form: QuadraticForm, parts: list, limit: int) -> RepTable:
+    """One table from row blocks in ascending p, emptying the list as it goes.
+
+    Each column is joined and its blocks dropped before the next, so the
+    peak is the blocks plus one column rather than two whole tables.
+    """
+    if not parts:
+        return _empty_table(form, limit)
+    columns = [list(col) for col in zip(*parts)]
+    parts.clear()
+    joined = []
+    for col in columns:
+        joined.append(np.concatenate(col))
+        col.clear()
+    return RepTable(form, *joined, limit)
+
+
 def representation_table(form: QuadraticForm, primes: np.ndarray) -> RepTable:
     """Canonical representation rows for every prime in the given array.
 
-    One lattice enumeration serves every form. With lo and hi the smallest
-    and largest given prime, each row y >= 0 contributes the x > y stretch of
-    the annulus lo <= Q(x, y) <= hi, whose ends follow exactly from
-    4a*Q = (2ax + by)^2 + D*y^2. Q is evaluated there in int64 and kept where
-    it hits a given prime; the rows are finally sorted by (p, x, y). Primes
-    missing from the array get no rows, so class-masked arrays and extension
-    windows work as they are. The table's coverage limit is the array's last
-    prime.
+    One lattice enumeration serves every form. The ascending primes are cut
+    into windows spanning at most WINDOW values, and each window enumerates
+    its stretch of the lattice against its own prime flags (`_window_rows`),
+    so memory follows the window, not the range. Primes missing from the
+    array get no rows, so class-masked arrays and extension windows work as
+    they are. The table's coverage limit is the array's last prime.
 
     Raises TableBoundError past the sieve capacity or when an int64
     intermediate could overflow.
@@ -313,53 +396,37 @@ def representation_table(form: QuadraticForm, primes: np.ndarray) -> RepTable:
     primes = np.asarray(primes, dtype=np.int64)
     if primes.size == 0:
         return _empty_table(form)
-    lo, hi = int(primes.min()), int(primes.max())
+    hi = int(primes[-1])
     _check_capacity(hi)
     a, b, c, D = form.a, form.b, form.c, form.D
     y_max = math.isqrt(4 * a * hi // D)
     x_max = _x_extent(form, hi)
-    if max(a * x_max**2, abs(b) * x_max * y_max, c * y_max**2) >= 1 << 62:
+    if max(a * x_max**2, abs(b) * x_max * y_max, c * y_max**2, 4 * a * hi) >= 1 << 62:
         raise TableBoundError(f"form ({form}) to {hi} exceeds the int64 range")
-    flags = np.zeros(hi - lo + 1, dtype=bool)
-    flags[primes - lo] = True
-    ps, xs, ys = [], [], []
-    for y in range(min(y_max, x_max - 1) + 1):  # canonical pairs have x > y
-        # Q(x, y) in [lo, hi]  <=>  r_in <= |2ax + by| <= r_out
-        r_out = math.isqrt(4 * a * hi - D * y * y)
-        s_lo = 4 * a * lo - D * y * y
-        r_in = math.isqrt(s_lo - 1) + 1 if s_lo > 0 else 0
-        for t_lo, t_hi in ((-r_out, -max(r_in, 1)), (r_in, r_out)):
-            x_lo = max(-((b * y - t_lo) // (2 * a)), y + 1)
-            x_hi = (t_hi - b * y) // (2 * a)
-            if x_lo > x_hi:
-                continue
-            x = np.arange(x_lo, x_hi + 1, dtype=np.int64)
-            q = (a * x + b * y) * x + c * y * y
-            hit = flags[q - lo]
-            ps.append(q[hit])
-            xs.append(x[hit])
-            ys.append(np.full(ps[-1].size, y, dtype=np.int64))
-    limit = int(primes[-1])
-    if not ps:
-        return _empty_table(form, limit)
-    p, x, y = np.concatenate(ps), np.concatenate(xs), np.concatenate(ys)
-    order = np.lexsort((y, x, p))
-    return RepTable(form, p[order], x[order], y[order], limit)
+    parts = []
+    start = 0
+    while start < primes.size:
+        stop = int(np.searchsorted(primes, primes[start] + WINDOW, side="left"))
+        parts.append(_window_rows(form, primes[start:stop]))
+        start = stop
+    return _stack(form, parts, hi)
 
 
 def extend_table(table: RepTable, new_limit: int) -> RepTable:
-    """Grow a table's coverage to new_limit, reusing the existing rows."""
+    """Grow a table's coverage to new_limit, reusing the existing rows.
+
+    The new primes come one sieve segment at a time, so no prime array of
+    the whole range is ever held.
+    """
     if new_limit <= table.limit:
         return table
     _check_capacity(new_limit)
-    extra = representation_table(table.form, sieve_range(table.limit + 1, new_limit))
-    return RepTable(
-        table.form,
-        np.concatenate([table.p, extra.p]),
-        np.concatenate([table.x, extra.x]),
-        np.concatenate([table.y, extra.y]),
-        new_limit,
-    )
+    parts = [(table.p, table.x, table.y)]
+    for seg in PrimeStream(new_limit).segments(table.limit + 1):
+        if seg.size:
+            extra = representation_table(table.form, seg)
+            parts.append((extra.p, extra.x, extra.y))
+    return _stack(table.form, parts, new_limit)
 
 
 def ensure_table(
@@ -368,10 +435,9 @@ def ensure_table(
     rep_table: RepTable | None = None,
 ) -> RepTable:
     """Reuse the caller's table, extending its coverage to limit if short."""
-    if rep_table is not None:
-        if rep_table.form != form:
-            raise ValueError("representation table computed for a different form")
-        return extend_table(rep_table, limit)
-    _check_capacity(limit)
-    # every prime <= limit was processed, so asking for limit again sieves nothing
-    return replace(representation_table(form, sieve_range(2, limit)), limit=limit)
+    if rep_table is None:
+        rep_table = _empty_table(form)
+    elif rep_table.form != form:
+        raise ValueError("representation table computed for a different form")
+    # every prime <= limit is processed, so asking for limit again sieves nothing
+    return extend_table(rep_table, limit)

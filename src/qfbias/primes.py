@@ -8,6 +8,7 @@ a configured bound rather than letting a huge sieve thrash the machine.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -98,11 +99,10 @@ class PrimeStream:
         if self.segment_size < 1:
             raise ValueError("segment_size must be >= 1")
 
-    def segments(self) -> Iterator[np.ndarray]:
-        """Primes in consecutive windows, ascending; concatenation is the stream."""
-        if self.limit < 2:
-            return
-        lo = 2
+    def segments(self, start: int = 2) -> Iterator[np.ndarray]:
+        """Primes in consecutive windows from start, ascending; concatenation
+        is the stream's part from start on."""
+        lo = max(start, 2)
         span = max(self.segment_size, 2)
         while lo <= self.limit:
             hi = min(lo + span - 1, self.limit)
@@ -182,6 +182,38 @@ def first_primes(n: int, capacity: int = DEFAULT_CAPACITY) -> np.ndarray:
         if len(primes) >= n:
             return primes[:n]
         bound *= 2  # unreachable for n >= 6; keeps small n honest
+
+
+@functools.lru_cache(maxsize=8)
+def stride_primes(n_max: int, stride: int) -> np.ndarray:
+    """Pr(N) for N = stride, 2*stride, ... <= n_max, as a read-only int64 array.
+
+    One streamed pass over [2, nth_prime_bound(n_max)] keeps only the sampled
+    primes, never the first n_max. Memoised per (n_max, stride), so series
+    on one grid share the pass.
+    """
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    if n_max < stride:
+        raise ValueError("n_max must be at least the stride")
+    bound = nth_prime_bound(n_max)
+    if bound > DEFAULT_CAPACITY:
+        raise SieveCapacityError(
+            f"prime #{n_max} needs sieving to ~{bound}, beyond capacity {DEFAULT_CAPACITY}"
+        )
+    want = np.arange(stride - 1, n_max, stride)  # zero-based prime indices
+    out = np.empty(want.size, dtype=np.int64)
+    done = seen = 0
+    for seg in PrimeStream(bound).segments():
+        upto = int(np.searchsorted(want, seen + seg.size))
+        out[done:upto] = seg[want[done:upto] - seen]
+        done, seen = upto, seen + seg.size
+        if done == want.size:
+            break
+    if done < want.size:  # nth_prime_bound is an upper bound, so unreachable
+        raise ArithmeticError(f"fewer than {n_max} primes below {bound}")
+    out.flags.writeable = False
+    return out
 
 
 def nth_prime(n: int, capacity: int = DEFAULT_CAPACITY) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import SieveCapacityError
 from .forms import QuadraticForm, RepTable, ensure_table
 from .polynomials import BivariatePolynomial
-from .primes import CongruenceClass, first_primes
+from .primes import CongruenceClass, stride_primes
 
 MAX_MOMENT_POWER = 8
 
@@ -103,6 +103,13 @@ def poly_sum(
     return total
 
 
+def _prefix_sums(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Sums of the first k values for each k in idx, exact in int64."""
+    cum = np.zeros(values.size + 1, dtype=np.int64)  # leading 0: index k sums k rows
+    np.cumsum(values, out=cum[1:])
+    return cum[idx]
+
+
 def bias_series(
     form: QuadraticForm,
     cls: CongruenceClass,
@@ -113,29 +120,26 @@ def bias_series(
     """Bias points at each multiple of stride up to the prime index n_max.
 
     The N-th point accumulates canonical pairs over primes p <= Pr(N) lying
-    in the class. Points with an empty y-sum keep F undefined.
+    in the class. Points with an empty y-sum keep F undefined. The Pr(N)
+    come from `stride_primes`, one streamed pass shared by every series on
+    the same (n_max, stride) grid.
     """
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    if n_max < stride:
-        raise ValueError("n_max must be at least the stride")
-    primes = first_primes(n_max)
-    table = ensure_table(form, int(primes[-1]), rep_table)
-    table = table.slice_below(int(primes[-1])).slice_class(cls)
+    pr = stride_primes(n_max, stride)
+    pr_last = int(pr[-1])
+    table = ensure_table(form, pr_last, rep_table)
+    table = table.slice_below(pr_last).slice_class(cls)
     # max coordinate is sqrt(p/a) <= sqrt(Pr(N)); guard the int64 prefix sums
-    if table.p.size and int(table.p.size) * int(math.isqrt(int(primes[-1]))) >= 2**62:
+    if table.p.size and int(table.p.size) * int(math.isqrt(pr_last)) >= 2**62:
         raise SieveCapacityError("prefix sums would overflow int64 accumulation")
-    # prefix sums with a leading 0, so index k sums the first k rows
-    cum_x = np.concatenate(([0], np.cumsum(table.x, dtype=np.int64)))
-    cum_y = np.concatenate(([0], np.cumsum(table.y, dtype=np.int64)))
-
     ns = np.arange(stride, n_max + 1, stride)
-    pr = primes[ns - 1]
     idx = np.searchsorted(table.p, pr, side="right")
     points = [
         BiasPoint(N=n, PrN=pr_n, sum_a=a, sum_b=b)
         for n, pr_n, a, b in zip(
-            ns.tolist(), pr.tolist(), cum_x[idx].tolist(), cum_y[idx].tolist()
+            ns.tolist(),
+            pr.tolist(),
+            _prefix_sums(table.x, idx).tolist(),
+            _prefix_sums(table.y, idx).tolist(),
         )
     ]
     return BiasSeries(form=form, cls=cls, stride=stride, points=points)

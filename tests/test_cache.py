@@ -116,3 +116,14 @@ def test_failed_write_keeps_previous_cache(tmp_path, monkeypatch):
     assert path.read_bytes() == before
     back = read_cache(path, expected_form=Q11)
     assert np.array_equal(back.p, old.p)
+
+
+def test_block_writes_equal_one_structured_copy(tmp_path, monkeypatch):
+    table = representation_table(QuadraticForm(2, 1, 3), sieve_range(2, 5000))
+    records = np.empty(len(table), dtype=[("p", "<u8"), ("x", "<i8"), ("y", "<i8")])
+    records["p"], records["x"], records["y"] = table.p, table.x, table.y
+    want = MAGIC + struct.pack("<qqqQ", 2, 1, 3, len(table)) + records.tobytes()
+    for block in (1, 7, len(table), len(table) + 1):
+        monkeypatch.setattr(cache, "_BLOCK", block)
+        write_cache(tmp_path / "t.qfr", table)
+        assert (tmp_path / "t.qfr").read_bytes() == want

@@ -40,7 +40,7 @@ def sieve_spy(monkeypatch):
             raise AssertionError(f"test asked to sieve to {hi}")
         return sieve_range(lo, hi, *args, **kwargs)
 
-    for module in ("primes", "forms", "counting", "cli"):
+    for module in ("primes", "counting", "cli"):
         monkeypatch.setattr(f"qfbias.{module}.sieve_range", spy)
     return calls
 
@@ -49,6 +49,8 @@ def sieve_spy(monkeypatch):
     ["series", "--form", "1,0,1", "--nmax", "200000000", "-o", "s.csv"],
     ["represent", "--form", "1,0,1", "--limit", "5000000000", "--cache", "c.qfr"],
     ["density", "--delta", "-1", "--x", "5000000000", "-o", "d.csv"],
+    ["sieve", "--limit", "5000000000", "--out", "p.txt"],
+    ["sieve", "--lo", "4000000000", "--hi", "4000000001", "--out", "p.txt"],
 ])
 def test_capacity_refused_before_sieving(runner, tmp_path, monkeypatch, sieve_spy, args):
     monkeypatch.chdir(tmp_path)

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfbias import counting
-from qfbias.arith import euler_phi, kronecker
+from qfbias.arith import euler_phi, kronecker, kronecker_array
 from qfbias.counting import (
     CountSeries,
     FieldSplitting,
@@ -181,21 +183,42 @@ class TestPrimeIdealCount:
     def test_chi_table_built_once_and_read_only(self, monkeypatch):
         calls = []
 
-        def spy(d, r):
-            calls.append(r)
-            return kronecker(d, r)
+        def spy(d, n):
+            calls.append(n.size)
+            return kronecker_array(d, n)
 
         fs = FieldSplitting(-7)
-        monkeypatch.setattr(counting, "kronecker", spy)
+        monkeypatch.setattr(counting, "kronecker_array", spy)
         counting._chi_table.cache_clear()
         for x in (100, 1000, 10_000):
             prime_ideal_count(fs, x)
-        assert len(calls) == 7
+        assert calls == [7]
         chi = counting._chi_table(fs.field_discriminant)
-        assert len(calls) == 7
+        assert calls == [7]
         assert chi.tolist() == [kronecker(-7, r) for r in range(7)]
         with pytest.raises(ValueError, match="read-only"):
             chi[1] = 0
+
+    @pytest.mark.parametrize("d", [-3, -4, -7, -8, -15, -20, -24, -999983])
+    def test_chi_table_equals_kronecker_at_every_residue(self, d):
+        counting._chi_table.cache_clear()
+        chi = counting._chi_table(d)
+        assert chi.tolist() == [kronecker(d, r) for r in range(abs(d))]
+
+
+class TestKroneckerArray:
+    @given(
+        a=st.integers(min_value=-10**6, max_value=10**6),
+        n=st.lists(st.integers(min_value=0, max_value=2**40), max_size=50),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_scalar_kronecker(self, a, n):
+        got = kronecker_array(a, np.array(n, dtype=np.int64))
+        assert got.tolist() == [kronecker(a, v) for v in n]
+
+    def test_rejects_negative_n(self):
+        with pytest.raises(ValueError):
+            kronecker_array(-4, np.array([3, -1]))
 
 
 class TestNormResidueSubgroup:

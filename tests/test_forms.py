@@ -1,11 +1,14 @@
 import functools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfbias import forms, primes
 from qfbias.errors import OracleBoundError, TableBoundError
 from qfbias.forms import (
     QuadraticForm,
@@ -20,7 +23,7 @@ from qfbias.forms import (
     representation_table,
     sqrt_mod,
 )
-from qfbias.primes import DEFAULT_CAPACITY, CongruenceClass, sieve_range
+from qfbias.primes import DEFAULT_CAPACITY, DEFAULT_SEGMENT_SIZE, CongruenceClass, sieve_range
 
 from conftest import trial_division_primes
 
@@ -296,7 +299,7 @@ class TestLatticeEngine:
     def test_capacity_checked_before_sieving(self, monkeypatch):
         seed = representation_table(Q11, sieve_range(2, 100))
         calls = []
-        monkeypatch.setattr("qfbias.forms.sieve_range", lambda lo, hi, **kw: calls.append(hi))
+        monkeypatch.setattr("qfbias.primes.sieve_range", lambda lo, hi, **kw: calls.append(hi))
         for rep_table in (None, seed):
             with pytest.raises(TableBoundError, match="capacity"):
                 ensure_table(Q11, DEFAULT_CAPACITY + 1, rep_table)
@@ -305,10 +308,76 @@ class TestLatticeEngine:
     def test_fresh_table_covers_its_limit(self, monkeypatch):
         table = ensure_table(Q11, 100)
         assert table.limit == 100 and table.max_prime == 97
-        monkeypatch.setattr("qfbias.forms.sieve_range",
+        monkeypatch.setattr("qfbias.primes.sieve_range",
                             lambda lo, hi, **kw: pytest.fail(f"sieved [{lo}, {hi}]"))
         assert ensure_table(Q11, 100, table) is table
 
     def test_int64_overflow_is_refused(self):
-        with pytest.raises(TableBoundError, match="int64"):
-            representation_table(QuadraticForm(2**62, 1, 1), sieve_range(2, 100))
+        # for a = 2^60, a*x^2 fits but the row ends need 4a*hi
+        for a in (2**62, 2**60):
+            with pytest.raises(TableBoundError, match="int64"):
+                representation_table(QuadraticForm(a, 1, 1), sieve_range(2, 100))
+
+
+class TestWindowedEngine:
+    @given(
+        coeffs=st.sampled_from(ORACLE_FORMS + [(2, -2, 3)]),
+        bound=st.integers(min_value=2, max_value=2000),
+        skip=st.integers(min_value=0, max_value=5),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_window_size_gives_the_same_table(self, coeffs, bound, skip, data):
+        # (2,1,3), (2,-1,1), (2,-5,4) and (2,-2,3) represent 2, so the windows
+        # that straddle 2 must keep both parities; five forms have b < 0
+        window = data.draw(st.integers(min_value=1, max_value=bound), label="window")
+        want = _full_table(coeffs).slice_below(bound)
+        subset = sieve_range(2, bound)[skip:]
+        with mock.patch.object(forms, "WINDOW", window):
+            table = representation_table(want.form, subset)
+            grown = ensure_table(want.form, bound)
+        keep = want.p >= (subset[0] if subset.size else bound + 1)
+        for got, rows in ((table, keep), (grown, slice(None))):
+            assert np.array_equal(got.p, want.p[rows])
+            assert np.array_equal(got.x, want.x[rows])
+            assert np.array_equal(got.y, want.y[rows])
+        assert grown.limit == bound
+
+    def test_ensure_table_sieves_one_segment_at_a_time(self, monkeypatch):
+        spans = []
+
+        def spy(lo, hi, *args, **kwargs):
+            spans.append((lo, hi))
+            return sieve_range(lo, hi, *args, **kwargs)
+
+        limit = 3 * DEFAULT_SEGMENT_SIZE + 5
+        monkeypatch.setattr(primes, "sieve_range", spy)
+        table = ensure_table(Q11, limit)
+        assert spans[0][0] == 2 and spans[-1][1] == limit
+        assert all(hi - lo < DEFAULT_SEGMENT_SIZE for lo, hi in spans)
+        assert len(spans) == 4
+        direct = representation_table(Q11, sieve_range(2, limit))
+        assert np.array_equal(table.p, direct.p)
+        assert np.array_equal(table.x, direct.x)
+        assert np.array_equal(table.y, direct.y)
+
+    def test_traced_peak_of_a_2e6_table(self):
+        # measured 4.2 MiB for a 1.7 MiB table (74416 rows); the engine that
+        # flagged and enumerated the whole range at once peaked at 9.1 MiB
+        ensure_table(Q11, 1000)  # warm module-level state first
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            table = ensure_table(Q11, 2_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert len(table) == 74416
+        assert peak < 6 * 2**20
+
+    def test_row_ends_are_exact_square_roots(self):
+        k = (1 << 31) - 1  # k^2 + 2k < 2^62: the largest squares the engine meets
+        s = np.array([0, 1, 2, 3, 4, 99, 100, 101, k * k - 1, k * k, k * k + 2 * k])
+        assert forms._isqrt(s).tolist() == [math.isqrt(int(v)) for v in s]

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfbias import primes as primes_module
 from qfbias.errors import SieveCapacityError
 from qfbias.primes import (
+    DEFAULT_SEGMENT_SIZE,
     CongruenceClass,
     PrimeStream,
     first_primes,
@@ -13,6 +15,7 @@ from qfbias.primes import (
     prime_count,
     primes_in_class,
     sieve_range,
+    stride_primes,
 )
 
 from conftest import trial_division_primes
@@ -116,6 +119,41 @@ class TestNthPrime:
             primes = first_primes(n)
             assert primes.dtype == np.int64
             assert primes.tolist() == oracle[:n]
+
+
+class TestStridePrimes:
+    @given(n_max=st.integers(min_value=1, max_value=20_000), stride=st.integers(min_value=1, max_value=700))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_first_primes_at_the_stride_points(self, n_max, stride):
+        if stride > n_max:
+            with pytest.raises(ValueError):
+                stride_primes(n_max, stride)
+            return
+        ns = np.arange(stride, n_max + 1, stride)
+        assert np.array_equal(stride_primes(n_max, stride), first_primes(n_max)[ns - 1])
+
+    def test_one_streamed_pass_shared_and_read_only(self, monkeypatch):
+        spans = []
+
+        def spy(lo, hi, *args, **kwargs):
+            spans.append((lo, hi))
+            return sieve_range(lo, hi, *args, **kwargs)
+
+        monkeypatch.setattr(primes_module, "sieve_range", spy)
+        stride_primes.cache_clear()
+        pr = stride_primes(300_000, 100)
+        assert spans and all(hi - lo < DEFAULT_SEGMENT_SIZE for lo, hi in spans)
+        assert spans[-1][1] <= nth_prime_bound(300_000)
+        count = len(spans)
+        assert stride_primes(300_000, 100) is pr and len(spans) == count
+        assert pr.size == 3000 and int(pr[-1]) == nth_prime(300_000)
+        with pytest.raises(ValueError, match="read-only"):
+            pr[0] = 0
+
+    def test_capacity_error_before_sieving(self, monkeypatch):
+        monkeypatch.setattr(primes_module, "sieve_range", lambda *a, **k: pytest.fail("sieved"))
+        with pytest.raises(SieveCapacityError, match="capacity"):
+            stride_primes(200_000_000, 100)
 
 
 class TestCongruenceClass:

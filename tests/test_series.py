@@ -6,9 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfbias.errors import SieveCapacityError
-from qfbias.forms import QuadraticForm, representation_table
+from qfbias import primes as primes_module
+from qfbias.forms import QuadraticForm, ensure_table, representation_table
 from qfbias.polynomials import BivariatePolynomial, parse_polynomial
-from qfbias.primes import CongruenceClass, nth_prime_bound, sieve_range
+from qfbias.primes import (
+    DEFAULT_SEGMENT_SIZE,
+    CongruenceClass,
+    first_primes,
+    nth_prime_bound,
+    sieve_range,
+    stride_primes,
+)
 from qfbias.series import (
     bias_series,
     moment_sum,
@@ -120,10 +128,28 @@ class TestBiasSeries:
         reused = bias_series(Q11, C14, 500, stride=100, rep_table=table)
         assert fresh == reused
 
+    def test_series_on_one_grid_share_one_streamed_pass(self, monkeypatch):
+        n_max = 200_000
+        table = ensure_table(Q11, nth_prime_bound(n_max))
+        spans = []
+
+        def spy(lo, hi, *args, **kwargs):
+            spans.append((lo, hi))
+            return sieve_range(lo, hi, *args, **kwargs)
+
+        monkeypatch.setattr(primes_module, "sieve_range", spy)
+        stride_primes.cache_clear()
+        classes = (TRIVIAL, CongruenceClass(1, 8), CongruenceClass(5, 8))
+        series = [bias_series(Q11, cls, n_max, stride=100, rep_table=table) for cls in classes]
+        # one pass of segments, none of them the whole first-N range
+        assert spans[0][0] == 2 and len(spans) == len(set(spans))
+        assert all(hi - lo < DEFAULT_SEGMENT_SIZE for lo, hi in spans)
+        want = first_primes(n_max)[99::100].tolist()
+        assert all([pt.PrN for pt in ser.points] == want for ser in series)
+
     def test_capacity_error_before_sieving(self, monkeypatch):
         calls = []
         monkeypatch.setattr("qfbias.primes.sieve_range", lambda lo, hi, **kw: calls.append(hi))
-        monkeypatch.setattr("qfbias.forms.sieve_range", lambda lo, hi, **kw: calls.append(hi))
         with pytest.raises(SieveCapacityError, match="capacity"):
             bias_series(Q11, C14, 200_000_000)
         assert calls == []
