@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__, counting, equidist
 from .cache import read_cache, write_cache
 from .counting import FieldSplitting
+from .csvtext import csv_blocks
 from .errors import ComputationError, SieveCapacityError
 from .forms import QuadraticForm, RepTable, ensure_table
 from .limits import LimitProblem
@@ -36,6 +37,11 @@ def _fmt(v: float) -> str:
 
 def _fmt_opt(v: float | None) -> str:
     return "" if v is None else _fmt(v)
+
+
+def _nan_for_none(values) -> np.ndarray:
+    """Float column with NaN where a value is undefined (None)."""
+    return np.array([np.nan if v is None else v for v in values], dtype=np.float64)
 
 
 def progress(msg: str) -> None:
@@ -161,8 +167,7 @@ def cmd_sieve(limit, lo, hi, out):
     primes = sieve_range(lo, hi)
     progress(f"sieved [{lo}, {hi}] in {time.perf_counter() - t0:.2f}s")
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.writelines(f"{p}\n" for p in primes.tolist())
+        _write_csv(out, None, primes)
     click.echo(str(len(primes)))
 
 
@@ -185,33 +190,30 @@ def cmd_represent(form, limit, cache_out):
     click.echo(str(len(table)))
 
 
-_ROW_BLOCK = 1 << 12
+def _write_csv(path, header: str | None, *columns) -> None:
+    """Write the header line, if any, then one line per row of the columns.
 
-
-def _write_csv(path, header: str, fmt: str, *columns) -> None:
-    """Write the header and one fmt.format(*row) line per row of the columns.
-
-    Rows are formatted a block at a time; undefined values come as _fmt_opt strings.
+    Integer columns write as str(v), float columns as 12 decimals with an
+    empty field for NaN (undefined); see `csvtext.csv_blocks`.
     """
-    columns = [np.asarray(c) for c in columns]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for lo in range(0, len(columns[0]), _ROW_BLOCK):
-            block = (c[lo : lo + _ROW_BLOCK].tolist() for c in columns)
-            fh.writelines(map(fmt.format, *block))
+    with open(path, "wb") as fh:
+        if header is not None:
+            fh.write(header.encode() + b"\n")
+        fh.writelines(csv_blocks(columns))
 
 
 def _series_step(path, ser: BiasSeries) -> float | None:
     """Write a bias series CSV; returns the final F."""
-    rows = ((pt.N, pt.PrN, pt.sum_a, pt.sum_b, _fmt_opt(pt.F)) for pt in ser.points)
-    _write_csv(path, "N,PrN,sum_a,sum_b,F", "{},{},{},{},{}\n", *zip(*rows))
-    return ser.points[-1].F
+    pts = ser.points
+    ints = np.array([(pt.N, pt.PrN, pt.sum_a, pt.sum_b) for pt in pts], dtype=np.int64)
+    _write_csv(path, "N,PrN,sum_a,sum_b,F", *ints.T, _nan_for_none(pt.F for pt in pts))
+    return pts[-1].F
 
 
 def _ratio_step(path, ser_cls: BiasSeries, ser_all: BiasSeries) -> float | None:
     """Write the ratio CSV of a class series over the all-primes one; returns the final R."""
     ns, rs = zip(*ratio_series(ser_cls, ser_all))
-    _write_csv(path, "N,R", "{},{}\n", ns, [_fmt_opt(r) for r in rs])
+    _write_csv(path, "N,R", ns, _nan_for_none(rs))
     return rs[-1]
 
 
@@ -222,7 +224,7 @@ def _dfunc_step(path, x_max: int, table: RepTable):
     # a sorted concatenation with neighbours dropped is their union
     merged = np.sort(np.concatenate((d1.x_grid, d2.x_grid)))
     merged = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
-    _write_csv(path, "x,D1,D2", "{},{},{}\n", merged, d1.value_at(merged), d2.value_at(merged))
+    _write_csv(path, "x,D1,D2", merged, d1.value_at(merged), d2.value_at(merged))
     return d1, d2, counting.negative_bias_fraction(d1), counting.negative_bias_fraction(d2)
 
 
@@ -242,7 +244,7 @@ def cmd_series(form, mod, res, nmax, stride, output, cache):
 
     table = _load_table(form, cache, nth_prime_bound(nmax))
     final = _series_step(output, bias_series(form, cls, nmax, stride=stride, rep_table=table))
-    click.echo(_fmt_opt(final) if final is not None else "undefined")
+    click.echo("undefined" if final is None else _fmt(final))
 
 
 @main.command("ratio")
@@ -265,7 +267,7 @@ def cmd_ratio(form, mod, res, nmax, stride, output, cache):
     ser_cls = bias_series(form, cls, nmax, stride=stride, rep_table=table)
     ser_all = bias_series(form, CongruenceClass.trivial(), nmax, stride=stride, rep_table=table)
     final = _ratio_step(output, ser_cls, ser_all)
-    click.echo(_fmt_opt(final) if final is not None else "undefined")
+    click.echo("undefined" if final is None else _fmt(final))
 
 
 @main.command("limit")
@@ -338,10 +340,11 @@ def cmd_density(delta, mod, res, x_max, output, budget):
         counting.density_check(fs, cls, cp, prime_budget=budget, subgroup=subgroup)
         for cp in checkpoints
     ]
-    rows = ((r.x, r.empirical, r.predicted, _fmt_opt(r.ratio)) for r in reports)
-    _write_csv(output, "x,empirical,predicted,ratio", "{},{},{:.12f},{}\n", *zip(*rows))
+    _write_csv(output, "x,empirical,predicted,ratio", checkpoints,
+               [r.empirical for r in reports], [r.predicted for r in reports],
+               _nan_for_none(r.ratio for r in reports))
     final = reports[-1].ratio
-    click.echo(_fmt_opt(final) if final is not None else "exact-zero")
+    click.echo("exact-zero" if final is None else _fmt(final))
 
 
 @main.command("equidist")
@@ -379,8 +382,7 @@ def cmd_equidist(form, mod, res, limit, max_count, w, conjugates, output,
     if len(table) == 0:
         raise ComputationError("no canonical representations in the requested range")
     raw, theta = equidist.angle_arrays(table, w)
-    _write_csv(output, "p,x,y,raw_arg,theta", "{},{},{},{:.12f},{:.12f}\n",
-               table.p, table.x, table.y, raw, theta)
+    _write_csv(output, "p,x,y,raw_arg,theta", table.p, table.x, table.y, raw, theta)
 
     quarter = math.pi / 4
     ks = equidist.ks_statistic(raw, quarter)
@@ -391,8 +393,7 @@ def cmd_equidist(form, mod, res, limit, max_count, w, conjugates, output,
         if not grid or grid[-1] != n:
             grid.append(n)
         stats = equidist.prefix_statistics(raw, grid, quarter)
-        _write_csv(stats_path, "N,ks,weyl_1,weyl_2,weyl_3,weyl_4,weyl_5",
-                   "{}" + ",{:.12f}" * 6 + "\n", grid, *stats.T)
+        _write_csv(stats_path, "N,ks,weyl_1,weyl_2,weyl_3,weyl_4,weyl_5", grid, *stats.T)
     if sectors > 0:
         vals = theta
         if conjugates:

@@ -287,6 +287,8 @@ def norm_residue_subgroup(
             subgroup=(0,),
             stabilized=True,
         )
+    if prime_budget < 2:
+        raise ValueError(f"prime budget must be at least 2, got {prime_budget}")
     d = fs.field_discriminant
     group = {1}
     generators: set[int] = set()

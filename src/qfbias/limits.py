@@ -65,7 +65,7 @@ def integrate(
     Absolute error below tol for smooth integrands; raises QuadratureError
     when the recursion budget runs out before the local tolerance is met.
     """
-    if tol <= 0:
+    if not tol > 0:  # also refuses NaN, which no error estimate would ever meet
         raise ValueError("tolerance must be positive")
     if lo > hi:
         raise ValueError("integration bounds out of order")

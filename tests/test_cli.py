@@ -129,6 +129,12 @@ class TestLimitCommand:
         result = runner.invoke(main, ["limit", "--form", "1,0,1", "--f", "x^2 +", "--g", "y"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1e-9"])
+    def test_tolerance_not_positive_is_usage_error(self, runner, tol):
+        result = runner.invoke(main, ["limit", "--form", "1,0,1", "--k", "1", "--tol", tol])
+        assert result.exit_code == 2
+        assert "tolerance must be positive" in result.stderr
+
 
 class TestSieveCommand:
     def test_count_to_stdout(self, runner):
@@ -139,6 +145,19 @@ class TestSieveCommand:
         out = tmp_path / "p.txt"
         invoke(runner, "sieve", "--lo", "10", "--hi", "30", "--out", str(out))
         assert out.read_text().split() == ["11", "13", "17", "19", "23", "29"]
+
+    @pytest.mark.parametrize("args", [
+        ["--limit", "200000"],
+        ["--lo", "999000", "--hi", "1000000"],
+        ["--lo", "24", "--hi", "28"],
+    ])
+    def test_out_file_is_one_prime_per_line(self, runner, tmp_path, args):
+        out = tmp_path / "p.txt"
+        result = invoke(runner, "sieve", *args, "--out", str(out))
+        lo, hi = (2, int(args[1])) if args[0] == "--limit" else (int(args[1]), int(args[3]))
+        primes = sieve_range(lo, hi).tolist()
+        assert out.read_bytes() == "".join(f"{p}\n" for p in primes).encode()
+        assert result.stdout.strip() == str(len(primes))
 
     def test_conflicting_flags(self, runner):
         result = runner.invoke(main, ["sieve", "--limit", "5", "--lo", "2", "--hi", "9"])
@@ -311,6 +330,13 @@ class TestAcoeffCommand:
         result = runner.invoke(main, ["acoeff", "--delta", "-4", "--mod", "8", "--res", "1"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("budget", ["1", "0", "-5"])
+    def test_budget_below_two_is_usage_error(self, runner, budget):
+        result = runner.invoke(main, ["acoeff", "--delta", "-1", "--mod", "8", "--res", "5",
+                                      "--budget", budget])
+        assert result.exit_code == 2
+        assert f"prime budget must be at least 2, got {budget}" in result.stderr
+
 
 class TestDensityCommand:
     def test_checkpoints_and_ratio(self, runner, tmp_path):
@@ -327,6 +353,16 @@ class TestDensityCommand:
         result = invoke(runner, "density", "--delta", "-1", "--mod", "8", "--res", "3",
                         "--x", "1000", "-o", str(out))
         assert result.stdout.strip() == "exact-zero"
+        assert out.read_text().splitlines()[1:] == ["100,0,0.000000000000,",
+                                                    "1000,0,0.000000000000,"]
+
+    def test_budget_below_two_is_usage_error(self, runner, tmp_path):
+        out = tmp_path / "den.csv"
+        result = runner.invoke(main, ["density", "--delta", "-1", "--mod", "8", "--res", "1",
+                                      "--x", "1000", "-o", str(out), "--budget", "1"])
+        assert result.exit_code == 2
+        assert "prime budget must be at least 2, got 1" in result.stderr
+        assert not out.exists()
 
 
 class TestEquidistCommand:

@@ -241,6 +241,15 @@ class TestNormResidueSubgroup:
         with pytest.warns(StabilizationWarning):
             norm_residue_subgroup(GAUSS, 8, prime_budget=20)
 
+    @pytest.mark.parametrize("budget", [1, 0, -3])
+    def test_budget_below_two_is_refused_before_sieving(self, monkeypatch, budget):
+        monkeypatch.setattr("qfbias.counting.sieve_range", None)
+        with pytest.raises(ValueError, match=f"prime budget must be at least 2, got {budget}"):
+            norm_residue_subgroup(GAUSS, 8, prime_budget=budget)
+
+    def test_trivial_modulus_needs_no_budget(self):
+        assert norm_residue_subgroup(GAUSS, 1, prime_budget=0).index == 1
+
     @pytest.mark.parametrize("delta", DELTAS)
     def test_scan_matches_closed_form(self, delta):
         fs = FieldSplitting(delta)

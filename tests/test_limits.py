@@ -105,6 +105,11 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(math.sin, 1.0, 0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-9])
+    def test_tolerance_must_be_positive(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            integrate(math.sin, 0.0, 1.0, tol=tol)
+
 
 class TestMomentRatios:
     @pytest.mark.parametrize("k,value", sorted(MOMENT_CLOSED_Q11.items()))
