@@ -22,9 +22,6 @@ from .counting import (
     splitting_type,
 )
 from .equidist import (
-    AngleSample,
-    Sector,
-    hecke_angle,
     ks_statistic,
     sample_angles,
     sector_counts,
@@ -37,7 +34,6 @@ from .forms import (
     brute_force_representations,
     canonical_pairs,
     cornacchia,
-    evaluate,
     representation_table,
     sqrt_mod,
 )

@@ -354,7 +354,8 @@ def cmd_density(delta, mod, res, x_max, output, budget):
 @click.option("--limit", type=int, default=None, help="prime bound for samples")
 @click.option("--count", "max_count", type=int, default=None, help="sample count cap")
 @click.option("--w", type=int, default=None, help="winding (roots of unity); default by field")
-@click.option("--conjugates", is_flag=True, help="append mirror samples")
+@click.option("--conjugates", is_flag=True,
+              help="add the mirror angles 2pi - theta to the --sectors counts (no CSV rows)")
 @output_option
 @click.option("--stats", "stats_path", type=click.Path(dir_okay=False), default=None,
               help="also write a prefix-statistics sweep CSV")
@@ -371,17 +372,11 @@ def cmd_equidist(form, mod, res, limit, max_count, w, conjugates, output,
     cls = _class_from(mod, res)
     if limit is None and cache is None:
         raise click.UsageError("need --limit (or a --cache covering the primes)")
-    if w is None:
-        w = equidist.root_count_for_form(form)
-    table = _load_table(form, cache, limit or 2)
-    if limit is not None:
-        table = table.slice_below(limit)
-    table = table.slice_class(cls)
-    if max_count is not None:
-        table = table.slice_first(max_count)
+    table, raw, theta = equidist.sample_angles(
+        form, cls, limit, max_count, w, rep_table=_load_table(form, cache, limit or 2)
+    )
     if len(table) == 0:
         raise ComputationError("no canonical representations in the requested range")
-    raw, theta = equidist.angle_arrays(table, w)
     _write_csv(output, "p,x,y,raw_arg,theta", table.p, table.x, table.y, raw, theta)
 
     quarter = math.pi / 4
@@ -395,10 +390,7 @@ def cmd_equidist(form, mod, res, limit, max_count, w, conjugates, output,
         stats = equidist.prefix_statistics(raw, grid, quarter)
         _write_csv(stats_path, "N,ks,weyl_1,weyl_2,weyl_3,weyl_4,weyl_5", grid, *stats.T)
     if sectors > 0:
-        vals = theta
-        if conjugates:
-            vals = np.concatenate([theta, np.mod(-theta, equidist.TWO_PI)])
-        counts = equidist.sector_counts(vals, sectors)
+        counts = equidist.sector_counts(equidist.mirrored(theta) if conjugates else theta, sectors)
         progress("sector counts: " + " ".join(str(c) for c in counts))
     click.echo(_fmt(ks))
 
@@ -420,7 +412,7 @@ def cmd_repro(outdir, figure, scale):
     """Regenerate the experiment CSV files behind the four figures."""
     # each figure runs the step of the series, ratio or dfunc command, so its
     # files equal that command's output; tables and series are built once
-    if scale <= 0 or scale > 1:
+    if not 0 < scale <= 1:
         raise click.UsageError("--scale must be in (0, 1]")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)

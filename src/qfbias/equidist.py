@@ -4,12 +4,12 @@ Each canonical representation (x, y) yields a coordinate angle
 raw_arg = atan(y/x) and the wound angle theta = w * atan2(y, x) (mod 2pi),
 where w is the number of roots of unity of the relevant field (4 for
 delta = -1, 6 for delta = -3, else 2). One representative per prime covers
-only the fundamental domain of theta; appending the conjugate sample mirrors
-theta to 2pi - theta and fills the circle.
+only the fundamental domain of theta; `mirrored` appends the conjugate
+ideals' angles 2pi - theta and fills the circle.
 
-The statistics (weyl_sum, ks_statistic, sector_counts, Sector.count) take
-float arrays, converted once with np.asarray. An AngleSample counts as its
-theta, so lists of samples, or of samples mixed with floats, work too.
+sample_angles selects table rows and returns them with their raw_arg and
+theta arrays. The statistics (weyl_sum, ks_statistic, sector_counts) take
+float arrays, converted once with np.asarray.
 
 prefix_statistics is the `equidist --stats` sweep over growing prefixes. It
 computes the phases of each Weyl frequency once for all samples and averages
@@ -21,50 +21,14 @@ recomputation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import squarefree_part
-from .forms import QuadraticForm, Representation, RepTable, ensure_table
+from .forms import QuadraticForm, RepTable, ensure_table
 from .primes import CongruenceClass
 
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class AngleSample:
-    """A prime with its coordinate angle and wound angle in [0, 2pi)."""
-
-    p: int
-    theta: float
-    raw_arg: float
-
-    def __float__(self) -> float:
-        return self.theta
-
-
-@dataclass(frozen=True)
-class Sector:
-    """Half-open angular window [phi1, phi2) inside [0, 2pi]."""
-
-    phi1: float
-    phi2: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.phi1 <= self.phi2 <= TWO_PI):
-            raise ValueError("sector bounds must satisfy 0 <= phi1 <= phi2 <= 2pi")
-
-    @property
-    def width(self) -> float:
-        return self.phi2 - self.phi1
-
-    def contains(self, theta: float) -> bool:
-        return self.phi1 <= theta < self.phi2
-
-    def count(self, samples) -> int:
-        vals = np.asarray(samples, dtype=np.float64)
-        return int(np.count_nonzero((vals >= self.phi1) & (vals < self.phi2)))
 
 
 def default_root_count(delta: int) -> int:
@@ -83,19 +47,9 @@ def root_count_for_form(form: QuadraticForm) -> int:
     return default_root_count(squarefree_part(form.disc))
 
 
-def hecke_angle(rep: Representation, w: int) -> AngleSample:
-    """Angle sample of a canonical representation: theta = w*atan2(y,x) mod 2pi."""
-    if w < 1:
-        raise ValueError("root count w must be positive")
-    raw = math.atan2(rep.y, rep.x)
-    return AngleSample(p=rep.p, theta=(w * raw) % TWO_PI, raw_arg=raw)
-
-
-def conjugate_sample(sample: AngleSample) -> AngleSample:
-    """The mirror sample theta -> 2pi - theta of the conjugate ideal."""
-    return AngleSample(
-        p=sample.p, theta=(-sample.theta) % TWO_PI, raw_arg=sample.raw_arg
-    )
+def mirrored(theta: np.ndarray) -> np.ndarray:
+    """theta followed by the conjugate ideals' angles 2pi - theta (mod 2pi)."""
+    return np.concatenate([theta, np.mod(-theta, TWO_PI)])
 
 
 def weyl_sum(samples, n: int, interval: float = TWO_PI) -> float:
@@ -166,8 +120,8 @@ def sector_counts(samples, k: int) -> list[int]:
 def angle_arrays(table: RepTable, w: int) -> tuple[np.ndarray, np.ndarray]:
     """(raw_arg, theta) arrays for every row of a representation table.
 
-    Uses math.atan2 per row so results agree bit-for-bit with hecke_angle
-    (numpy's arctan2 can differ in the last ulp).
+    Uses math.atan2 per row: numpy's arctan2 can differ in the last ulp,
+    which would change the angle CSV bytes and their recorded digests.
     """
     if w < 1:
         raise ValueError("root count w must be positive")
@@ -185,13 +139,13 @@ def sample_angles(
     x_limit: int | None = None,
     max_count: int | None = None,
     w: int | None = None,
-    include_conjugates: bool = False,
     rep_table: RepTable | None = None,
-) -> list[AngleSample]:
-    """Angle samples for canonical representations of primes in a class.
+) -> tuple[RepTable, np.ndarray, np.ndarray]:
+    """Rows for canonical representations of primes in a class, with angles.
 
-    max_count truncates to the first rows (by prime); with conjugates on,
-    each row contributes its mirror as well, in (principal, conjugate) order.
+    Returns (table, raw, theta): the selected rows, capped at the first
+    max_count by prime, and their angle_arrays. w defaults to the field's
+    root count.
     """
     if rep_table is None and x_limit is None:
         raise ValueError("need either a representation table or x_limit")
@@ -204,11 +158,4 @@ def sample_angles(
         table = table.slice_class(cls)
     if max_count is not None:
         table = table.slice_first(max_count)
-    raw, theta = angle_arrays(table, w)
-    out = []
-    for pi, ri, ti in zip(table.p.tolist(), raw.tolist(), theta.tolist()):
-        s = AngleSample(p=pi, theta=ti, raw_arg=ri)
-        out.append(s)
-        if include_conjugates:
-            out.append(conjugate_sample(s))
-    return out
+    return (table, *angle_arrays(table, w))

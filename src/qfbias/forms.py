@@ -63,11 +63,6 @@ class QuadraticForm:
         return f"{self.a},{self.b},{self.c}"
 
 
-def evaluate(form: QuadraticForm, x: int, y: int) -> int:
-    """Exact value of the form at integer (x, y)."""
-    return form.evaluate(x, y)
-
-
 @dataclass(frozen=True)
 class Representation:
     """A prime p together with integers (x, y) solving Q(x, y) = p."""
@@ -76,9 +71,6 @@ class Representation:
     x: int
     y: int
     canonical: bool = True
-
-    def pair(self) -> tuple[int, int]:
-        return (self.x, self.y)
 
 
 def sqrt_mod(n: int, p: int) -> int | None:

@@ -22,7 +22,7 @@ from qfbias.counting import (
     negative_bias_fraction,
     norm_residue_subgroup,
 )
-from qfbias.equidist import ks_statistic, sample_angles, sector_counts, weyl_sum
+from qfbias.equidist import ks_statistic, mirrored, sample_angles, sector_counts, weyl_sum
 from qfbias.forms import (
     QuadraticForm,
     brute_force_representations,
@@ -196,10 +196,9 @@ def test_criterion_10_equidistribution(rep_table_full):
     quarter = math.pi / 4
     for m in (1, 5):
         cls = CongruenceClass(m, 8)
-        samples = sample_angles(Q11, cls=cls, max_count=100_000,
-                                rep_table=rep_table_full)
+        samples, raw, theta = sample_angles(Q11, cls=cls, max_count=100_000,
+                                            rep_table=rep_table_full)
         assert len(samples) == 100_000
-        raw = [s.raw_arg for s in samples]
         ks = ks_statistic(raw, quarter)
         assert ks < 0.02, (m, ks)
         # decay: the statistic shrinks as the sample grows, decade by decade
@@ -208,8 +207,7 @@ def test_criterion_10_equidistribution(rep_table_full):
         for n in range(1, 6):
             w = weyl_sum(raw, n, quarter)
             assert w < 0.02, (m, n, w)
-        doubled = sample_angles(Q11, cls=cls, max_count=100_000,
-                                rep_table=rep_table_full, include_conjugates=True)
+        doubled = mirrored(theta)
         counts = sector_counts(doubled, 8)
         target = len(doubled) / 8
         rel = max(abs(c - target) / target for c in counts)

@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 from qfbias import __version__
 from qfbias.cli import _fmt, main
 from qfbias.counting import d_functions
-from qfbias.equidist import angle_arrays, ks_statistic, sample_angles, sector_counts, weyl_sum
+from qfbias.equidist import (
+    angle_arrays,
+    ks_statistic,
+    mirrored,
+    sample_angles,
+    sector_counts,
+    weyl_sum,
+)
 from qfbias.forms import QuadraticForm, representation_table
 from qfbias.primes import CongruenceClass, sieve_range
 from qfbias.series import bias_series
@@ -407,21 +414,29 @@ class TestEquidistCommand:
             expected.append(f"{m}," + ",".join(_fmt(c) for c in cols))
         assert stats.read_text().splitlines() == expected
 
-    def test_count_sectors_conjugates_match_library(self, runner, tmp_path):
-        out = tmp_path / "a.csv"
-        result = invoke(runner, "equidist", "--form", "1,0,1", "--mod", "8", "--res", "1",
-                        "--limit", "5000", "--count", "50", "--sectors", "8", "--conjugates",
-                        "-o", str(out))
-        samples = sample_angles(QuadraticForm(1, 0, 1), cls=CongruenceClass(1, 8),
-                                x_limit=5000, max_count=50, include_conjugates=True)
-        principal = samples[::2]
-        rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
-        assert len(rows) == len(principal) == 50
-        for (p, x, y, _, theta), s in zip(rows, principal):
-            assert int(p) == s.p
-            assert math.atan2(int(y), int(x)) == s.raw_arg
-            assert theta == f"{s.theta:.12f}"
-        counts = " ".join(str(c) for c in sector_counts(samples, 8))
+    @given(form=st.sampled_from(["1,0,1", "1,1,1", "2,1,3", "2,-1,3"]),
+           mod=st.sampled_from([1, 4, 8, 12]), count=st.integers(0, 80),
+           k=st.integers(1, 12), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_count_sectors_conjugates_match_library(self, tmp_path_factory, form, mod,
+                                                    count, k, data):
+        res = data.draw(st.sampled_from([r for r in range(mod) if math.gcd(r, mod) == 1]))
+        out = tmp_path_factory.mktemp("sectors") / "a.csv"
+        result = CliRunner().invoke(
+            main, ["equidist", "--form", form, "--mod", str(mod), "--res", str(res),
+                   "--limit", "3000", "--count", str(count), "--sectors", str(k),
+                   "--conjugates", "-o", str(out)])
+        table, raw, theta = sample_angles(QuadraticForm(*map(int, form.split(","))),
+                                          CongruenceClass(res, mod), 3000, count)
+        if len(table) == 0:
+            assert result.exit_code == 3 and not out.exists()
+            return
+        assert result.exit_code == 0
+        cols = zip(table.p.tolist(), table.x.tolist(), table.y.tolist(),
+                   raw.tolist(), theta.tolist())
+        expected = [f"{p},{x},{y},{_fmt(r)},{_fmt(t)}" for p, x, y, r, t in cols]
+        assert out.read_text().splitlines()[1:] == expected
+        counts = " ".join(str(c) for c in sector_counts(mirrored(theta), k))
         assert f"sector counts: {counts}" in result.stderr.splitlines()
 
     def test_negative_count_is_usage_error(self, runner, tmp_path):
@@ -475,6 +490,13 @@ class TestReproCommand:
     def test_bad_scale(self, runner, tmp_path):
         result = runner.invoke(main, ["repro", "--outdir", str(tmp_path), "--scale", "2"])
         assert result.exit_code == 2
+
+    def test_nan_scale_is_usage_error_before_outdir(self, runner, tmp_path):
+        outdir = tmp_path / "repro"
+        result = runner.invoke(main, ["repro", "--outdir", str(outdir), "--scale", "nan"])
+        assert result.exit_code == 2
+        assert "--scale must be in (0, 1]" in result.stderr
+        assert not outdir.exists()
 
     def test_figures_3_and_4_match_ratio_and_dfunc(self, runner, tmp_path):
         outdir = tmp_path / "repro"

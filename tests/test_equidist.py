@@ -6,19 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfbias.equidist import (
-    AngleSample,
-    Sector,
-    conjugate_sample,
+    angle_arrays,
     default_root_count,
-    hecke_angle,
     ks_statistic,
+    mirrored,
     prefix_statistics,
     root_count_for_form,
     sample_angles,
     sector_counts,
     weyl_sum,
 )
-from qfbias.forms import QuadraticForm, Representation, canonical_pairs, representation_table
+from qfbias.forms import QuadraticForm, RepTable, canonical_pairs, representation_table
 from qfbias.primes import CongruenceClass, sieve_range
 
 TWO_PI = 2 * math.pi
@@ -28,31 +26,37 @@ angle_lists = st.lists(
 )
 
 
+def one_row(p, x, y):
+    """A one-row table for x^2 + y^2 holding the pair (x, y) of p."""
+    cols = (np.array([v], dtype=np.int64) for v in (p, x, y))
+    return RepTable(QuadraticForm(1, 0, 1), *cols, p)
+
+
 class TestHeckeAngle:
     def test_axis_sample(self):
-        rep = Representation(p=2, x=1, y=0)
-        assert hecke_angle(rep, 4).theta == 0.0
+        raw, theta = angle_arrays(one_row(2, 1, 0), 4)
+        assert raw.tolist() == [0.0] and theta.tolist() == [0.0]
 
     def test_diagonal_sample(self):
-        rep = Representation(p=2, x=1, y=1)
-        assert hecke_angle(rep, 4).theta == pytest.approx(math.pi)
+        _, theta = angle_arrays(one_row(2, 1, 1), 4)
+        assert theta[0] == pytest.approx(math.pi)
 
     def test_two_one_sample(self):
-        rep = Representation(p=5, x=2, y=1)
-        sample = hecke_angle(rep, 4)
-        assert sample.theta == pytest.approx(1.854590436003, abs=1e-9)
-        assert sample.raw_arg == pytest.approx(math.atan2(1, 2))
+        raw, theta = angle_arrays(one_row(5, 2, 1), 4)
+        assert theta[0] == pytest.approx(1.854590436003, abs=1e-9)
+        assert raw[0] == math.atan2(1, 2)
 
     def test_winding_validation(self):
         with pytest.raises(ValueError):
-            hecke_angle(Representation(p=5, x=2, y=1), 0)
+            angle_arrays(one_row(5, 2, 1), 0)
 
     def test_conjugate_mirrors_theta(self):
-        sample = hecke_angle(Representation(p=5, x=2, y=1), 4)
-        conj = conjugate_sample(sample)
-        assert conj.theta == pytest.approx(TWO_PI - sample.theta)
-        assert conj.raw_arg == sample.raw_arg
-        assert conjugate_sample(AngleSample(p=2, theta=0.0, raw_arg=0.0)).theta == 0.0
+        _, theta = angle_arrays(one_row(5, 2, 1), 4)
+        both = mirrored(theta)
+        assert both.size == 2 and both[0] == theta[0]
+        assert both[1] == pytest.approx(TWO_PI - theta[0])
+        assert mirrored(np.array([0.0])).tolist() == [0.0, 0.0]
+        assert not np.signbit(mirrored(np.array([0.0]))[1])
 
     def test_default_winding(self):
         assert default_root_count(-1) == 4
@@ -79,10 +83,6 @@ class TestWeylSum:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             weyl_sum([], 1, 1.0)
-
-    def test_accepts_angle_samples(self):
-        samples = [AngleSample(p=5, theta=1.0, raw_arg=0.25)]
-        assert weyl_sum(samples, 1) == pytest.approx(1.0)
 
     @given(angle_lists, st.integers(min_value=-5, max_value=5).filter(bool))
     @settings(max_examples=60)
@@ -141,14 +141,6 @@ class TestSectorCounts:
         merged = [fine[2 * j] + fine[2 * j + 1] for j in range(k)]
         assert merged == coarse
 
-    def test_sector_object(self):
-        sector = Sector(0.0, math.pi)
-        assert sector.width == pytest.approx(math.pi)
-        assert sector.contains(0.0) and not sector.contains(math.pi)
-        assert sector.count([0.5, 3.5, AngleSample(p=5, theta=1.0, raw_arg=0.2)]) == 2
-        with pytest.raises(ValueError):
-            Sector(3.0, 2.0)
-
 
 class TestPrefixStatistics:
     @given(st.lists(st.floats(min_value=0.0, max_value=math.pi / 4, exclude_max=True),
@@ -174,30 +166,45 @@ class TestPrefixStatistics:
 
 class TestSampleAngles:
     def test_matches_per_prime_computation(self):
-        form = QuadraticForm(1, 0, 1)
-        samples = sample_angles(form, x_limit=200)
-        by_hand = []
-        for p in sieve_range(2, 200).tolist():
-            for rep in canonical_pairs(form, p):
-                by_hand.append(hecke_angle(rep, 4))
-        assert samples == by_hand
+        cases = [
+            (QuadraticForm(1, 0, 1), CongruenceClass(1, 8), 40),
+            (QuadraticForm(1, 1, 1), CongruenceClass(1, 12), 30),
+            (QuadraticForm(2, 1, 3), CongruenceClass(1, 4), 12),
+            (QuadraticForm(2, -1, 3), CongruenceClass(3, 4), 12),
+        ]
+        for form, cls, count in cases:
+            w = root_count_for_form(form)
+            rows = [
+                (rep.p, rep.x, rep.y)
+                for p in sieve_range(2, 3000).tolist() if cls.contains(p)
+                for rep in sorted(canonical_pairs(form, p), key=lambda r: (r.x, r.y))
+            ]
+            assert len(rows) > count, form
+            rows = rows[:count]
+            table, raw, theta = sample_angles(form, cls, x_limit=3000, max_count=count)
+            assert list(zip(table.p.tolist(), table.x.tolist(), table.y.tolist())) == rows
+            by_hand = [math.atan2(y, x) for _, x, y in rows]
+            assert raw.tolist() == by_hand
+            assert theta.tolist() == [(w * r) % TWO_PI for r in by_hand]
 
     def test_class_restriction(self):
         form = QuadraticForm(1, 0, 1)
-        samples = sample_angles(form, cls=CongruenceClass(5, 8), x_limit=500)
-        assert all(s.p % 8 == 5 for s in samples)
+        table, raw, theta = sample_angles(form, cls=CongruenceClass(5, 8), x_limit=500)
+        assert len(table) > 0 and np.all(table.p % 8 == 5)
+        assert raw.size == theta.size == len(table)
 
     def test_max_count_truncates(self):
         form = QuadraticForm(1, 0, 1)
-        samples = sample_angles(form, x_limit=2000, max_count=10)
-        assert len(samples) == 10
+        table, raw, theta = sample_angles(form, x_limit=2000, max_count=10)
+        assert len(table) == raw.size == theta.size == 10
 
-    def test_conjugates_interleaved(self):
+    def test_mirrored_appends_conjugates(self):
         form = QuadraticForm(1, 0, 1)
-        pairs = sample_angles(form, x_limit=100, include_conjugates=True)
-        assert len(pairs) % 2 == 0
-        for principal, conj in zip(pairs[::2], pairs[1::2]):
-            assert conj == conjugate_sample(principal)
+        _, _, theta = sample_angles(form, x_limit=100)
+        both = mirrored(theta)
+        assert both.size == 2 * theta.size
+        assert both[: theta.size].tolist() == theta.tolist()
+        assert both[theta.size:].tolist() == [(-t) % TWO_PI for t in theta.tolist()]
 
     def test_needs_some_bound(self):
         with pytest.raises(ValueError):
@@ -206,4 +213,7 @@ class TestSampleAngles:
     def test_reuses_table(self):
         form = QuadraticForm(1, 0, 1)
         table = representation_table(form, sieve_range(2, 300))
-        assert sample_angles(form, rep_table=table) == sample_angles(form, x_limit=300)
+        got, want = sample_angles(form, rep_table=table), sample_angles(form, x_limit=300)
+        assert got[0].p.tolist() == want[0].p.tolist()
+        for a, b in zip(got[1:], want[1:]):
+            assert a.tolist() == b.tolist()

@@ -18,7 +18,6 @@ from qfbias.forms import (
     canonical_pairs,
     cornacchia,
     ensure_table,
-    evaluate,
     extend_table,
     representation_table,
     sqrt_mod,
@@ -71,9 +70,9 @@ class TestQuadraticForm:
         assert Q111.disc == -3 and Q111.D == 3
 
     def test_evaluate(self):
-        assert evaluate(Q11, 3, 2) == 13
-        assert evaluate(Q111, 2, 1) == 7
-        assert evaluate(Q111, 0, 0) == 0
+        assert Q11.evaluate(3, 2) == 13
+        assert Q111.evaluate(2, 1) == 7
+        assert Q111.evaluate(0, 0) == 0
 
 
 class TestSqrtMod:
