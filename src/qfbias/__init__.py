@@ -54,7 +54,6 @@ from .polynomials import (
 )
 from .primes import CongruenceClass, PrimeStream, nth_prime, primes_in_class, sieve_range
 from .series import (
-    BiasPoint,
     BiasSeries,
     MomentSums,
     bias_series,

@@ -35,13 +35,9 @@ def _fmt(v: float) -> str:
     return f"{v:.12f}"
 
 
-def _fmt_opt(v: float | None) -> str:
-    return "" if v is None else _fmt(v)
-
-
-def _nan_for_none(values) -> np.ndarray:
-    """Float column with NaN where a value is undefined (None)."""
-    return np.array([np.nan if v is None else v for v in values], dtype=np.float64)
+def _fmt_opt(v: float) -> str:
+    """12 decimals, or the empty field for NaN (undefined)."""
+    return "" if math.isnan(v) else _fmt(v)
 
 
 def progress(msg: str) -> None:
@@ -202,19 +198,18 @@ def _write_csv(path, header: str | None, *columns) -> None:
         fh.writelines(csv_blocks(columns))
 
 
-def _series_step(path, ser: BiasSeries) -> float | None:
-    """Write a bias series CSV; returns the final F."""
-    pts = ser.points
-    ints = np.array([(pt.N, pt.PrN, pt.sum_a, pt.sum_b) for pt in pts], dtype=np.int64)
-    _write_csv(path, "N,PrN,sum_a,sum_b,F", *ints.T, _nan_for_none(pt.F for pt in pts))
-    return pts[-1].F
+def _series_step(path, ser: BiasSeries) -> float:
+    """Write a bias series CSV; returns the final F (NaN if undefined)."""
+    f = ser.F
+    _write_csv(path, "N,PrN,sum_a,sum_b,F", *ser.points.T, f)
+    return float(f[-1])
 
 
-def _ratio_step(path, ser_cls: BiasSeries, ser_all: BiasSeries) -> float | None:
+def _ratio_step(path, ser_cls: BiasSeries, ser_all: BiasSeries) -> float:
     """Write the ratio CSV of a class series over the all-primes one; returns the final R."""
-    ns, rs = zip(*ratio_series(ser_cls, ser_all))
-    _write_csv(path, "N,R", ns, _nan_for_none(rs))
-    return rs[-1]
+    r = ratio_series(ser_cls, ser_all)
+    _write_csv(path, "N,R", ser_cls.points[:, 0], r)
+    return float(r[-1])
 
 
 def _dfunc_step(path, x_max: int, table: RepTable):
@@ -244,7 +239,7 @@ def cmd_series(form, mod, res, nmax, stride, output, cache):
 
     table = _load_table(form, cache, nth_prime_bound(nmax))
     final = _series_step(output, bias_series(form, cls, nmax, stride=stride, rep_table=table))
-    click.echo("undefined" if final is None else _fmt(final))
+    click.echo("undefined" if math.isnan(final) else _fmt(final))
 
 
 @main.command("ratio")
@@ -267,7 +262,7 @@ def cmd_ratio(form, mod, res, nmax, stride, output, cache):
     ser_cls = bias_series(form, cls, nmax, stride=stride, rep_table=table)
     ser_all = bias_series(form, CongruenceClass.trivial(), nmax, stride=stride, rep_table=table)
     final = _ratio_step(output, ser_cls, ser_all)
-    click.echo("undefined" if final is None else _fmt(final))
+    click.echo("undefined" if math.isnan(final) else _fmt(final))
 
 
 @main.command("limit")
@@ -342,9 +337,9 @@ def cmd_density(delta, mod, res, x_max, output, budget):
     ]
     _write_csv(output, "x,empirical,predicted,ratio", checkpoints,
                [r.empirical for r in reports], [r.predicted for r in reports],
-               _nan_for_none(r.ratio for r in reports))
+               [r.ratio for r in reports])
     final = reports[-1].ratio
-    click.echo("exact-zero" if final is None else _fmt(final))
+    click.echo("exact-zero" if math.isnan(final) else _fmt(final))
 
 
 @main.command("equidist")
@@ -355,7 +350,7 @@ def cmd_density(delta, mod, res, x_max, output, budget):
 @click.option("--count", "max_count", type=int, default=None, help="sample count cap")
 @click.option("--w", type=int, default=None, help="winding (roots of unity); default by field")
 @click.option("--conjugates", is_flag=True,
-              help="add the mirror angles 2pi - theta to the --sectors counts (no CSV rows)")
+              help="add the mirror angles 2pi - theta to the --sectors counts (needs --sectors)")
 @output_option
 @click.option("--stats", "stats_path", type=click.Path(dir_okay=False), default=None,
               help="also write a prefix-statistics sweep CSV")
@@ -372,6 +367,8 @@ def cmd_equidist(form, mod, res, limit, max_count, w, conjugates, output,
     cls = _class_from(mod, res)
     if limit is None and cache is None:
         raise click.UsageError("need --limit (or a --cache covering the primes)")
+    if conjugates and sectors == 0:
+        raise click.UsageError("--conjugates only changes the --sectors counts; give --sectors")
     table, raw, theta = equidist.sample_angles(
         form, cls, limit, max_count, w, rep_table=_load_table(form, cache, limit or 2)
     )
@@ -436,7 +433,7 @@ def cmd_repro(outdir, figure, scale):
             _series_step(outdir / f"fig{fig}_class{s.cls.residue}mod{s.cls.modulus}.csv", s)
             for s in (s1, s2)
         )
-        count, _ = sign_changes(s1.values(), s2.values())
+        count, _ = sign_changes(s1, s2)
         progress(
             f"fig{fig}: final F[{s1.cls}]={_fmt_opt(f1)} F[{s2.cls}]={_fmt_opt(f2)}; "
             f"{count} sign changes of the difference"

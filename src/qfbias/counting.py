@@ -370,9 +370,10 @@ class DensityReport:
     predicted: float
 
     @property
-    def ratio(self) -> float | None:
+    def ratio(self) -> float:
+        """empirical / predicted, NaN where the prediction is exactly 0."""
         if self.predicted == 0.0:
-            return None
+            return math.nan
         return self.empirical / self.predicted
 
 

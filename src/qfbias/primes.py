@@ -168,20 +168,22 @@ def nth_prime_bound(n: int) -> int:
     return int(n * (ln + math.log(ln))) + 1
 
 
-def first_primes(n: int, capacity: int = DEFAULT_CAPACITY) -> np.ndarray:
+def _capacity_bound(n: int) -> int:
+    """nth_prime_bound(n), refused before any sieving past the capacity."""
+    bound = nth_prime_bound(n)
+    if bound > DEFAULT_CAPACITY:
+        raise SieveCapacityError(
+            f"prime #{n} needs sieving to ~{bound}, beyond capacity {DEFAULT_CAPACITY}"
+        )
+    return bound
+
+
+def first_primes(n: int) -> np.ndarray:
     """The first n primes, ascending, as int64."""
     if n < 1:
         raise ValueError("prime index must be >= 1")
-    bound = nth_prime_bound(n)
-    while True:
-        if bound > capacity:
-            raise SieveCapacityError(
-                f"prime #{n} needs sieving to ~{bound}, beyond capacity {capacity}"
-            )
-        primes = sieve_range(2, bound)
-        if len(primes) >= n:
-            return primes[:n]
-        bound *= 2  # unreachable for n >= 6; keeps small n honest
+    # nth_prime_bound is an upper bound (13 is the 6th prime), so one sieve holds them
+    return sieve_range(2, _capacity_bound(n))[:n]
 
 
 @functools.lru_cache(maxsize=8)
@@ -196,11 +198,7 @@ def stride_primes(n_max: int, stride: int) -> np.ndarray:
         raise ValueError("stride must be >= 1")
     if n_max < stride:
         raise ValueError("n_max must be at least the stride")
-    bound = nth_prime_bound(n_max)
-    if bound > DEFAULT_CAPACITY:
-        raise SieveCapacityError(
-            f"prime #{n_max} needs sieving to ~{bound}, beyond capacity {DEFAULT_CAPACITY}"
-        )
+    bound = _capacity_bound(n_max)
     want = np.arange(stride - 1, n_max, stride)  # zero-based prime indices
     out = np.empty(want.size, dtype=np.int64)
     done = seen = 0
@@ -216,9 +214,9 @@ def stride_primes(n_max: int, stride: int) -> np.ndarray:
     return out
 
 
-def nth_prime(n: int, capacity: int = DEFAULT_CAPACITY) -> int:
+def nth_prime(n: int) -> int:
     """The n-th prime, 1-indexed (n=1 gives 2)."""
-    return int(first_primes(n, capacity)[-1])
+    return int(first_primes(n)[-1])
 
 
 def prime_count(limit: int) -> int:

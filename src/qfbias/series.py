@@ -2,7 +2,8 @@
 
 Sums of coordinate powers are exact integers; only the final quotients are
 floats. Series indexed by prime count sample at stride multiples, matching
-the plotted points of the experiments this package reproduces.
+the plotted points of the experiments this package reproduces. A series is a
+set of numpy columns, and NaN marks an undefined F or R (an empty CSV field).
 """
 
 from __future__ import annotations
@@ -32,36 +33,29 @@ class MomentSums:
     count: int
 
 
-@dataclass(frozen=True)
-class BiasPoint:
-    """One sampled point of a bias series; F is None where sum_b = 0."""
-
-    N: int
-    PrN: int
-    sum_a: int
-    sum_b: int
-
-    @property
-    def F(self) -> float | None:
-        if self.sum_b == 0:
-            return None
-        return self.sum_a / self.sum_b
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BiasSeries:
-    """Bias points at N = stride, 2*stride, ..., strictly increasing."""
+    """Bias points at N = stride, 2*stride, ..., strictly increasing.
+
+    `points` is one (n, 4) int64 array whose columns are N, Pr(N), sum_a and
+    sum_b, the column order of the series CSV.
+    """
 
     form: QuadraticForm
     cls: CongruenceClass
     stride: int
-    points: list[BiasPoint]
+    points: np.ndarray
 
-    def grid(self) -> list[int]:
-        return [pt.N for pt in self.points]
-
-    def values(self) -> list[tuple[int, float | None]]:
-        return [(pt.N, pt.F) for pt in self.points]
+    @property
+    def F(self) -> np.ndarray:
+        """sum_a / sum_b at every point as float64, NaN where sum_b = 0."""
+        sum_a, sum_b = self.points[:, 2], self.points[:, 3]
+        # every sum stays below pi(4e9) * sqrt(4e9) ~ 1.2e13 < 2**53 inside the
+        # sieve capacity, so both convert to float64 exactly and the quotient
+        # is the correctly rounded value of Python's int / int
+        out = np.full(sum_a.size, np.nan)
+        np.divide(sum_a, sum_b, out=out, where=sum_b != 0)
+        return out
 
 
 def moment_sum(
@@ -133,60 +127,43 @@ def bias_series(
         raise SieveCapacityError("prefix sums would overflow int64 accumulation")
     ns = np.arange(stride, n_max + 1, stride)
     idx = np.searchsorted(table.p, pr, side="right")
-    points = [
-        BiasPoint(N=n, PrN=pr_n, sum_a=a, sum_b=b)
-        for n, pr_n, a, b in zip(
-            ns.tolist(),
-            pr.tolist(),
-            _prefix_sums(table.x, idx).tolist(),
-            _prefix_sums(table.y, idx).tolist(),
-        )
-    ]
+    points = np.column_stack(
+        (ns, pr, _prefix_sums(table.x, idx), _prefix_sums(table.y, idx))
+    ).astype(np.int64, copy=False)
     return BiasSeries(form=form, cls=cls, stride=stride, points=points)
 
 
-def ratio_series(
-    series_class: BiasSeries, series_all: BiasSeries
-) -> list[tuple[int, float | None]]:
-    """Pointwise ratio F_class / F_all on the shared grid.
+def _check_grids(u: BiasSeries, v: BiasSeries, what: str) -> None:
+    # the grid starts at the stride, so equal grids mean equal strides
+    if not np.array_equal(u.points[:, 0], v.points[:, 0]):
+        raise ValueError(f"{what} of series on different grids")
 
-    Undefined points (either side) propagate as None.
+
+def ratio_series(series_class: BiasSeries, series_all: BiasSeries) -> np.ndarray:
+    """Pointwise ratio F_class / F_all on the shared grid, as float64.
+
+    R is NaN where either F is undefined or F_all = 0.
     """
     if series_class.form != series_all.form:
         raise ValueError("ratio of series over different forms")
-    if series_class.stride != series_all.stride or series_class.grid() != series_all.grid():
-        raise ValueError("ratio of series on different grids")
-    out: list[tuple[int, float | None]] = []
-    for pc, pa in zip(series_class.points, series_all.points):
-        fc, fa = pc.F, pa.F
-        if fc is None or fa is None or fa == 0.0:
-            out.append((pc.N, None))
-        else:
-            out.append((pc.N, fc / fa))
-    return out
+    _check_grids(series_class, series_all, "ratio")
+    f_all = series_all.F
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = series_class.F / f_all
+    r[f_all == 0.0] = np.nan
+    return r
 
 
-def sign_changes(
-    u: list[tuple[int, float | None]], v: list[tuple[int, float | None]]
-) -> tuple[int, list[int]]:
-    """Strict sign changes of u - v along a shared grid.
+def sign_changes(u: BiasSeries, v: BiasSeries) -> tuple[int, np.ndarray]:
+    """Strict sign changes of F_u - F_v along a shared grid.
 
-    Pairs where either value is undefined are skipped; exact zero differences
+    Points where either F is undefined are skipped; exact zero differences
     neither count nor reset the running sign. Returns the crossing count and
-    the grid positions where the new sign is first seen.
+    the grid positions N where the new sign is first seen.
     """
-    if [n for n, _ in u] != [n for n, _ in v]:
-        raise ValueError("sign_changes needs matching grids")
-    crossings: list[int] = []
-    prev_sign = 0
-    for (n, a), (_, b) in zip(u, v):
-        if a is None or b is None:
-            continue
-        d = a - b
-        if d == 0:
-            continue
-        sign = 1 if d > 0 else -1
-        if prev_sign != 0 and sign != prev_sign:
-            crossings.append(n)
-        prev_sign = sign
-    return len(crossings), crossings
+    _check_grids(u, v, "sign changes")
+    d = u.F - v.F
+    keep = ~np.isnan(d) & (d != 0.0)
+    positive, ns = d[keep] > 0.0, u.points[keep, 0]
+    crossings = ns[1:][positive[1:] != positive[:-1]]
+    return int(crossings.size), crossings

@@ -111,11 +111,11 @@ def test_criterion_05_empirical_convergence(rep_table_full):
     for m, modulus in [(1, 4), (1, 8), (5, 8)]:
         cls = CongruenceClass(m, modulus)
         ser = bias_series(Q11, cls, 500_000, stride=100_000, rep_table=rep_table_full)
-        for pt in ser.points:
-            if pt.N in bounds:
-                err = abs(pt.F - SILVER)
-                assert err < bounds[pt.N], (m, modulus, pt.N, err)
-                if pt.N == 500_000:
+        for n, f in zip(ser.points[:, 0].tolist(), ser.F.tolist()):
+            if n in bounds:
+                err = abs(f - SILVER)
+                assert err < bounds[n], (m, modulus, n, err)
+                if n == 500_000:
                     lines.append(f"F(5e5;{modulus},{m}) off by {err:.4f}")
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
@@ -127,7 +127,7 @@ def test_criterion_06_sign_changes(rep_table_full):
                      rep_table=rep_table_full)
     s5 = bias_series(Q11, CongruenceClass(5, 8), 100_000, stride=100,
                      rep_table=rep_table_full)
-    count, crossings = sign_changes(s1.values(), s5.values())
+    count, crossings = sign_changes(s1, s5)
     assert count >= 1
     report(6, f"{count} sign changes of F(N;8,1)-F(N;8,5) up to N=1e5, "
               f"first at N={crossings[0]}")

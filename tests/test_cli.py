@@ -462,6 +462,16 @@ class TestEquidistCommand:
         assert result.exit_code == 2
         assert not (tmp_path / "a.csv").exists()
 
+    def test_conjugates_without_sectors_is_usage_error(self, runner, tmp_path, sieve_spy):
+        # the mirror angles only enter the sector counts, so the flag alone
+        # would change nothing; it is refused before any table is built
+        result = runner.invoke(main, ["equidist", "--form", "1,0,1", "--limit", "1000",
+                                      "--conjugates", "-o", str(tmp_path / "a.csv")])
+        assert result.exit_code == 2
+        assert "--sectors" in result.stderr
+        assert sieve_spy == []
+        assert not (tmp_path / "a.csv").exists()
+
     def test_empty_selection_is_computation_error(self, runner, tmp_path):
         result = runner.invoke(main, ["equidist", "--form", "1,0,1", "--mod", "4",
                                       "--res", "3", "--limit", "100",

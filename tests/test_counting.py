@@ -325,7 +325,7 @@ class TestDensity:
         assert report.a_coeff == 0
         assert report.empirical == 0
         assert report.predicted == 0.0
-        assert report.ratio is None
+        assert math.isnan(report.ratio)
 
     def test_minimum_x_enforced(self):
         with pytest.raises(ValueError):

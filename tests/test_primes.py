@@ -109,9 +109,15 @@ class TestNthPrime:
         with pytest.raises(ValueError):
             nth_prime(0)
 
-    def test_capacity_error(self):
-        with pytest.raises(SieveCapacityError):
-            nth_prime(10**9, capacity=10**6)
+    def test_capacity_error(self, monkeypatch):
+        # prime #1e9 needs a sieve to ~2.4e10, past DEFAULT_CAPACITY: refused
+        # before anything is sieved
+        def refuse(lo, hi, *args, **kwargs):
+            raise AssertionError(f"sieved [{lo}, {hi}]")
+
+        monkeypatch.setattr(primes_module, "sieve_range", refuse)
+        with pytest.raises(SieveCapacityError, match="capacity"):
+            nth_prime(10**9)
 
     def test_first_primes_against_oracle_prefix(self):
         oracle = trial_division_primes(2, 4000)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from qfbias.primes import (
     stride_primes,
 )
 from qfbias.series import (
+    BiasSeries,
     bias_series,
     moment_sum,
     poly_sum,
@@ -106,27 +108,28 @@ class TestMomentSum:
 class TestBiasSeries:
     def test_single_point_n10(self):
         ser = bias_series(Q11, C14, 10, stride=10)
-        pt = ser.points[-1]
-        assert (pt.N, pt.PrN, pt.sum_a, pt.sum_b) == (10, 29, 14, 6)
-        assert pt.F == pytest.approx(14 / 6)
+        assert ser.points.dtype == np.int64 and ser.points.shape == (1, 4)
+        assert ser.points[-1].tolist() == [10, 29, 14, 6]
+        assert ser.F[-1] == pytest.approx(14 / 6)
 
     def test_single_point_n3(self):
         ser = bias_series(Q11, C14, 3, stride=3)
-        assert ser.points[-1].F == pytest.approx(2.0)
+        assert ser.F[-1] == pytest.approx(2.0)
 
     def test_unrepresentable_class_undefined(self):
         ser = bias_series(Q11, CongruenceClass(3, 4), 50, stride=10)
-        assert all(pt.F is None and pt.sum_b == 0 for pt in ser.points)
+        assert np.isnan(ser.F).all() and (ser.points[:, 3] == 0).all()
 
     def test_grid_is_stride_multiples(self):
         ser = bias_series(Q11, C14, 100, stride=20)
-        assert ser.grid() == [20, 40, 60, 80, 100]
+        assert ser.points[:, 0].tolist() == [20, 40, 60, 80, 100]
 
     def test_reusing_table_matches_fresh(self):
         table = representation_table(Q11, sieve_range(2, 10_000))
         fresh = bias_series(Q11, C14, 500, stride=100)
         reused = bias_series(Q11, C14, 500, stride=100, rep_table=table)
-        assert fresh == reused
+        assert (fresh.form, fresh.cls, fresh.stride) == (reused.form, reused.cls, reused.stride)
+        np.testing.assert_array_equal(fresh.points, reused.points)
 
     def test_series_on_one_grid_share_one_streamed_pass(self, monkeypatch):
         n_max = 200_000
@@ -145,7 +148,7 @@ class TestBiasSeries:
         assert spans[0][0] == 2 and len(spans) == len(set(spans))
         assert all(hi - lo < DEFAULT_SEGMENT_SIZE for lo, hi in spans)
         want = first_primes(n_max)[99::100].tolist()
-        assert all([pt.PrN for pt in ser.points] == want for ser in series)
+        assert all(ser.points[:, 1].tolist() == want for ser in series)
 
     def test_capacity_error_before_sieving(self, monkeypatch):
         calls = []
@@ -201,28 +204,36 @@ class TestBiasSeriesAgainstLoop:
         stride = min(stride, n_max)
         table = tables_to_n3000[form]
         ser = bias_series(form, cls, n_max, stride=stride, rep_table=table)
-        got = [(pt.N, pt.PrN, pt.sum_a, pt.sum_b) for pt in ser.points]
+        assert ser.points.dtype == np.int64
+        got = [tuple(row) for row in ser.points.tolist()]
         assert got == _bias_values_by_loop(cls, n_max, stride, table)
-        assert all(type(v) is int for row in got for v in row)
-        assert all((pt.F is None) == (pt.sum_b == 0) for pt in ser.points)
+        # F is exactly Python's correctly rounded int / int, NaN where sum_b = 0
+        assert ser.F.dtype == np.float64
+        for (_, _, sum_a, sum_b), f in zip(got, ser.F.tolist()):
+            if sum_b == 0:
+                assert math.isnan(f)
+            else:
+                assert f == sum_a / sum_b
 
 
 class TestRatioSeries:
     def test_self_ratio_is_one(self):
         ser = bias_series(Q11, C14, 50, stride=10)
-        assert all(r == pytest.approx(1.0) for _, r in ratio_series(ser, ser))
+        r = ratio_series(ser, ser)
+        assert r.dtype == np.float64 and r.shape == (5,)
+        assert r == pytest.approx(np.ones(5))
 
     def test_hand_value_at_n10(self):
         cls = bias_series(Q11, CongruenceClass(1, 8), 10, stride=10)
         allp = bias_series(Q11, TRIVIAL, 10, stride=10)
-        [(n, r)] = ratio_series(cls, allp)
-        assert n == 10
+        [r] = ratio_series(cls, allp).tolist()
+        assert cls.points[0, 0] == 10
         assert r == pytest.approx(12 / 7)
 
     def test_undefined_propagates(self):
         cls = bias_series(Q11, CongruenceClass(3, 4), 50, stride=10)
         allp = bias_series(Q11, TRIVIAL, 50, stride=10)
-        assert all(r is None for _, r in ratio_series(cls, allp))
+        assert np.isnan(ratio_series(cls, allp)).all()
 
     def test_mismatched_grids_rejected(self):
         a = bias_series(Q11, C14, 40, stride=10)
@@ -255,47 +266,108 @@ class TestPolySum:
             poly_sum(Q11, C14, BivariatePolynomial({}), 29)
 
 
-class TestSignChanges:
-    @staticmethod
-    def _pairs(vals):
-        return [(i, v) for i, v in enumerate(vals)]
+def _synthetic(fs, grid=None):
+    """A series whose F column is fs: v as v/1, None as 0/0 (undefined)."""
+    grid = list(range(1, len(fs) + 1)) if grid is None else grid
+    pts = np.array([(n, 0, 0 if f is None else f, 0 if f is None else 1)
+                    for n, f in zip(grid, fs)], dtype=np.int64)
+    return BiasSeries(form=Q11, cls=TRIVIAL, stride=1, points=pts)
 
+
+class TestSignChanges:
     def test_constant_sign(self):
-        count, _ = sign_changes(self._pairs([1.0, 1.0, 1.0]), self._pairs([0.0] * 3))
+        count, _ = sign_changes(_synthetic([1, 1, 1]), _synthetic([0] * 3))
         assert count == 0
 
     def test_alternation(self):
-        count, where = sign_changes(
-            self._pairs([1.0, -1.0, 1.0]), self._pairs([0.0] * 3)
-        )
+        count, where = sign_changes(_synthetic([1, -1, 1]), _synthetic([0] * 3))
         assert count == 2
-        assert where == [1, 2]
+        assert where.tolist() == [2, 3]
 
     def test_zero_neither_counts_nor_resets(self):
-        count, _ = sign_changes(
-            self._pairs([1.0, 0.0, 1.0]), self._pairs([0.0] * 3)
-        )
+        count, _ = sign_changes(_synthetic([1, 0, 1]), _synthetic([0] * 3))
         assert count == 0
-        count, where = sign_changes(
-            self._pairs([1.0, 0.0, -1.0]), self._pairs([0.0] * 3)
-        )
-        assert count == 1 and where == [2]
+        count, where = sign_changes(_synthetic([1, 0, -1]), _synthetic([0] * 3))
+        assert count == 1 and where.tolist() == [3]
 
     def test_undefined_points_skipped(self):
-        u = [(0, 1.0), (1, None), (2, -2.0)]
-        v = [(0, 0.0), (1, 0.0), (2, 0.0)]
-        assert sign_changes(u, v) == (1, [2])
+        u = _synthetic([1, None, -2])
+        v = _synthetic([0, 0, 0])
+        count, where = sign_changes(u, v)
+        assert (count, where.tolist()) == (1, [3])
 
     def test_grid_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            sign_changes([(0, 1.0)], [(1, 1.0)])
+            sign_changes(_synthetic([1], grid=[1]), _synthetic([1], grid=[2]))
 
     def test_pipeline_has_a_crossing(self):
         table = representation_table(Q11, sieve_range(2, 120_000))
         s1 = bias_series(Q11, CongruenceClass(1, 8), 10_000, stride=100, rep_table=table)
         s5 = bias_series(Q11, CongruenceClass(5, 8), 10_000, stride=100, rep_table=table)
-        count, _ = sign_changes(s1.values(), s5.values())
+        count, _ = sign_changes(s1, s5)
         assert count >= 1
+
+
+def _f_or_none(ser):
+    """The (N, F or None) pairs of a series, F as Python's int / int."""
+    return [(n, None if b == 0 else a / b) for n, _, a, b in ser.points.tolist()]
+
+
+def _ratio_by_loop(series_class, series_all):
+    """Reference: the per-point ratio loop, None where undefined."""
+    out = []
+    for (n, fc), (_, fa) in zip(_f_or_none(series_class), _f_or_none(series_all)):
+        out.append((n, None if fc is None or fa is None or fa == 0.0 else fc / fa))
+    return out
+
+
+def _sign_changes_by_loop(u, v):
+    """Reference: the per-point running-sign loop over (N, F or None) pairs."""
+    crossings, prev_sign = [], 0
+    for (n, a), (_, b) in zip(_f_or_none(u), _f_or_none(v)):
+        if a is None or b is None or a - b == 0:
+            continue
+        sign = 1 if a - b > 0 else -1
+        if prev_sign != 0 and sign != prev_sign:
+            crossings.append(n)
+        prev_sign = sign
+    return len(crossings), crossings
+
+
+# sums small enough to force exact zeros, ties and undefined points, and
+# large ones up to the 2**53 bound below which F is exact
+_sums = st.one_of(st.integers(-3, 3), st.integers(-(2**53), 2**53))
+
+
+@st.composite
+def _series_pair(draw):
+    n = draw(st.integers(1, 40))
+    grid = sorted(draw(st.sets(st.integers(1, 10**6), min_size=n, max_size=n)))
+
+    def series():
+        sums = draw(st.lists(st.tuples(_sums, _sums), min_size=n, max_size=n))
+        pts = np.array([(g, 0, a, b) for g, (a, b) in zip(grid, sums)], dtype=np.int64)
+        return BiasSeries(form=Q11, cls=TRIVIAL, stride=1, points=pts)
+
+    return series(), series()
+
+
+class TestColumnsAgainstPerPointLoops:
+    @given(pair=_series_pair())
+    @settings(max_examples=200, deadline=None)
+    def test_ratio_series_equals_loop(self, pair):
+        u, v = pair
+        got = ratio_series(u, v).tolist()
+        want = _ratio_by_loop(u, v)
+        assert [math.isnan(r) for r in got] == [r is None for _, r in want]
+        assert [r for r in got if not math.isnan(r)] == [r for _, r in want if r is not None]
+
+    @given(pair=_series_pair())
+    @settings(max_examples=200, deadline=None)
+    def test_sign_changes_equals_loop(self, pair):
+        u, v = pair
+        count, where = sign_changes(u, v)
+        assert (count, where.tolist()) == _sign_changes_by_loop(u, v)
 
 
 class TestRSymmetry:
@@ -308,5 +380,5 @@ class TestRSymmetry:
             s_cls = bias_series(
                 Q11, CongruenceClass(m, 8), n_max, stride=n_max, rep_table=rep_table_full
             )
-            [(_, r)] = ratio_series(s_cls, s_all)
+            [r] = ratio_series(s_cls, s_all).tolist()
             assert abs(r - 1.0) < 0.02
