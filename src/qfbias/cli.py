@@ -25,7 +25,7 @@ from .errors import ComputationError, SieveCapacityError
 from .forms import QuadraticForm, RepTable, ensure_table
 from .limits import LimitProblem
 from .polynomials import parse_polynomial
-from .primes import DEFAULT_CAPACITY, CongruenceClass, nth_prime_bound, sieve_range
+from .primes import DEFAULT_CAPACITY, CongruenceClass, sieve_range, stride_primes
 from .series import BiasSeries, bias_series, ratio_series, sign_changes
 
 CACHE_DIR_ENV = "QFBIAS_CACHE_DIR"
@@ -198,6 +198,11 @@ def _write_csv(path, header: str | None, *columns) -> None:
         fh.writelines(csv_blocks(columns))
 
 
+def _series_limit(n_max: int, stride: int) -> int:
+    """Pr(N) at the last grid point: the largest prime a bias series reads."""
+    return int(stride_primes(n_max, stride)[-1])
+
+
 def _series_step(path, ser: BiasSeries) -> float:
     """Write a bias series CSV; returns the final F (NaN if undefined)."""
     f = ser.F
@@ -237,7 +242,7 @@ def cmd_series(form, mod, res, nmax, stride, output, cache):
     """Bias series: cumulative coordinate sums at every stride-th prime index."""
     cls = _class_from(mod, res)
 
-    table = _load_table(form, cache, nth_prime_bound(nmax))
+    table = _load_table(form, cache, _series_limit(nmax, stride))
     final = _series_step(output, bias_series(form, cls, nmax, stride=stride, rep_table=table))
     click.echo("undefined" if math.isnan(final) else _fmt(final))
 
@@ -258,7 +263,7 @@ def cmd_ratio(form, mod, res, nmax, stride, output, cache):
     if cls.is_trivial:
         raise click.UsageError("ratio needs a nontrivial congruence class")
 
-    table = _load_table(form, cache, nth_prime_bound(nmax))
+    table = _load_table(form, cache, _series_limit(nmax, stride))
     ser_cls = bias_series(form, cls, nmax, stride=stride, rep_table=table)
     ser_all = bias_series(form, CongruenceClass.trivial(), nmax, stride=stride, rep_table=table)
     final = _ratio_step(output, ser_cls, ser_all)
@@ -424,7 +429,7 @@ def cmd_repro(outdir, figure, scale):
 
     @functools.cache
     def series(form, cls, n_max):
-        table = table_for(form, nth_prime_bound(n_max))
+        table = table_for(form, _series_limit(n_max, 100))
         return bias_series(form, cls, n_max, stride=100, rep_table=table)
 
     def bias_pair(fig, form, classes, n_max):

@@ -139,10 +139,10 @@ def d_functions(
 
     out = []
     for residue in (1, 5):
-        mask = p % 8 == residue
-        vals = np.cumsum(steps[mask])
+        rows = np.flatnonzero(p % 8 == residue)
+        vals = np.cumsum(steps[rows])
         vals = np.append(vals, vals[-1] if vals.size else 0)
-        out.append(CountSeries(x_grid=np.append(p[mask], x_max), values=vals))
+        out.append(CountSeries(x_grid=np.append(p[rows], x_max), values=vals))
     return out[0], out[1]
 
 
@@ -186,26 +186,24 @@ def prime_ideal_count(
     d = fs.field_discriminant
     chi = _chi_table(d)
 
-    def class_mask(norms: np.ndarray) -> np.ndarray:
+    def in_class(norms: np.ndarray):
+        """True for the whole field, else the mask of norms in the class."""
         if cls is None or cls.is_trivial:
-            return np.ones(norms.shape, dtype=bool)
+            return True
         return norms % cls.modulus == cls.residue
 
     total = 0
-    primes = sieve_range(2, x) if x >= 2 else np.empty(0, dtype=np.int64)
-    if primes.size:
+    if x >= 2:
+        primes = sieve_range(2, x)
         chi_p = chi[primes % abs(d)]
-        split_norms = primes[chi_p == 1]
-        total += 2 * int(np.count_nonzero(class_mask(split_norms)))
-        ram_norms = primes[chi_p == 0]
-        total += int(np.count_nonzero(class_mask(ram_norms)))
+        mask = in_class(primes)
+        total += 2 * np.count_nonzero((chi_p == 1) & mask)  # split
+        total += np.count_nonzero((chi_p == 0) & mask)  # ramified
     root = math.isqrt(x)
     if root >= 2:
         small = sieve_range(2, root)
-        chi_s = chi[small % abs(d)]
-        inert_norms = small[chi_s == -1] ** 2
-        total += int(np.count_nonzero(class_mask(inert_norms)))
-    return total
+        total += np.count_nonzero((chi[small % abs(d)] == -1) & in_class(small**2))  # inert
+    return int(total)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Bulk tables come from one lattice enumeration: every canonical point (x, y)
 whose value Q(x, y) lies in the range of the given primes is visited one
 value window at a time, all rows of a window at once, in exact int64
-arithmetic, and kept when the value is one of those primes.
+arithmetic, and kept when the value is one of those primes. The kept points
+are compressed through one index array and sorted by p alone; only a window
+where a prime has several canonical pairs is re-sorted by (p, x, y).
 The per-prime routes stay as independent oracles for tests: a remainder-chain
 solver (`cornacchia`) for forms x^2 + c*y^2, and an exhaustive ellipse walk
 (`brute_force_representations`) that solves the remaining quadratic in y.
@@ -257,8 +259,8 @@ class RepTable:
     def slice_class(self, cls: CongruenceClass) -> "RepTable":
         if cls.is_trivial:
             return self
-        mask = self.p % cls.modulus == cls.residue
-        return RepTable(self.form, self.p[mask], self.x[mask], self.y[mask], self.limit)
+        rows = np.flatnonzero(self.p % cls.modulus == cls.residue)
+        return RepTable(self.form, self.p[rows], self.x[rows], self.y[rows], self.limit)
 
     def slice_below(self, limit: int) -> "RepTable":
         """Rows with p <= limit."""
@@ -313,8 +315,10 @@ def _window_rows(
     hi; its ends follow exactly from 4a*Q = (2ax + by)^2 + D*y^2, for all
     rows at once. Since Q = x*(a + b*y) + c*y (mod 2), rows with a + b*y odd
     need only the x of one parity, and rows where Q is always even are
-    skipped, unless the window holds 2. The caller has checked that every
-    intermediate fits int64.
+    skipped, unless the window holds 2. The hits are taken by one index
+    array and ordered by p; only a window where a prime has several pairs
+    orders them by (x, y) with np.lexsort. The caller has checked that
+    every intermediate fits int64.
     """
     lo, hi = int(primes[0]), int(primes[-1])
     a, b, c, D = form.a, form.b, form.c, form.D
@@ -349,10 +353,14 @@ def _window_rows(
     q = (a * x + b * y) * x + c * y * y
     flags = np.zeros(hi - lo + 1, dtype=bool)
     flags[primes - lo] = True
-    hit = flags[q - lo]
-    p, x, y = q[hit], x[hit], y[hit]
-    order = np.lexsort((y, x, p))
-    return p[order], x[order], y[order]
+    rows = np.flatnonzero(flags[q - lo])
+    rows = rows[np.argsort(q[rows])]
+    p = q[rows]
+    if np.any(p[1:] == p[:-1]):
+        # a prime with several canonical pairs (some b < 0 forms): by (x, y) too
+        rows = rows[np.lexsort((y[rows], x[rows], p))]
+        p = q[rows]
+    return p, x[rows], y[rows]
 
 
 def _stack(form: QuadraticForm, parts: list, limit: int) -> RepTable:

@@ -2,8 +2,13 @@
 
 The sieve keeps one byte flag per odd number in the active window, so the
 default window of 2**20 numbers costs ~512 KiB of flags and fits in L2 cache.
-Numbers are plain Python / numpy int64; capacity checks keep requests within
-a configured bound rather than letting a huge sieve thrash the machine.
+Each window is filled from a pre-sieved tile of 15015 odd numbers that
+already has the multiples of 3..13 struck, and only the base primes from 17
+up are struck per window; those are built once per power of two of the
+square root and shared by every window of a stream. Class filters compress
+by index. Numbers are plain Python / numpy int64; capacity checks keep
+requests within a configured bound rather than letting a huge sieve thrash
+the machine.
 """
 
 from __future__ import annotations
@@ -32,19 +37,48 @@ def _simple_prime_flags(n: int) -> np.ndarray:
     return flags
 
 
-def _base_odd_primes(hi: int) -> list[int]:
-    root = math.isqrt(hi)
-    if root < 3:
-        return []
-    flags = _simple_prime_flags(root)
-    return [int(p) for p in np.flatnonzero(flags) if p > 2]
+# odd primes struck once into the tile rather than in every segment
+_TILE_PRIMES = (3, 5, 7, 11, 13)
+_TILE_PERIOD = 3 * 5 * 7 * 11 * 13  # 15015 odd numbers
+
+
+def _presieved_tile() -> np.ndarray:
+    """Flags of the odd numbers 2k + 1, k < 2 * 15015: True where no prime
+    3..13 divides them. The pattern repeats every 15015 odd numbers; the
+    second period lets any rotation be sliced out whole."""
+    tile = np.ones(2 * _TILE_PERIOD, dtype=bool)
+    for p in _TILE_PRIMES:
+        tile[(p - 1) // 2 :: p] = False  # p divides 2k + 1 iff k = (p - 1)/2 (mod p)
+    tile.flags.writeable = False
+    return tile
+
+
+_TILE = _presieved_tile()
+
+
+@functools.lru_cache(maxsize=None)
+def _base_primes(bits: int) -> np.ndarray:
+    """The primes 17 <= p < 2**bits, ascending, int64 and read-only.
+
+    Keyed by the bit length of sqrt(hi), so a stream of segments shares one
+    array per power of two (at most 32 entries inside int64).
+    """
+    flags = _simple_prime_flags(1 << bits)
+    flags[: _TILE_PRIMES[-1] + 1] = False
+    base = np.flatnonzero(flags)
+    base.flags.writeable = False
+    return base
 
 
 def sieve_range(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
     """All primes in the closed interval [lo, hi], ascending, as int64.
 
-    An empty interval (no primes in range) yields an empty array; lo > hi is
-    a contract violation.
+    Each segment of odd numbers starts as a copy of the pre-sieved tile
+    (multiples of 3..13 already struck), so only the base primes 17..sqrt(hi)
+    are struck per segment, from their shared memoised array. The tile primes
+    themselves are put back, and 2 added, where the range holds them. An empty
+    interval (no primes in range) yields an empty array; lo > hi is a
+    contract violation.
     """
     if lo > hi:
         raise ValueError(f"empty sieve interval: lo={lo} > hi={hi}")
@@ -56,7 +90,7 @@ def sieve_range(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> n
     parts = []
     if lo <= 2:
         parts.append(np.array([2], dtype=np.int64))
-    base = _base_odd_primes(hi)
+    base = _base_primes(math.isqrt(hi).bit_length())
 
     seg_lo = max(lo, 3) | 1  # first odd candidate
     # widen tiny windows to at least one odd number
@@ -64,17 +98,19 @@ def sieve_range(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> n
     while seg_lo <= hi:
         seg_hi = min(seg_lo + span - 1, hi)
         n_odds = (seg_hi - seg_lo) // 2 + 1
-        flags = np.ones(n_odds, dtype=bool)
-        for p in base:
-            first = ((seg_lo + p - 1) // p) * p
-            start = max(p * p, first)
-            if start % 2 == 0:
-                start += p
-            if start <= seg_hi:
-                flags[(start - seg_lo) // 2 :: p] = False
+        off = (seg_lo // 2) % _TILE_PERIOD  # seg_lo = 2k + 1
+        flags = np.resize(_TILE[off : off + _TILE_PERIOD], n_odds)
+        for p in _TILE_PRIMES:
+            if seg_lo <= p <= seg_hi:
+                flags[(p - seg_lo) // 2] = True
+        ps = base[: np.searchsorted(base, math.isqrt(seg_hi), side="right")]
+        # each prime's first odd multiple >= max(p*p, seg_lo), as a flag index
+        first = np.maximum(ps * ps, (-(-seg_lo // ps) | 1) * ps)
+        for p, i in zip(ps.tolist(), ((first - seg_lo) // 2).tolist()):
+            flags[i::p] = False
         found = seg_lo + 2 * np.flatnonzero(flags)
         if found.size:
-            parts.append(found.astype(np.int64))
+            parts.append(found)
         seg_lo = (seg_hi + 1) | 1  # next odd beyond the window
 
     if not parts:
@@ -157,7 +193,7 @@ def primes_in_class(
     primes = sieve_range(2, limit, segment_size=segment_size) if limit >= 2 else np.empty(0, dtype=np.int64)
     if cls.is_trivial:
         return primes
-    return primes[primes % cls.modulus == cls.residue]
+    return primes[np.flatnonzero(primes % cls.modulus == cls.residue)]
 
 
 def nth_prime_bound(n: int) -> int:
@@ -173,7 +209,7 @@ def _capacity_bound(n: int) -> int:
     bound = nth_prime_bound(n)
     if bound > DEFAULT_CAPACITY:
         raise SieveCapacityError(
-            f"prime #{n} needs sieving to ~{bound}, beyond capacity {DEFAULT_CAPACITY}"
+            f"prime #{n} needs sieving to ~{bound}, which exceeds capacity {DEFAULT_CAPACITY}"
         )
     return bound
 

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qfbias import forms, primes
@@ -380,3 +380,64 @@ class TestWindowedEngine:
         k = (1 << 31) - 1  # k^2 + 2k < 2^62: the largest squares the engine meets
         s = np.array([0, 1, 2, 3, 4, 99, 100, 101, k * k - 1, k * k, k * k + 2 * k])
         assert forms._isqrt(s).tolist() == [math.isqrt(int(v)) for v in s]
+
+
+def _lexsort_rows(form: QuadraticForm, primes: np.ndarray):
+    """Reference for `_window_rows`: every canonical point of the bounding box
+    whose value is one of the primes, ordered with np.lexsort by (p, x, y)."""
+    ext = math.isqrt(4 * form.c * int(primes[-1]) // form.D) + 1  # |x| on the ellipse
+    x, y = np.meshgrid(np.arange(1, ext + 1), np.arange(ext), indexing="ij")
+    x, y = x.ravel(), y.ravel()
+    q = form.a * x * x + form.b * x * y + form.c * y * y
+    keep = (x > y) & np.isin(q, primes)
+    p, x, y = q[keep], x[keep], y[keep]
+    order = np.lexsort((y, x, p))
+    return p[order], x[order], y[order]
+
+
+class TestWindowKernel:
+    @given(
+        a=st.integers(min_value=1, max_value=6),
+        b=st.integers(min_value=-9, max_value=9),
+        c=st.integers(min_value=1, max_value=9),
+        lo=st.integers(min_value=2, max_value=20_000),
+        span=st.integers(min_value=0, max_value=4000),
+        stride=st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_window_rows_equal_lexsort_reference(self, a, b, c, lo, span, stride):
+        assume(b * b < 4 * a * c and math.gcd(math.gcd(a, b), c) == 1)
+        form = QuadraticForm(a, b, c)
+        primes = sieve_range(lo, lo + span)[::stride]
+        assume(primes.size > 0)
+        got = forms._window_rows(form, primes)
+        want = _lexsort_rows(form, primes)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_rows_of_one_prime_tie_on_x(self):
+        # 7 = Q(3, 1) = Q(3, 2) for x^2 - xy + y^2: two rows share p and x
+        form = QuadraticForm(1, -1, 1)
+        p, x, y = forms._window_rows(form, np.array([7]))
+        assert (p.tolist(), x.tolist(), y.tolist()) == ([7, 7], [3, 3], [1, 2])
+        primes = sieve_range(2, forms.WINDOW)
+        got = forms._window_rows(form, primes)
+        assert np.count_nonzero(got[0][1:] == got[0][:-1]) > 1000
+        for g, w in zip(got, _lexsort_rows(form, primes)):
+            assert np.array_equal(g, w)
+
+    @given(
+        coeffs=st.sampled_from(ORACLE_FORMS),
+        modulus=st.integers(min_value=1, max_value=24),
+        residue=st.integers(min_value=0, max_value=23),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_slice_class_equals_boolean_mask(self, coeffs, modulus, residue):
+        assume(math.gcd(residue, modulus) == 1)
+        table = _full_table(coeffs)
+        got = table.slice_class(CongruenceClass(residue, modulus))
+        mask = table.p % modulus == residue % modulus
+        assert np.array_equal(got.p, table.p[mask])
+        assert np.array_equal(got.x, table.x[mask])
+        assert np.array_equal(got.y, table.y[mask])
+        assert got.limit == table.limit and got.form == table.form

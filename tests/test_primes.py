@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,48 @@ class TestSieveRange:
     def test_segment_size_never_changes_output(self, lo, width, seg):
         hi = lo + width
         assert sieve_range(lo, hi, segment_size=seg).tolist() == sieve_range(lo, hi).tolist()
+
+
+TILE_SPAN = 2 * 3 * 5 * 7 * 11 * 13  # the pre-sieved tile covers 15015 odd numbers
+_FLAGS = primes_module._simple_prime_flags(5 * TILE_SPAN)
+
+
+def _edge(k: int, d: int) -> int:
+    """A bound within 20 of a multiple of 15015, half the tile span (0..20 for k = 0)."""
+    return max(k * TILE_SPAN // 2 + d, 0)
+
+
+class TestPresievedSegments:
+    @given(
+        lo=st.builds(_edge, st.integers(0, 8), st.integers(-20, 20)),
+        seg=st.sampled_from([1, 2, 3, 7, 30031, 2**20]),
+        data=st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_simple_sieve_across_tile_periods(self, lo, seg, data):
+        # tiny segments get short ranges so that each example stays fast
+        width = data.draw(st.integers(0, 600 if seg < 10 else 2 * TILE_SPAN), label="width")
+        hi = min(lo + width, _FLAGS.size - 1)
+        want = np.flatnonzero(_FLAGS[: hi + 1])
+        assert np.array_equal(sieve_range(lo, hi, seg), want[want >= lo])
+
+    @pytest.mark.parametrize("seg", [1, 2, 3, 7, 30031])
+    def test_every_range_with_ends_in_0_to_16(self, seg):
+        for lo in range(17):
+            for hi in range(lo, 17):
+                got = sieve_range(lo, hi, seg).tolist()
+                assert got == [p for p in (2, 3, 5, 7, 11, 13) if lo <= p <= hi]
+
+    def test_base_primes_built_once_per_power_of_two(self, monkeypatch):
+        calls = []
+        simple = primes_module._simple_prime_flags
+        monkeypatch.setattr(primes_module, "_simple_prime_flags",
+                            lambda n: calls.append(n) or simple(n))
+        primes_module._base_primes.cache_clear()
+        segments = list(PrimeStream(10**6, segment_size=1000).segments())
+        assert len(segments) == 1000
+        assert np.array_equal(np.concatenate(segments), sieve_range(2, 10**6))
+        assert len(calls) <= math.isqrt(10**6).bit_length()
 
 
 class TestPrimeStream:
