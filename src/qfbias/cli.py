@@ -126,6 +126,11 @@ threads_option = click.option(
     "--threads", type=int, default=1, show_default=True, expose_value=False,
     help="accepted for compatibility; has no effect",
 )
+# kept so existing command lines still parse; A(m, M) has a closed form
+budget_option = click.option(
+    "--budget", type=int, default=None, expose_value=False,
+    help="accepted for compatibility; has no effect",
+)
 cache_option = click.option("--cache", default=None, help="representation cache file (QFR1)")
 output_option = click.option(
     "-o", "--output", required=True, type=click.Path(dir_okay=False), help="CSV output path"
@@ -305,13 +310,13 @@ def cmd_dfunc(xmax, output, cache):
 @click.option("--delta", type=int, required=True, help="squarefree negative field input")
 @click.option("--mod", type=int, required=True)
 @click.option("--res", type=int, required=True)
-@click.option("--budget", type=int, default=counting.DEFAULT_PRIME_BUDGET, show_default=True)
+@budget_option
 @handle_errors
-def cmd_acoeff(delta, mod, res, budget):
+def cmd_acoeff(delta, mod, res):
     """Density coefficient A(m, M) as a norm-residue subgroup index."""
     fs = FieldSplitting(delta)
     cls = _class_from(mod, res)
-    click.echo(str(counting.a_coefficient(fs, cls, prime_budget=budget)))
+    click.echo(str(counting.a_coefficient(fs, cls)))
 
 
 @main.command("density")
@@ -320,9 +325,9 @@ def cmd_acoeff(delta, mod, res, budget):
 @click.option("--res", type=int, default=None)
 @click.option("--x", "x_max", type=int, required=True)
 @output_option
-@click.option("--budget", type=int, default=counting.DEFAULT_PRIME_BUDGET, show_default=True)
+@budget_option
 @handle_errors
-def cmd_density(delta, mod, res, x_max, output, budget):
+def cmd_density(delta, mod, res, x_max, output):
     """Prime-ideal counts against the predicted leading term, at checkpoints."""
     fs = FieldSplitting(delta)
     cls = _class_from(mod, res)
@@ -335,11 +340,7 @@ def cmd_density(delta, mod, res, x_max, output, budget):
         checkpoints.append(x)
         x *= 10
     checkpoints.append(x_max)
-    subgroup = counting.norm_residue_subgroup(fs, cls.modulus, budget)
-    reports = [
-        counting.density_check(fs, cls, cp, prime_budget=budget, subgroup=subgroup)
-        for cp in checkpoints
-    ]
+    reports = [counting.density_check(fs, cls, cp) for cp in checkpoints]
     _write_csv(output, "x,empirical,predicted,ratio", checkpoints,
                [r.empirical for r in reports], [r.predicted for r in reports],
                [r.ratio for r in reports])

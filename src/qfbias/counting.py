@@ -8,22 +8,21 @@ squarefree discriminant input delta < 0:
   * prime-ideal counts by norm and norm residue, with splitting decided by
     the Kronecker character of the field discriminant;
   * the coefficient A(m, M) as the index of the norm-residue subgroup H of
-    (Z/MZ)^* when m lies in H and 0 otherwise, with an empirical generator
-    scan cross-checked against the closed-form Kronecker kernel.
+    (Z/MZ)^* when m lies in H and 0 otherwise, H being the kernel of the
+    Kronecker character when |d_K| divides M and all of (Z/MZ)^* otherwise.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .arith import distinct_prime_factors, euler_phi, kronecker, kronecker_array, squarefree_part
-from .errors import ConsistencyError, SieveCapacityError, StabilizationWarning
+from .errors import ConsistencyError, SieveCapacityError
 from .forms import QuadraticForm, RepTable, ensure_table
 from .limits import integrate
 from .primes import DEFAULT_CAPACITY, CongruenceClass, sieve_range
@@ -32,9 +31,7 @@ SPLIT = "split"
 INERT = "inert"
 RAMIFIED = "ramified"
 
-DEFAULT_PRIME_BUDGET = 10_000
 _CHI_BLOCK = 1 << 16
-STABILIZATION_WINDOW = 100
 
 
 @dataclass(frozen=True)
@@ -213,136 +210,50 @@ def prime_ideal_count(
 
 @dataclass(frozen=True)
 class NormResidueSubgroup:
-    """Multiplicative closure of prime-ideal norms in (Z/MZ)^*."""
+    """The subgroup H of (Z/MZ)^* holding the norms of the field's prime ideals.
+
+    H is the kernel of the field's Kronecker character chi_K when that
+    character is defined modulo M (the conductor |d_K| divides M), and all of
+    (Z/MZ)^* otherwise: H corresponds to the intersection of K with
+    Q(zeta_M), which is K or Q (Cox, *Primes of the form x^2 + ny^2*, the
+    class field theory chapters). So the index is 2 or 1, and membership is
+    one gcd and one Kronecker symbol.
+    """
 
     modulus: int
     delta: int
-    generators_seen: frozenset[int]
-    subgroup: tuple[int, ...]
-    stabilized: bool
+
+    @property
+    def _discriminant(self) -> int:
+        return FieldSplitting(self.delta).field_discriminant
 
     @property
     def index(self) -> int:
-        if self.modulus == 1:
-            return 1
-        return euler_phi(self.modulus) // len(self.subgroup)
+        return 2 if self.modulus % abs(self._discriminant) == 0 else 1
 
     def contains(self, residue: int) -> bool:
-        return residue % self.modulus in set(self.subgroup)
+        r = residue % self.modulus
+        if math.gcd(r, self.modulus) != 1:
+            return False
+        return self.index == 1 or kronecker(self._discriminant, r) == 1
+
+    @property
+    def subgroup(self) -> tuple[int, ...]:
+        """The elements of H in [0, M), enumerated on demand; (0,) for M = 1."""
+        return tuple(r for r in range(self.modulus) if self.contains(r))
 
 
-def _closure(modulus: int, generators) -> set[int]:
-    """Subgroup of (Z/MZ)^* generated by the given residues."""
-    group = {1 % modulus} | {g % modulus for g in generators}
-    changed = True
-    while changed:
-        changed = False
-        for a in list(group):
-            for b in list(group):
-                ab = a * b % modulus
-                if ab not in group:
-                    group.add(ab)
-                    changed = True
-    return group
-
-
-def kronecker_kernel_subgroup(fs: FieldSplitting, modulus: int) -> tuple[int, ...]:
-    """Closed form for the norm-residue subgroup H.
-
-    H is the kernel in (Z/MZ)^* of the field's Kronecker character when that
-    character is defined modulo M (conductor |d_K| divides M), and the whole
-    unit group otherwise.
-    """
-    if modulus == 1:
-        return (0,)
-    d = fs.field_discriminant
-    units = [r for r in range(modulus) if math.gcd(r, modulus) == 1]
-    if modulus % abs(d) == 0:
-        return tuple(r for r in units if kronecker(d, r) == 1)
-    return tuple(units)
-
-
-def norm_residue_subgroup(
-    fs: FieldSplitting,
-    modulus: int,
-    prime_budget: int = DEFAULT_PRIME_BUDGET,
-) -> NormResidueSubgroup:
-    """Scan prime norms to build H, flagging whether the scan stabilized.
-
-    Split primes coprime to M contribute p mod M, inert primes p^2 mod M;
-    the finitely many ramified primes are exceptions and contribute nothing.
-    The scan certifies only membership, so the result is cross-checked
-    against the closed-form kernel; disagreement after stabilization is an
-    error.
-    """
+def norm_residue_subgroup(fs: FieldSplitting, modulus: int) -> NormResidueSubgroup:
+    """The norm-residue subgroup H of (Z/MZ)^* for the field, in closed form."""
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
-    if modulus == 1:
-        return NormResidueSubgroup(
-            modulus=1,
-            delta=fs.delta,
-            generators_seen=frozenset({0}),
-            subgroup=(0,),
-            stabilized=True,
-        )
-    if prime_budget < 2:
-        raise ValueError(f"prime budget must be at least 2, got {prime_budget}")
-    d = fs.field_discriminant
-    group = {1}
-    generators: set[int] = set()
-    since_change = 0
-    scanned = 0
-    for p in sieve_range(2, prime_budget).tolist():
-        if math.gcd(p, modulus) != 1 or d % p == 0:
-            continue
-        norm = p % modulus if kronecker(d, p) == 1 else p * p % modulus
-        scanned += 1
-        generators.add(norm)
-        if norm in group:
-            since_change += 1
-            continue
-        group = _closure(modulus, generators)
-        since_change = 0
-    stabilized = scanned >= STABILIZATION_WINDOW and since_change >= STABILIZATION_WINDOW
-    if not stabilized:
-        warnings.warn(
-            f"norm-residue scan for delta={fs.delta}, M={modulus} did not "
-            f"stabilize within prime budget {prime_budget}",
-            StabilizationWarning,
-            stacklevel=2,
-        )
-    closed = set(kronecker_kernel_subgroup(fs, modulus))
-    if not group <= closed:
-        raise ConsistencyError(
-            f"scanned norm residues {sorted(group - closed)} escape the "
-            f"closed-form subgroup for delta={fs.delta}, M={modulus}"
-        )
-    if stabilized and group != closed:
-        raise ConsistencyError(
-            f"stabilized scan found H={sorted(group)} but the closed form "
-            f"gives {sorted(closed)} for delta={fs.delta}, M={modulus}"
-        )
-    return NormResidueSubgroup(
-        modulus=modulus,
-        delta=fs.delta,
-        generators_seen=frozenset(generators),
-        subgroup=tuple(sorted(closed if stabilized else group)),
-        stabilized=stabilized,
-    )
+    return NormResidueSubgroup(modulus=modulus, delta=fs.delta)
 
 
-def a_coefficient(
-    fs: FieldSplitting,
-    cls: CongruenceClass,
-    prime_budget: int = DEFAULT_PRIME_BUDGET,
-    subgroup: NormResidueSubgroup | None = None,
-) -> int:
+def a_coefficient(fs: FieldSplitting, cls: CongruenceClass) -> int:
     """The density coefficient A(m, M): the index [(Z/MZ)^* : H] if m is in
     H, else 0."""
-    if subgroup is None:
-        subgroup = norm_residue_subgroup(fs, cls.modulus, prime_budget)
-    elif subgroup.modulus != cls.modulus or subgroup.delta != fs.delta:
-        raise ValueError("subgroup belongs to a different modulus or field")
+    subgroup = norm_residue_subgroup(fs, cls.modulus)
     if subgroup.contains(cls.residue):
         return subgroup.index
     return 0
@@ -375,13 +286,7 @@ class DensityReport:
         return self.empirical / self.predicted
 
 
-def density_check(
-    fs: FieldSplitting,
-    cls: CongruenceClass,
-    x: int,
-    prime_budget: int = DEFAULT_PRIME_BUDGET,
-    subgroup: NormResidueSubgroup | None = None,
-) -> DensityReport:
+def density_check(fs: FieldSplitting, cls: CongruenceClass, x: int) -> DensityReport:
     """Empirical prime-ideal count against the leading term A*Li(x)/phi(M).
 
     When A = 0 only the finitely many ramified ideals can slip through; any
@@ -389,7 +294,7 @@ def density_check(
     """
     if x < 100:
         raise ValueError("density check needs x >= 100")
-    a = a_coefficient(fs, cls, prime_budget, subgroup)
+    a = a_coefficient(fs, cls)
     empirical = prime_ideal_count(fs, x, cls)
     if a == 0:
         exceptional = len(distinct_prime_factors(fs.field_discriminant))

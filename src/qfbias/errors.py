@@ -40,7 +40,3 @@ class ConsistencyError(ComputationError):
 
 class CacheFormatError(ComputationError):
     """A representation cache file is malformed or does not match the form."""
-
-
-class StabilizationWarning(UserWarning):
-    """Norm-residue scan ended before the subgroup provably stabilized."""

@@ -337,12 +337,18 @@ class TestAcoeffCommand:
         result = runner.invoke(main, ["acoeff", "--delta", "-4", "--mod", "8", "--res", "1"])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("budget", ["1", "0", "-5"])
-    def test_budget_below_two_is_usage_error(self, runner, budget):
-        result = runner.invoke(main, ["acoeff", "--delta", "-1", "--mod", "8", "--res", "5",
-                                      "--budget", budget])
-        assert result.exit_code == 2
-        assert f"prime budget must be at least 2, got {budget}" in result.stderr
+    @pytest.mark.parametrize("budget", ["-5", "0", "1", "20", "50000"])
+    def test_budget_has_no_effect(self, runner, budget):
+        # A(m, M) is a closed form: no --budget can change it; a scan to 20
+        # once missed the residue 2 (mod 35)
+        for delta, mod, res, value in [("-1", "35", "1", "1"), ("-1", "35", "2", "1"),
+                                       ("-1", "35", "3", "1"), ("-1", "8", "5", "2"),
+                                       ("-1", "8", "3", "0"), ("-3", "12", "5", "0")]:
+            args = ["acoeff", "--delta", delta, "--mod", mod, "--res", res]
+            plain = invoke(runner, *args)
+            result = invoke(runner, *args, "--budget", budget)
+            assert result.exit_code == 0
+            assert result.stdout == plain.stdout == value + "\n"
 
 
 class TestDensityCommand:
@@ -363,13 +369,17 @@ class TestDensityCommand:
         assert out.read_text().splitlines()[1:] == ["100,0,0.000000000000,",
                                                     "1000,0,0.000000000000,"]
 
-    def test_budget_below_two_is_usage_error(self, runner, tmp_path):
-        out = tmp_path / "den.csv"
-        result = runner.invoke(main, ["density", "--delta", "-1", "--mod", "8", "--res", "1",
-                                      "--x", "1000", "-o", str(out), "--budget", "1"])
-        assert result.exit_code == 2
-        assert "prime budget must be at least 2, got 1" in result.stderr
-        assert not out.exists()
+    @pytest.mark.parametrize("mod,res", [("8", "1"), ("35", "2")])
+    def test_budget_has_no_effect(self, runner, tmp_path, mod, res):
+        args = ["density", "--delta", "-1", "--mod", mod, "--res", res, "--x", "1000", "-o"]
+        plain_csv = tmp_path / "plain.csv"
+        plain = invoke(runner, *args, str(plain_csv))
+        for budget in ("1", "20", "50000"):
+            out = tmp_path / f"budget{budget}.csv"
+            result = invoke(runner, *args, str(out), "--budget", budget)
+            assert result.exit_code == 0
+            assert result.stdout == plain.stdout
+            assert out.read_bytes() == plain_csv.read_bytes()
 
 
 class TestEquidistCommand:

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,21 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfbias import counting
-from qfbias.arith import euler_phi, kronecker, kronecker_array
+from qfbias.arith import euler_phi, kronecker, kronecker_array, squarefree_part
 from qfbias.counting import (
     CountSeries,
     FieldSplitting,
     a_coefficient,
     d_functions,
     density_check,
-    kronecker_kernel_subgroup,
     log_integral,
     negative_bias_fraction,
     norm_residue_subgroup,
     prime_ideal_count,
     splitting_type,
 )
-from qfbias.errors import SieveCapacityError, StabilizationWarning
+from qfbias.errors import SieveCapacityError
 from qfbias.primes import DEFAULT_CAPACITY, CongruenceClass, sieve_range
 
 from conftest import trial_division_primes
@@ -221,11 +221,73 @@ class TestKroneckerArray:
             kronecker_array(-4, np.array([3, -1]))
 
 
+STABILIZATION_WINDOW = 100
+
+
+def _closure(modulus: int, generators) -> set[int]:
+    """Subgroup of (Z/MZ)^* generated by the given residues."""
+    group = {1 % modulus} | {g % modulus for g in generators}
+    changed = True
+    while changed:
+        changed = False
+        for a in list(group):
+            for b in list(group):
+                ab = a * b % modulus
+                if ab not in group:
+                    group.add(ab)
+                    changed = True
+    return group
+
+
+@functools.cache
+def _scan_primes(budget: int) -> tuple[int, ...]:
+    return tuple(trial_division_primes(2, budget))
+
+
+def scanned_subgroup(fs: FieldSplitting, modulus: int, budget: int = 10_000):
+    """Oracle for H: the closure of prime-ideal norm residues up to budget.
+
+    Split primes coprime to M contribute p mod M, inert primes p^2 mod M;
+    the ramified primes are skipped. The scan certifies only membership: it
+    counts as stabilized when it saw at least STABILIZATION_WINDOW primes and
+    the last STABILIZATION_WINDOW of them added nothing. Returns (H, stabilized).
+    """
+    d = fs.field_discriminant
+    group = {1 % modulus}
+    generators: set[int] = set()
+    since_change = 0
+    scanned = 0
+    for p in _scan_primes(budget):
+        if math.gcd(p, modulus) != 1 or d % p == 0:
+            continue
+        norm = p % modulus if kronecker(d, p) == 1 else p * p % modulus
+        scanned += 1
+        generators.add(norm)
+        if norm in group:
+            since_change += 1
+            continue
+        group = _closure(modulus, generators)
+        since_change = 0
+    stabilized = scanned >= STABILIZATION_WINDOW and since_change >= STABILIZATION_WINDOW
+    return group, stabilized
+
+
+@st.composite
+def _field_and_modulus(draw):
+    """A squarefree delta < 0 and M <= 200, often a multiple of |d_K|."""
+    delta = draw(st.integers(-60, -1).filter(lambda d: squarefree_part(d) == d))
+    fs = FieldSplitting(delta)
+    d = abs(fs.field_discriminant)
+    moduli = st.integers(1, 200)
+    if d <= 200:
+        moduli |= st.integers(1, 200 // d).map(lambda k: k * d)
+    return fs, draw(moduli)
+
+
 class TestNormResidueSubgroup:
     def test_gauss_mod_eight(self):
         sub = norm_residue_subgroup(GAUSS, 8)
         assert sub.subgroup == (1, 5)
-        assert sub.stabilized
         assert sub.index == 2
 
     def test_trivial_modulus(self):
@@ -237,26 +299,33 @@ class TestNormResidueSubgroup:
         assert sub.subgroup == (1,)
         assert sub.index == 2
 
-    def test_small_budget_warns(self):
-        with pytest.warns(StabilizationWarning):
-            norm_residue_subgroup(GAUSS, 8, prime_budget=20)
-
-    @pytest.mark.parametrize("budget", [1, 0, -3])
-    def test_budget_below_two_is_refused_before_sieving(self, monkeypatch, budget):
-        monkeypatch.setattr("qfbias.counting.sieve_range", None)
-        with pytest.raises(ValueError, match=f"prime budget must be at least 2, got {budget}"):
-            norm_residue_subgroup(GAUSS, 8, prime_budget=budget)
-
-    def test_trivial_modulus_needs_no_budget(self):
-        assert norm_residue_subgroup(GAUSS, 1, prime_budget=0).index == 1
+    def test_rejects_modulus_below_one(self):
+        with pytest.raises(ValueError, match="modulus must be >= 1"):
+            norm_residue_subgroup(GAUSS, 0)
 
     @pytest.mark.parametrize("delta", DELTAS)
     def test_scan_matches_closed_form(self, delta):
         fs = FieldSplitting(delta)
         for modulus in range(1, 51):
-            sub = norm_residue_subgroup(fs, modulus)
-            assert sub.stabilized
-            assert sub.subgroup == kronecker_kernel_subgroup(fs, modulus)
+            scanned, stabilized = scanned_subgroup(fs, modulus)
+            assert stabilized
+            assert norm_residue_subgroup(fs, modulus).subgroup == tuple(sorted(scanned))
+
+    @given(case=_field_and_modulus())
+    @settings(max_examples=200, deadline=None)
+    def test_scan_oracle_property(self, case):
+        fs, modulus = case
+        sub = norm_residue_subgroup(fs, modulus)
+        closed = set(sub.subgroup)
+        scanned, stabilized = scanned_subgroup(fs, modulus)
+        if not stabilized:
+            assert scanned <= closed
+            return
+        assert scanned == closed
+        units = [r for r in range(modulus) if math.gcd(r, modulus) == 1]
+        assert sub.index * len(scanned) == len(units)
+        for r in range(-modulus, 2 * modulus):
+            assert sub.contains(r) == (r % modulus in scanned)
 
     @pytest.mark.parametrize("delta", DELTAS)
     def test_contains_squares_and_small_index(self, delta):
@@ -284,22 +353,23 @@ class TestACoefficient:
         for delta in DELTAS:
             assert a_coefficient(FieldSplitting(delta), CongruenceClass.trivial()) == 1
 
+    def test_large_modulus_needs_no_sieve(self, monkeypatch):
+        monkeypatch.setattr("qfbias.counting.sieve_range", None)
+        big = 10**9 + 7
+        assert a_coefficient(GAUSS, CongruenceClass(1, big)) == 1
+        assert a_coefficient(GAUSS, CongruenceClass(1, 4 * big)) == 2
+        assert a_coefficient(GAUSS, CongruenceClass(3, 4 * big)) == 0
+
     @pytest.mark.parametrize("delta", DELTAS)
     def test_character_sum_identity_small(self, delta):
         fs = FieldSplitting(delta)
         for modulus in range(1, 51):
-            sub = norm_residue_subgroup(fs, modulus)
             total = sum(
-                a_coefficient(fs, CongruenceClass(m, modulus), subgroup=sub)
+                a_coefficient(fs, CongruenceClass(m, modulus))
                 for m in range(modulus)
                 if math.gcd(m, modulus) == 1
-            ) if modulus > 1 else a_coefficient(fs, CongruenceClass.trivial(), subgroup=sub)
+            ) if modulus > 1 else a_coefficient(fs, CongruenceClass.trivial())
             assert total == euler_phi(modulus)
-
-    def test_subgroup_field_mismatch_rejected(self):
-        sub = norm_residue_subgroup(GAUSS, 8)
-        with pytest.raises(ValueError):
-            a_coefficient(FieldSplitting(-3), CongruenceClass(1, 8), subgroup=sub)
 
 
 class TestDensity:
