@@ -34,6 +34,7 @@ from .forms import (
     brute_force_representations,
     canonical_pairs,
     cornacchia,
+    ensure_table,
     representation_table,
     sqrt_mod,
 )
@@ -60,6 +61,7 @@ from .series import (
     moment_sum,
     poly_sum,
     ratio_series,
+    series_limit,
     sign_changes,
 )
 

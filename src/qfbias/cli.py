@@ -25,8 +25,8 @@ from .errors import ComputationError, SieveCapacityError
 from .forms import QuadraticForm, RepTable, ensure_table
 from .limits import LimitProblem
 from .polynomials import parse_polynomial
-from .primes import DEFAULT_CAPACITY, CongruenceClass, sieve_range, stride_primes
-from .series import BiasSeries, bias_series, ratio_series, sign_changes
+from .primes import DEFAULT_CAPACITY, CongruenceClass, sieve_range
+from .series import BiasSeries, bias_series, ratio_series, series_limit, sign_changes
 
 CACHE_DIR_ENV = "QFBIAS_CACHE_DIR"
 
@@ -203,11 +203,6 @@ def _write_csv(path, header: str | None, *columns) -> None:
         fh.writelines(csv_blocks(columns))
 
 
-def _series_limit(n_max: int, stride: int) -> int:
-    """Pr(N) at the last grid point: the largest prime a bias series reads."""
-    return int(stride_primes(n_max, stride)[-1])
-
-
 def _series_step(path, ser: BiasSeries) -> float:
     """Write a bias series CSV; returns the final F (NaN if undefined)."""
     f = ser.F
@@ -224,7 +219,7 @@ def _ratio_step(path, ser_cls: BiasSeries, ser_all: BiasSeries) -> float:
 
 def _dfunc_step(path, x_max: int, table: RepTable):
     """Write the D1/D2 CSV; returns both series and their negative fractions."""
-    d1, d2 = counting.d_functions(x_max, rep_table=table)
+    d1, d2 = counting.d_functions(table, x_max)
     # both grids are strictly increasing and share only the x_max endpoint;
     # a sorted concatenation with neighbours dropped is their union
     merged = np.sort(np.concatenate((d1.x_grid, d2.x_grid)))
@@ -247,8 +242,8 @@ def cmd_series(form, mod, res, nmax, stride, output, cache):
     """Bias series: cumulative coordinate sums at every stride-th prime index."""
     cls = _class_from(mod, res)
 
-    table = _load_table(form, cache, _series_limit(nmax, stride))
-    final = _series_step(output, bias_series(form, cls, nmax, stride=stride, rep_table=table))
+    table = _load_table(form, cache, series_limit(nmax, stride))
+    final = _series_step(output, bias_series(table, cls, nmax, stride=stride))
     click.echo("undefined" if math.isnan(final) else _fmt(final))
 
 
@@ -268,9 +263,9 @@ def cmd_ratio(form, mod, res, nmax, stride, output, cache):
     if cls.is_trivial:
         raise click.UsageError("ratio needs a nontrivial congruence class")
 
-    table = _load_table(form, cache, _series_limit(nmax, stride))
-    ser_cls = bias_series(form, cls, nmax, stride=stride, rep_table=table)
-    ser_all = bias_series(form, CongruenceClass.trivial(), nmax, stride=stride, rep_table=table)
+    table = _load_table(form, cache, series_limit(nmax, stride))
+    ser_cls = bias_series(table, cls, nmax, stride=stride)
+    ser_all = bias_series(table, CongruenceClass.trivial(), nmax, stride=stride)
     final = _ratio_step(output, ser_cls, ser_all)
     click.echo("undefined" if math.isnan(final) else _fmt(final))
 
@@ -321,8 +316,8 @@ def cmd_acoeff(delta, mod, res):
 
 @main.command("density")
 @click.option("--delta", type=int, required=True)
-@click.option("--mod", type=int, default=1, show_default=True)
-@click.option("--res", type=int, default=None)
+@mod_option
+@res_option
 @click.option("--x", "x_max", type=int, required=True)
 @output_option
 @budget_option
@@ -376,7 +371,7 @@ def cmd_equidist(form, mod, res, limit, max_count, w, conjugates, output,
     if conjugates and sectors == 0:
         raise click.UsageError("--conjugates only changes the --sectors counts; give --sectors")
     table, raw, theta = equidist.sample_angles(
-        form, cls, limit, max_count, w, rep_table=_load_table(form, cache, limit or 2)
+        _load_table(form, cache, limit or 2), cls, limit, max_count, w
     )
     if len(table) == 0:
         raise ComputationError("no canonical representations in the requested range")
@@ -430,8 +425,7 @@ def cmd_repro(outdir, figure, scale):
 
     @functools.cache
     def series(form, cls, n_max):
-        table = table_for(form, _series_limit(n_max, 100))
-        return bias_series(form, cls, n_max, stride=100, rep_table=table)
+        return bias_series(table_for(form, series_limit(n_max, 100)), cls, n_max, stride=100)
 
     def bias_pair(fig, form, classes, n_max):
         s1, s2 = (series(form, cls, n_max) for cls in classes)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .arith import distinct_prime_factors, euler_phi, kronecker, kronecker_array, squarefree_part
 from .errors import ConsistencyError, SieveCapacityError
-from .forms import QuadraticForm, RepTable, ensure_table
+from .forms import QuadraticForm, RepTable
 from .limits import integrate
 from .primes import DEFAULT_CAPACITY, CongruenceClass, sieve_range
 
@@ -107,25 +107,22 @@ def negative_bias_fraction(series: CountSeries) -> BiasFractions:
     )
 
 
-def d_functions(
-    x_max: int,
-    rep_table: RepTable | None = None,
-) -> tuple[CountSeries, CountSeries]:
+def d_functions(table: RepTable, x_max: int) -> tuple[CountSeries, CountSeries]:
     """Running differences of odd-vs-even dominance for p = a^2 + (2b)^2.
 
     For each prime p < x_max with p = 1 (mod 8) (first series) or p = 5
     (mod 8) (second), write p = a^2 + 4 b^2 with a odd and positive; count +1
     when |a| > |2b| and -1 when |a| < |2b| (equality cannot occur). Each
     series carries one grid point per contributing prime plus the endpoint.
+    The pairs come from an x^2 + y^2 table covering x_max - 1; ValueError for
+    a table of another form or one that falls short.
     """
     if x_max < 2:
         raise ValueError("x_max must be >= 2")
-    form = QuadraticForm(1, 0, 1)
-    table = ensure_table(form, x_max, rep_table)
-    table = table.slice_below(x_max)
-    # drop p = x_max itself: the definition counts p < x strictly
-    if table.p.size and int(table.p[-1]) == x_max:
-        table = table.slice_below(x_max - 1)
+    if table.form != QuadraticForm(1, 0, 1):
+        raise ValueError(f"D1/D2 read a table of x^2 + y^2, not of ({table.form})")
+    # the definition counts p < x strictly
+    table = table.slice_below(x_max - 1)
 
     p = table.p
     x = table.x

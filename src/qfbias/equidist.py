@@ -7,9 +7,9 @@ delta = -1, 6 for delta = -3, else 2). One representative per prime covers
 only the fundamental domain of theta; `mirrored` appends the conjugate
 ideals' angles 2pi - theta and fills the circle.
 
-sample_angles selects table rows and returns them with their raw_arg and
-theta arrays. The statistics (weyl_sum, ks_statistic, sector_counts) take
-float arrays, converted once with np.asarray.
+sample_angles selects rows of the table it is given and returns them with
+their raw_arg and theta arrays. The statistics (weyl_sum, ks_statistic,
+sector_counts) take float arrays, converted once with np.asarray.
 
 prefix_statistics is the `equidist --stats` sweep over growing prefixes. It
 computes the phases of each Weyl frequency once for all samples and averages
@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .arith import squarefree_part
-from .forms import QuadraticForm, RepTable, ensure_table
+from .forms import QuadraticForm, RepTable
 from .primes import CongruenceClass
 
 TWO_PI = 2.0 * math.pi
@@ -134,24 +134,21 @@ def angle_arrays(table: RepTable, w: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sample_angles(
-    form: QuadraticForm,
+    table: RepTable,
     cls: CongruenceClass | None = None,
     x_limit: int | None = None,
     max_count: int | None = None,
     w: int | None = None,
-    rep_table: RepTable | None = None,
 ) -> tuple[RepTable, np.ndarray, np.ndarray]:
-    """Rows for canonical representations of primes in a class, with angles.
+    """A table's canonical representations of primes in a class, with angles.
 
-    Returns (table, raw, theta): the selected rows, capped at the first
-    max_count by prime, and their angle_arrays. w defaults to the field's
-    root count.
+    Returns (rows, raw, theta): the table's rows with p <= x_limit (all rows
+    when x_limit is None) in the class, capped at the first max_count by
+    prime, and their angle_arrays. w defaults to the field's root count.
+    ValueError if the table does not cover x_limit.
     """
-    if rep_table is None and x_limit is None:
-        raise ValueError("need either a representation table or x_limit")
     if w is None:
-        w = root_count_for_form(form)
-    table = ensure_table(form, x_limit or 2, rep_table)
+        w = root_count_for_form(table.form)
     if x_limit is not None:
         table = table.slice_below(x_limit)
     if cls is not None:

@@ -72,7 +72,6 @@ class Representation:
     p: int
     x: int
     y: int
-    canonical: bool = True
 
 
 def sqrt_mod(n: int, p: int) -> int | None:
@@ -224,7 +223,7 @@ def canonical_pairs(
     for x, y in kept:
         if form.evaluate(x, y) != p:  # soundness check on every construction
             raise ArithmeticError(f"representation ({x},{y}) fails Q(x,y)={p}")
-        reps.append(Representation(p=p, x=x, y=y, canonical=True))
+        reps.append(Representation(p=p, x=x, y=y))
     return reps
 
 
@@ -263,11 +262,11 @@ class RepTable:
         return RepTable(self.form, self.p[rows], self.x[rows], self.y[rows], self.limit)
 
     def slice_below(self, limit: int) -> "RepTable":
-        """Rows with p <= limit."""
+        """Rows with p <= limit; ValueError if the table does not cover limit."""
+        if limit > self.limit:
+            raise ValueError(f"representation table covers primes to {self.limit}, not {limit}")
         hi = int(np.searchsorted(self.p, limit, side="right"))
-        return RepTable(
-            self.form, self.p[:hi], self.x[:hi], self.y[:hi], min(self.limit, limit)
-        )
+        return RepTable(self.form, self.p[:hi], self.x[:hi], self.y[:hi], limit)
 
     def slice_first(self, count: int) -> "RepTable":
         """The first count rows (smallest primes first); count must be >= 0."""
@@ -412,32 +411,24 @@ def representation_table(form: QuadraticForm, primes: np.ndarray) -> RepTable:
     return _stack(form, parts, hi)
 
 
-def extend_table(table: RepTable, new_limit: int) -> RepTable:
-    """Grow a table's coverage to new_limit, reusing the existing rows.
+def ensure_table(form: QuadraticForm, limit: int, table: RepTable | None = None) -> RepTable:
+    """A table of form covering every prime <= limit: table grown if short, else built.
 
-    The new primes come one sieve segment at a time, so no prime array of
-    the whole range is ever held.
+    The one routine that builds or grows a table. Only the primes above the
+    table's coverage are processed, one sieve segment at a time, so no prime
+    array of the whole range is ever held; every prime <= limit is covered,
+    so asking for limit again sieves nothing.
     """
-    if new_limit <= table.limit:
-        return table
-    _check_capacity(new_limit)
-    parts = [(table.p, table.x, table.y)]
-    for seg in PrimeStream(new_limit).segments(table.limit + 1):
-        if seg.size:
-            extra = representation_table(table.form, seg)
-            parts.append((extra.p, extra.x, extra.y))
-    return _stack(table.form, parts, new_limit)
-
-
-def ensure_table(
-    form: QuadraticForm,
-    limit: int,
-    rep_table: RepTable | None = None,
-) -> RepTable:
-    """Reuse the caller's table, extending its coverage to limit if short."""
-    if rep_table is None:
-        rep_table = _empty_table(form)
-    elif rep_table.form != form:
+    if table is None:
+        table = _empty_table(form)
+    elif table.form != form:
         raise ValueError("representation table computed for a different form")
-    # every prime <= limit is processed, so asking for limit again sieves nothing
-    return extend_table(rep_table, limit)
+    if limit <= table.limit:
+        return table
+    _check_capacity(limit)
+    parts = [(table.p, table.x, table.y)]
+    for seg in PrimeStream(limit).segments(table.limit + 1):
+        if seg.size:
+            extra = representation_table(form, seg)
+            parts.append((extra.p, extra.x, extra.y))
+    return _stack(form, parts, limit)

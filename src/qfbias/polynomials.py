@@ -51,11 +51,6 @@ class BivariatePolynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    @property
-    def is_homogeneous(self) -> bool:
-        degrees = {i + j for i, j in self._terms}
-        return len(degrees) <= 1
-
     def evaluate(self, x, y):
         """Value at (x, y); exact for int/Fraction arguments, float for floats."""
         total = 0

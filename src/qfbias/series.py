@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SieveCapacityError
-from .forms import QuadraticForm, RepTable, ensure_table
+from .forms import QuadraticForm, RepTable
 from .polynomials import BivariatePolynomial
 from .primes import CongruenceClass, stride_primes
 
@@ -58,39 +58,31 @@ class BiasSeries:
         return out
 
 
-def moment_sum(
-    form: QuadraticForm,
-    cls: CongruenceClass,
-    k: int,
-    x_limit: int,
-    rep_table: RepTable | None = None,
-) -> MomentSums:
-    """Exact sums of x^k and y^k over canonical pairs with p <= x_limit in cls.
+def moment_sum(table: RepTable, cls: CongruenceClass, k: int, x_limit: int) -> MomentSums:
+    """Exact sums of x^k and y^k over the table's pairs with p <= x_limit in cls.
 
     Each canonical pair of a prime contributes one term (general forms can
-    contribute several pairs per prime).
+    contribute several pairs per prime). ValueError if the table does not
+    cover x_limit.
     """
     if k < 0 or k > MAX_MOMENT_POWER:
         raise ValueError(f"moment power {k} outside supported range 0..{MAX_MOMENT_POWER}")
-    table = ensure_table(form, x_limit, rep_table).slice_below(x_limit)
-    table = table.slice_class(cls)
+    table = table.slice_below(x_limit).slice_class(cls)
     sum_a = sum(int(v) ** k for v in table.x.tolist())
     sum_b = sum(int(v) ** k for v in table.y.tolist())
     return MomentSums(cls=cls, k=k, sum_a=sum_a, sum_b=sum_b, count=len(table))
 
 
 def poly_sum(
-    form: QuadraticForm,
-    cls: CongruenceClass,
-    poly: BivariatePolynomial,
-    x_limit: int,
-    rep_table: RepTable | None = None,
+    table: RepTable, cls: CongruenceClass, poly: BivariatePolynomial, x_limit: int
 ) -> Fraction:
-    """Exact sum of poly(x, y) over qualifying canonical pairs."""
+    """Exact sum of poly(x, y) over the table's pairs with p <= x_limit in cls.
+
+    ValueError if the table does not cover x_limit.
+    """
     if poly.is_zero:
         raise ValueError("zero polynomial rejected")
-    table = ensure_table(form, x_limit, rep_table).slice_below(x_limit)
-    table = table.slice_class(cls)
+    table = table.slice_below(x_limit).slice_class(cls)
     total = Fraction(0)
     for _, x, y in table.rows():
         total += poly.evaluate(x, y)
@@ -104,33 +96,38 @@ def _prefix_sums(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return cum[idx]
 
 
+def series_limit(n_max: int, stride: int) -> int:
+    """Pr(N) at the last grid point: the largest prime a bias series reads.
+
+    A table that covers this bound serves `bias_series(table, cls, n_max,
+    stride)` for every class.
+    """
+    return int(stride_primes(n_max, stride)[-1])
+
+
 def bias_series(
-    form: QuadraticForm,
-    cls: CongruenceClass,
-    n_max: int,
-    stride: int = 100,
-    rep_table: RepTable | None = None,
+    table: RepTable, cls: CongruenceClass, n_max: int, stride: int = 100
 ) -> BiasSeries:
     """Bias points at each multiple of stride up to the prime index n_max.
 
-    The N-th point accumulates canonical pairs over primes p <= Pr(N) lying
-    in the class. Points with an empty y-sum keep F undefined. The Pr(N)
-    come from `stride_primes`, one streamed pass shared by every series on
-    the same (n_max, stride) grid.
+    The N-th point accumulates the table's canonical pairs over primes
+    p <= Pr(N) lying in the class. Points with an empty y-sum keep F
+    undefined. The Pr(N) come from `stride_primes`, one streamed pass shared
+    by every series on the same (n_max, stride) grid. ValueError if the table
+    does not cover `series_limit(n_max, stride)`.
     """
     pr = stride_primes(n_max, stride)
     pr_last = int(pr[-1])
-    table = ensure_table(form, pr_last, rep_table)
-    table = table.slice_below(pr_last).slice_class(cls)
+    rows = table.slice_below(pr_last).slice_class(cls)
     # max coordinate is sqrt(p/a) <= sqrt(Pr(N)); guard the int64 prefix sums
-    if table.p.size and int(table.p.size) * int(math.isqrt(pr_last)) >= 2**62:
+    if rows.p.size and int(rows.p.size) * int(math.isqrt(pr_last)) >= 2**62:
         raise SieveCapacityError("prefix sums would overflow int64 accumulation")
     ns = np.arange(stride, n_max + 1, stride)
-    idx = np.searchsorted(table.p, pr, side="right")
+    idx = np.searchsorted(rows.p, pr, side="right")
     points = np.column_stack(
-        (ns, pr, _prefix_sums(table.x, idx), _prefix_sums(table.y, idx))
+        (ns, pr, _prefix_sums(rows.x, idx), _prefix_sums(rows.y, idx))
     ).astype(np.int64, copy=False)
-    return BiasSeries(form=form, cls=cls, stride=stride, points=points)
+    return BiasSeries(form=table.form, cls=cls, stride=stride, points=points)
 
 
 def _check_grids(u: BiasSeries, v: BiasSeries, what: str) -> None:

@@ -109,7 +109,7 @@ def test_criterion_05_empirical_convergence(rep_table_full):
     lines = []
     for m, modulus in [(1, 4), (1, 8), (5, 8)]:
         cls = CongruenceClass(m, modulus)
-        ser = bias_series(Q11, cls, 500_000, stride=100_000, rep_table=rep_table_full)
+        ser = bias_series(rep_table_full, cls, 500_000, stride=100_000)
         for n, f in zip(ser.points[:, 0].tolist(), ser.F.tolist()):
             if n in bounds:
                 err = abs(f - SILVER)
@@ -122,10 +122,8 @@ def test_criterion_05_empirical_convergence(rep_table_full):
 
 
 def test_criterion_06_sign_changes(rep_table_full):
-    s1 = bias_series(Q11, CongruenceClass(1, 8), 100_000, stride=100,
-                     rep_table=rep_table_full)
-    s5 = bias_series(Q11, CongruenceClass(5, 8), 100_000, stride=100,
-                     rep_table=rep_table_full)
+    s1 = bias_series(rep_table_full, CongruenceClass(1, 8), 100_000, stride=100)
+    s5 = bias_series(rep_table_full, CongruenceClass(5, 8), 100_000, stride=100)
     count, crossings = sign_changes(s1, s5)
     assert count >= 1
     report(6, f"{count} sign changes of F(N;8,1)-F(N;8,5) up to N=1e5, "
@@ -133,14 +131,14 @@ def test_criterion_06_sign_changes(rep_table_full):
 
 
 def test_criterion_07_counting_differences(rep_table_full):
-    d1, d2 = d_functions(6, rep_table=rep_table_full)
+    d1, d2 = d_functions(rep_table_full, 6)
     assert d2.evaluate(6) == -1
-    d1, d2 = d_functions(14, rep_table=rep_table_full)
+    d1, d2 = d_functions(rep_table_full, 14)
     assert d2.evaluate(14) == 0
-    d1, d2 = d_functions(18, rep_table=rep_table_full)
+    d1, d2 = d_functions(rep_table_full, 18)
     assert d1.evaluate(18) == -1
 
-    d1, d2 = d_functions(10**6, rep_table=rep_table_full)
+    d1, d2 = d_functions(rep_table_full, 10**6)
     f1 = negative_bias_fraction(d1)
     f2 = negative_bias_fraction(d2)
     note = ""
@@ -194,8 +192,7 @@ def test_criterion_10_equidistribution(rep_table_full):
     quarter = math.pi / 4
     for m in (1, 5):
         cls = CongruenceClass(m, 8)
-        samples, raw, theta = sample_angles(Q11, cls=cls, max_count=100_000,
-                                            rep_table=rep_table_full)
+        samples, raw, theta = sample_angles(rep_table_full, cls=cls, max_count=100_000)
         assert len(samples) == 100_000
         ks = ks_statistic(raw, quarter)
         assert ks < 0.02, (m, ks)
@@ -251,10 +248,10 @@ def test_criterion_12_exact_bookkeeping(rep_table_full):
         for m in range(modulus):
             if math.gcd(m, modulus) != 1:
                 continue
-            ms = moment_sum(Q11, CongruenceClass(m, modulus), 1, limit, rep_table=table)
+            ms = moment_sum(table, CongruenceClass(m, modulus), 1, limit)
             total_a += ms.sum_a
             total_b += ms.sum_b
-        whole = moment_sum(Q11, CongruenceClass.trivial(), 1, limit, rep_table=table)
+        whole = moment_sum(table, CongruenceClass.trivial(), 1, limit)
         div_a = sum(x for p, x, _ in table.rows() if modulus % p == 0)
         div_b = sum(y for p, _, y in table.rows() if modulus % p == 0)
         assert total_a == whole.sum_a - div_a

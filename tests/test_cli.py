@@ -22,7 +22,7 @@ from qfbias.equidist import (
     sector_counts,
     weyl_sum,
 )
-from qfbias.forms import QuadraticForm, representation_table
+from qfbias.forms import QuadraticForm, ensure_table, representation_table
 from qfbias.primes import CongruenceClass, sieve_range
 from qfbias.series import bias_series
 
@@ -311,7 +311,8 @@ class TestDfuncCommand:
         out = tmp_path / "d.csv"
         invoke(runner, "dfunc", "--xmax", str(xmax), "-o", str(out))
         # reference: a per-row bisect over Python lists, independent of value_at
-        series = [(s.x_grid.tolist(), s.values.tolist()) for s in d_functions(xmax)]
+        table = ensure_table(QuadraticForm(1, 0, 1), xmax)
+        series = [(s.x_grid.tolist(), s.values.tolist()) for s in d_functions(table, xmax)]
 
         def value_at(grid, values, g):
             idx = bisect.bisect_right(grid, g)
@@ -436,8 +437,9 @@ class TestEquidistCommand:
             main, ["equidist", "--form", form, "--mod", str(mod), "--res", str(res),
                    "--limit", "3000", "--count", str(count), "--sectors", str(k),
                    "--conjugates", "-o", str(out)])
-        table, raw, theta = sample_angles(QuadraticForm(*map(int, form.split(","))),
-                                          CongruenceClass(res, mod), 3000, count)
+        qf = QuadraticForm(*map(int, form.split(",")))
+        table, raw, theta = sample_angles(ensure_table(qf, 3000), CongruenceClass(res, mod),
+                                          3000, count)
         if len(table) == 0:
             assert result.exit_code == 3 and not out.exists()
             return
@@ -455,7 +457,7 @@ class TestEquidistCommand:
         assert result.exit_code == 2
         assert not (tmp_path / "a.csv").exists()
         with pytest.raises(ValueError, match="nonnegative"):
-            sample_angles(QuadraticForm(1, 0, 1), x_limit=1000, max_count=-5)
+            sample_angles(ensure_table(QuadraticForm(1, 0, 1), 1000), x_limit=1000, max_count=-5)
 
     def test_winding_below_one_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["equidist", "--form", "1,0,1", "--limit", "1000",
@@ -463,7 +465,7 @@ class TestEquidistCommand:
         assert result.exit_code == 2
         assert not (tmp_path / "a.csv").exists()
         with pytest.raises(ValueError, match="positive"):
-            sample_angles(QuadraticForm(1, 0, 1), x_limit=1000, w=0)
+            sample_angles(ensure_table(QuadraticForm(1, 0, 1), 1000), x_limit=1000, w=0)
 
     @pytest.mark.parametrize("option", ["--sectors", "--stats-stride"])
     def test_negative_option_is_usage_error(self, runner, tmp_path, option):
@@ -558,9 +560,9 @@ class TestReproCommand:
     def test_all_computes_each_series_once(self, runner, tmp_path, monkeypatch):
         calls = []
 
-        def spy(form, cls, n_max, **kwargs):
-            calls.append((form, cls, n_max))
-            return bias_series(form, cls, n_max, **kwargs)
+        def spy(table, cls, n_max, **kwargs):
+            calls.append((table.form, cls, n_max))
+            return bias_series(table, cls, n_max, **kwargs)
 
         monkeypatch.setattr("qfbias.cli.bias_series", spy)
         invoke(runner, "repro", "--outdir", str(tmp_path), "--scale", "0.002")

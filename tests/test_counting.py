@@ -21,11 +21,13 @@ from qfbias.counting import (
     splitting_type,
 )
 from qfbias.errors import SieveCapacityError
+from qfbias.forms import QuadraticForm, ensure_table
 from qfbias.primes import DEFAULT_CAPACITY, CongruenceClass, sieve_range
 
 from conftest import trial_division_primes
 
 GAUSS = FieldSplitting(-1)
+Q11 = QuadraticForm(1, 0, 1)
 DELTAS = [-1, -2, -3, -7, -11]
 
 
@@ -64,20 +66,20 @@ class TestFieldSplitting:
 
 class TestDFunctions:
     def test_hand_prefixes(self):
-        d1, d2 = d_functions(20)
+        d1, d2 = d_functions(ensure_table(Q11, 20), 20)
         assert d2.evaluate(6) == -1
         assert d2.evaluate(14) == 0
         assert d1.evaluate(18) == -1
 
     def test_steps_are_unit_sized_and_disjoint(self):
-        d1, d2 = d_functions(10_000)
+        d1, d2 = d_functions(ensure_table(Q11, 10_000), 10_000)
         for series in (d1, d2):
             vals = np.asarray(series.values[:-1])  # final entry is the endpoint
             assert np.all(np.abs(np.diff(vals)) == 1)
         assert set(d1.x_grid[:-1]).isdisjoint(d2.x_grid[:-1])
 
     def test_every_qualifying_prime_is_an_event(self):
-        d1, d2 = d_functions(2000)
+        d1, d2 = d_functions(ensure_table(Q11, 2000), 2000)
         primes = sieve_range(2, 1999).tolist()
         np.testing.assert_array_equal(d1.x_grid[:-1], [p for p in primes if p % 8 == 1])
         np.testing.assert_array_equal(d2.x_grid[:-1], [p for p in primes if p % 8 == 5])
@@ -86,7 +88,7 @@ class TestDFunctions:
 
     def test_decomposition_matches_brute_force(self):
         # independent check of the odd/even split: enumerate a^2 + 4b^2 = p
-        d1, d2 = d_functions(500)
+        d1, d2 = d_functions(ensure_table(Q11, 500), 500)
         for p in trial_division_primes(2, 500):
             if p % 8 not in (1, 5):
                 continue
@@ -103,7 +105,7 @@ class TestDFunctions:
             assert step == (1 if a > 2 * b else -1)
 
     def test_value_at_vs_evaluate(self):
-        d1, _ = d_functions(100)
+        d1, _ = d_functions(ensure_table(Q11, 100), 100)
         p = d1.x_grid[0]  # 17, the first prime = 1 mod 8 with a pair
         assert d1.evaluate(p) == 0
         assert d1.value_at(p) == d1.values[0]

@@ -18,7 +18,6 @@ from qfbias.forms import (
     canonical_pairs,
     cornacchia,
     ensure_table,
-    extend_table,
     representation_table,
     sqrt_mod,
 )
@@ -175,7 +174,7 @@ class TestCanonicalPairs:
 
     def test_representation_fields(self):
         rep = canonical_pairs(Q11, 13)[0]
-        assert rep == Representation(p=13, x=3, y=2, canonical=True)
+        assert rep == Representation(p=13, x=3, y=2)
 
     def test_fermat_criterion_below_ten_thousand(self):
         for p in trial_division_primes(3, 10_000):
@@ -219,7 +218,7 @@ class TestRepresentationTable:
 
     def test_extend_matches_direct(self):
         direct = representation_table(Q11, sieve_range(2, 2000))
-        grown = extend_table(representation_table(Q11, sieve_range(2, 500)), 2000)
+        grown = ensure_table(Q11, 2000, representation_table(Q11, sieve_range(2, 500)))
         assert np.array_equal(direct.p, grown.p)
         assert np.array_equal(direct.x, grown.x)
         assert np.array_equal(direct.y, grown.y)
@@ -229,6 +228,9 @@ class TestRepresentationTable:
         table = representation_table(Q11, sieve_range(2, 200))
         below = table.slice_below(100)
         assert below.max_prime <= 100 and below.limit == 100
+        assert table.slice_below(table.limit).limit == table.limit == 199
+        with pytest.raises(ValueError, match="covers primes to 199"):
+            table.slice_below(200)
         cls = table.slice_class(CongruenceClass(5, 8))
         assert all(p % 8 == 5 for p in cls.p.tolist())
 
@@ -279,8 +281,8 @@ class TestLatticeEngine:
     @settings(max_examples=40, deadline=None)
     def test_extend_from_any_split_matches_direct(self, coeffs, split):
         full = _full_table(coeffs)
-        grown = extend_table(
-            representation_table(full.form, sieve_range(2, split)), PROPERTY_BOUND
+        grown = ensure_table(
+            full.form, PROPERTY_BOUND, representation_table(full.form, sieve_range(2, split))
         )
         assert np.array_equal(grown.p, full.p)
         assert np.array_equal(grown.x, full.x)
@@ -299,9 +301,9 @@ class TestLatticeEngine:
         seed = representation_table(Q11, sieve_range(2, 100))
         calls = []
         monkeypatch.setattr("qfbias.primes.sieve_range", lambda lo, hi, **kw: calls.append(hi))
-        for rep_table in (None, seed):
+        for table in (None, seed):
             with pytest.raises(TableBoundError, match="capacity"):
-                ensure_table(Q11, DEFAULT_CAPACITY + 1, rep_table)
+                ensure_table(Q11, DEFAULT_CAPACITY + 1, table)
         assert calls == []
 
     def test_fresh_table_covers_its_limit(self, monkeypatch):

@@ -24,6 +24,7 @@ from qfbias.series import (
     moment_sum,
     poly_sum,
     ratio_series,
+    series_limit,
     sign_changes,
 )
 
@@ -32,22 +33,27 @@ C14 = CongruenceClass(1, 4)
 TRIVIAL = CongruenceClass.trivial()
 
 
+def _series(form, cls, n_max, stride=100):
+    """bias_series on a table built to the series' own bound."""
+    return bias_series(ensure_table(form, series_limit(n_max, stride)), cls, n_max, stride)
+
+
 class TestMomentSum:
     def test_first_moment_to_29(self):
-        ms = moment_sum(Q11, C14, 1, 29)
+        ms = moment_sum(ensure_table(Q11, 29), C14, 1, 29)
         assert (ms.sum_a, ms.sum_b, ms.count) == (14, 6, 4)
 
     def test_no_qualifying_primes(self):
-        ms = moment_sum(Q11, C14, 3, 2)
+        ms = moment_sum(ensure_table(Q11, 2), C14, 3, 2)
         assert (ms.sum_a, ms.sum_b, ms.count) == (0, 0, 0)
 
     def test_five_mod_eight_to_13(self):
-        ms = moment_sum(Q11, CongruenceClass(5, 8), 1, 13)
+        ms = moment_sum(ensure_table(Q11, 13), CongruenceClass(5, 8), 1, 13)
         assert (ms.sum_a, ms.sum_b) == (5, 3)
 
     def test_power_guard(self):
         with pytest.raises(ValueError):
-            moment_sum(Q11, C14, 9, 100)
+            moment_sum(ensure_table(Q11, 100), C14, 9, 100)
 
     def test_each_canonical_pair_counts_once(self):
         # a skewed (non-reduced) form can represent one prime by several
@@ -57,12 +63,12 @@ class TestMomentSum:
 
         pairs = [(r.x, r.y) for r in canonical_pairs(skew, 5)]
         assert pairs == [(5, 1), (5, 2), (7, 2)]
-        ms = moment_sum(skew, TRIVIAL, 1, 5)
+        ms = moment_sum(ensure_table(skew, 5), TRIVIAL, 1, 5)
         assert ms.count == len(canonical_pairs(skew, 2)) + 3
         assert ms.sum_a >= 5 + 5 + 7
 
     def test_exactness_of_high_powers(self):
-        ms = moment_sum(Q11, C14, 8, 1000)
+        ms = moment_sum(ensure_table(Q11, 1000), C14, 8, 1000)
         direct = 0
         for p in sieve_range(2, 1000).tolist():
             from qfbias.forms import canonical_pairs
@@ -76,8 +82,9 @@ class TestMomentSum:
     @settings(max_examples=25, deadline=None)
     def test_monotone_prefix(self, x1, x2):
         lo, hi = sorted((x1, x2))
-        small = moment_sum(Q11, C14, 1, lo)
-        large = moment_sum(Q11, C14, 1, hi)
+        table = ensure_table(Q11, hi)
+        small = moment_sum(table, C14, 1, lo)
+        large = moment_sum(table, C14, 1, hi)
         assert small.sum_a <= large.sum_a
         assert small.sum_b <= large.sum_b
 
@@ -86,15 +93,15 @@ class TestMomentSum:
         import math
 
         limit = 20_000
-        table = representation_table(Q11, sieve_range(2, limit))
+        table = ensure_table(Q11, limit)
         total_a = total_b = 0
         for m in range(modulus):
             if math.gcd(m, modulus) != 1:
                 continue
-            ms = moment_sum(Q11, CongruenceClass(m, modulus), 1, limit, rep_table=table)
+            ms = moment_sum(table, CongruenceClass(m, modulus), 1, limit)
             total_a += ms.sum_a
             total_b += ms.sum_b
-        everything = moment_sum(Q11, TRIVIAL, 1, limit, rep_table=table)
+        everything = moment_sum(table, TRIVIAL, 1, limit)
         # subtract contributions from primes dividing the modulus
         div_a = div_b = 0
         for p, x, y in table.rows():
@@ -107,27 +114,28 @@ class TestMomentSum:
 
 class TestBiasSeries:
     def test_single_point_n10(self):
-        ser = bias_series(Q11, C14, 10, stride=10)
+        ser = _series(Q11, C14, 10, stride=10)
         assert ser.points.dtype == np.int64 and ser.points.shape == (1, 4)
         assert ser.points[-1].tolist() == [10, 29, 14, 6]
         assert ser.F[-1] == pytest.approx(14 / 6)
 
     def test_single_point_n3(self):
-        ser = bias_series(Q11, C14, 3, stride=3)
+        ser = _series(Q11, C14, 3, stride=3)
         assert ser.F[-1] == pytest.approx(2.0)
 
     def test_unrepresentable_class_undefined(self):
-        ser = bias_series(Q11, CongruenceClass(3, 4), 50, stride=10)
+        ser = _series(Q11, CongruenceClass(3, 4), 50, stride=10)
         assert np.isnan(ser.F).all() and (ser.points[:, 3] == 0).all()
 
     def test_grid_is_stride_multiples(self):
-        ser = bias_series(Q11, C14, 100, stride=20)
+        ser = _series(Q11, C14, 100, stride=20)
         assert ser.points[:, 0].tolist() == [20, 40, 60, 80, 100]
 
     def test_reusing_table_matches_fresh(self):
+        # a table reaching past the series' bound gives the points of one built to it
         table = representation_table(Q11, sieve_range(2, 10_000))
-        fresh = bias_series(Q11, C14, 500, stride=100)
-        reused = bias_series(Q11, C14, 500, stride=100, rep_table=table)
+        fresh = _series(Q11, C14, 500, stride=100)
+        reused = bias_series(table, C14, 500, stride=100)
         assert (fresh.form, fresh.cls, fresh.stride) == (reused.form, reused.cls, reused.stride)
         np.testing.assert_array_equal(fresh.points, reused.points)
 
@@ -143,7 +151,7 @@ class TestBiasSeries:
         monkeypatch.setattr(primes_module, "sieve_range", spy)
         stride_primes.cache_clear()
         classes = (TRIVIAL, CongruenceClass(1, 8), CongruenceClass(5, 8))
-        series = [bias_series(Q11, cls, n_max, stride=100, rep_table=table) for cls in classes]
+        series = [bias_series(table, cls, n_max, stride=100) for cls in classes]
         # one pass of segments, none of them the whole first-N range
         assert spans[0][0] == 2 and len(spans) == len(set(spans))
         assert all(hi - lo < DEFAULT_SEGMENT_SIZE for lo, hi in spans)
@@ -151,17 +159,21 @@ class TestBiasSeries:
         assert all(ser.points[:, 1].tolist() == want for ser in series)
 
     def test_capacity_error_before_sieving(self, monkeypatch):
+        table = ensure_table(Q11, 100)
         calls = []
         monkeypatch.setattr("qfbias.primes.sieve_range", lambda lo, hi, **kw: calls.append(hi))
         with pytest.raises(SieveCapacityError, match="capacity"):
-            bias_series(Q11, C14, 200_000_000)
+            bias_series(table, C14, 200_000_000)
+        with pytest.raises(SieveCapacityError, match="capacity"):
+            series_limit(200_000_000, 100)
         assert calls == []
 
     def test_stride_validation(self):
-        with pytest.raises(ValueError):
-            bias_series(Q11, C14, 10, stride=0)
-        with pytest.raises(ValueError):
-            bias_series(Q11, C14, 5, stride=10)
+        table = ensure_table(Q11, 1000)
+        with pytest.raises(ValueError, match="stride"):
+            bias_series(table, C14, 10, stride=0)
+        with pytest.raises(ValueError, match="stride"):
+            bias_series(table, C14, 5, stride=10)
 
 
 def _bias_values_by_loop(cls, n_max, stride, table):
@@ -203,7 +215,7 @@ class TestBiasSeriesAgainstLoop:
         form, cls = case
         stride = min(stride, n_max)
         table = tables_to_n3000[form]
-        ser = bias_series(form, cls, n_max, stride=stride, rep_table=table)
+        ser = bias_series(table, cls, n_max, stride=stride)
         assert ser.points.dtype == np.int64
         got = [tuple(row) for row in ser.points.tolist()]
         assert got == _bias_values_by_loop(cls, n_max, stride, table)
@@ -218,52 +230,52 @@ class TestBiasSeriesAgainstLoop:
 
 class TestRatioSeries:
     def test_self_ratio_is_one(self):
-        ser = bias_series(Q11, C14, 50, stride=10)
+        ser = _series(Q11, C14, 50, stride=10)
         r = ratio_series(ser, ser)
         assert r.dtype == np.float64 and r.shape == (5,)
         assert r == pytest.approx(np.ones(5))
 
     def test_hand_value_at_n10(self):
-        cls = bias_series(Q11, CongruenceClass(1, 8), 10, stride=10)
-        allp = bias_series(Q11, TRIVIAL, 10, stride=10)
+        cls = _series(Q11, CongruenceClass(1, 8), 10, stride=10)
+        allp = _series(Q11, TRIVIAL, 10, stride=10)
         [r] = ratio_series(cls, allp).tolist()
         assert cls.points[0, 0] == 10
         assert r == pytest.approx(12 / 7)
 
     def test_undefined_propagates(self):
-        cls = bias_series(Q11, CongruenceClass(3, 4), 50, stride=10)
-        allp = bias_series(Q11, TRIVIAL, 50, stride=10)
+        cls = _series(Q11, CongruenceClass(3, 4), 50, stride=10)
+        allp = _series(Q11, TRIVIAL, 50, stride=10)
         assert np.isnan(ratio_series(cls, allp)).all()
 
     def test_mismatched_grids_rejected(self):
-        a = bias_series(Q11, C14, 40, stride=10)
-        b = bias_series(Q11, C14, 40, stride=20)
+        a = _series(Q11, C14, 40, stride=10)
+        b = _series(Q11, C14, 40, stride=20)
         with pytest.raises(ValueError):
             ratio_series(a, b)
 
     def test_mismatched_forms_rejected(self):
-        a = bias_series(Q11, C14, 40, stride=10)
-        b = bias_series(QuadraticForm(1, 1, 1), C14, 40, stride=10)
+        a = _series(Q11, C14, 40, stride=10)
+        b = _series(QuadraticForm(1, 1, 1), C14, 40, stride=10)
         with pytest.raises(ValueError):
             ratio_series(a, b)
 
 
 class TestPolySum:
     def test_linear_matches_moment(self):
-        assert poly_sum(Q11, C14, parse_polynomial("x"), 29) == 14
+        assert poly_sum(ensure_table(Q11, 29), C14, parse_polynomial("x"), 29) == 14
 
     def test_form_value_recovers_prime_sum(self):
         # f(x, y) = x^2 + y^2 evaluates to p on every canonical pair
-        total = poly_sum(Q11, C14, parse_polynomial("x^2 + y^2"), 29)
+        total = poly_sum(ensure_table(Q11, 29), C14, parse_polynomial("x^2 + y^2"), 29)
         assert total == 5 + 13 + 17 + 29
 
     def test_rational_coefficients_exact(self):
-        total = poly_sum(Q11, C14, parse_polynomial("1/3 x"), 29)
+        total = poly_sum(ensure_table(Q11, 29), C14, parse_polynomial("1/3 x"), 29)
         assert total == Fraction(14, 3)
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
-            poly_sum(Q11, C14, BivariatePolynomial({}), 29)
+            poly_sum(ensure_table(Q11, 29), C14, BivariatePolynomial({}), 29)
 
 
 def _synthetic(fs, grid=None):
@@ -302,8 +314,8 @@ class TestSignChanges:
 
     def test_pipeline_has_a_crossing(self):
         table = representation_table(Q11, sieve_range(2, 120_000))
-        s1 = bias_series(Q11, CongruenceClass(1, 8), 10_000, stride=100, rep_table=table)
-        s5 = bias_series(Q11, CongruenceClass(5, 8), 10_000, stride=100, rep_table=table)
+        s1 = bias_series(table, CongruenceClass(1, 8), 10_000, stride=100)
+        s5 = bias_series(table, CongruenceClass(5, 8), 10_000, stride=100)
         count, _ = sign_changes(s1, s5)
         assert count >= 1
 
@@ -375,10 +387,8 @@ class TestRSymmetry:
         # the refined series and the all-primes series share one limit, so
         # both normalized ratios must flatten onto 1
         n_max = 500_000
-        s_all = bias_series(Q11, TRIVIAL, n_max, stride=n_max, rep_table=rep_table_full)
+        s_all = bias_series(rep_table_full, TRIVIAL, n_max, stride=n_max)
         for m in (1, 5):
-            s_cls = bias_series(
-                Q11, CongruenceClass(m, 8), n_max, stride=n_max, rep_table=rep_table_full
-            )
+            s_cls = bias_series(rep_table_full, CongruenceClass(m, 8), n_max, stride=n_max)
             [r] = ratio_series(s_cls, s_all).tolist()
             assert abs(r - 1.0) < 0.02
