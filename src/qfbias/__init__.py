@@ -53,7 +53,7 @@ from .polynomials import (
     leading_homogeneous_part,
     parse_polynomial,
 )
-from .primes import CongruenceClass, PrimeStream, nth_prime, primes_in_class, sieve_range
+from .primes import CongruenceClass, PrimeStream, nth_prime, sieve_range
 from .series import (
     BiasSeries,
     MomentSums,

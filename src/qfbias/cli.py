@@ -174,7 +174,7 @@ def cmd_sieve(limit, lo, hi, out):
 
 @main.command("represent")
 @form_option
-@click.option("--limit", type=int, required=True, help="prime bound (inclusive)")
+@click.option("--limit", type=click.IntRange(min=2), required=True, help="prime bound (inclusive)")
 @click.option("--cache", "cache_out", required=True, help="QFR1 cache file to write")
 @threads_option
 @handle_errors
@@ -328,14 +328,13 @@ def cmd_density(delta, mod, res, x_max, output):
     cls = _class_from(mod, res)
     if x_max < 100:
         raise click.UsageError("--x must be at least 100")
-    counting.check_capacity(x_max)
     checkpoints = []
     x = 100
     while x < x_max:
         checkpoints.append(x)
         x *= 10
     checkpoints.append(x_max)
-    reports = [counting.density_check(fs, cls, cp) for cp in checkpoints]
+    reports = counting.density_check(fs, cls, checkpoints)
     _write_csv(output, "x,empirical,predicted,ratio", checkpoints,
                [r.empirical for r in reports], [r.predicted for r in reports],
                [r.ratio for r in reports])

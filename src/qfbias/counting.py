@@ -158,46 +158,36 @@ def _chi_table(d: int) -> np.ndarray:
     return chi
 
 
-def check_capacity(x: int) -> None:
-    """Refuse a prime-ideal count to x before anything is sieved."""
-    if x > DEFAULT_CAPACITY:
-        raise SieveCapacityError(
-            f"prime-ideal count to {x} exceeds capacity {DEFAULT_CAPACITY}"
-        )
-
-
 def prime_ideal_count(
-    fs: FieldSplitting, x: int, cls: CongruenceClass | None = None
-) -> int:
+    fs: FieldSplitting, x: int | np.ndarray, cls: CongruenceClass | None = None
+) -> int | np.ndarray:
     """Number of prime ideals with norm <= x, optionally filtered by residue.
 
     Split rational primes p <= x contribute two ideals of norm p, inert
-    primes one ideal of norm p^2, ramified primes one ideal of norm p.
+    primes one ideal of norm p^2, ramified primes one ideal of norm p. x is
+    an int, answered with an int, or an array of bounds, answered with an
+    int64 array of the counts at each, all from one sieve to the largest
+    bound; a bound past the sieve capacity is refused before any sieving.
     """
-    if x < 1:
+    xs = np.asarray(x)
+    top = int(xs.max(initial=1))
+    if top > DEFAULT_CAPACITY:
+        raise SieveCapacityError(
+            f"prime-ideal count to {top} exceeds capacity {DEFAULT_CAPACITY}"
+        )
+    if xs.min(initial=1) < 1:
         raise ValueError("x must be >= 1")
-    check_capacity(x)
     d = fs.field_discriminant
-    chi = _chi_table(d)
-
-    def in_class(norms: np.ndarray):
-        """True for the whole field, else the mask of norms in the class."""
-        if cls is None or cls.is_trivial:
-            return True
-        return norms % cls.modulus == cls.residue
-
-    total = 0
-    if x >= 2:
-        primes = sieve_range(2, x)
-        chi_p = chi[primes % abs(d)]
-        mask = in_class(primes)
-        total += 2 * np.count_nonzero((chi_p == 1) & mask)  # split
-        total += np.count_nonzero((chi_p == 0) & mask)  # ramified
-    root = math.isqrt(x)
-    if root >= 2:
-        small = sieve_range(2, root)
-        total += np.count_nonzero((chi[small % abs(d)] == -1) & in_class(small**2))  # inert
-    return int(total)
+    primes = sieve_range(2, max(top, 2))
+    chi_p = _chi_table(d)[primes % abs(d)]
+    # an inert p has norm p^2, so only the prefix p <= sqrt(top) can count
+    root = int(np.searchsorted(primes, math.isqrt(top), side="right"))
+    norms = (primes[chi_p == 1], primes[chi_p == 0], primes[:root][chi_p[:root] == -1] ** 2)
+    if cls is not None and not cls.is_trivial:
+        norms = [n[n % cls.modulus == cls.residue] for n in norms]
+    split, ramified, inert = (np.searchsorted(n, xs, side="right") for n in norms)
+    counts = (2 * split + ramified + inert).astype(np.int64)
+    return int(counts) if counts.ndim == 0 else counts
 
 
 # ---------------------------------------------------------------------------
@@ -283,23 +273,30 @@ class DensityReport:
         return self.empirical / self.predicted
 
 
-def density_check(fs: FieldSplitting, cls: CongruenceClass, x: int) -> DensityReport:
-    """Empirical prime-ideal count against the leading term A*Li(x)/phi(M).
+def density_check(
+    fs: FieldSplitting, cls: CongruenceClass, xs: list[int]
+) -> list[DensityReport]:
+    """Empirical prime-ideal counts against the leading term A*Li(x)/phi(M).
 
-    When A = 0 only the finitely many ramified ideals can slip through; any
-    larger empirical count signals a bug and raises.
+    One report per checkpoint in xs, every count from one prime_ideal_count
+    call. When A = 0 only the finitely many ramified ideals can slip
+    through; any larger empirical count at a checkpoint signals a bug and
+    raises.
     """
-    if x < 100:
+    if min(xs, default=0) < 100:
         raise ValueError("density check needs x >= 100")
+    counts = prime_ideal_count(fs, xs, cls).tolist()
     a = a_coefficient(fs, cls)
-    empirical = prime_ideal_count(fs, x, cls)
     if a == 0:
         exceptional = len(distinct_prime_factors(fs.field_discriminant))
-        if empirical > exceptional:
-            raise ConsistencyError(
-                f"A=0 for {cls} but {empirical} ideals counted "
-                f"(at most {exceptional} exceptional ideals possible)"
-            )
-        return DensityReport(x=x, a_coeff=0, empirical=empirical, predicted=0.0)
-    predicted = a * log_integral(x) / euler_phi(cls.modulus)
-    return DensityReport(x=x, a_coeff=a, empirical=empirical, predicted=predicted)
+        for empirical in counts:
+            if empirical > exceptional:
+                raise ConsistencyError(
+                    f"A=0 for {cls} but {empirical} ideals counted "
+                    f"(at most {exceptional} exceptional ideals possible)"
+                )
+    phi = euler_phi(cls.modulus)
+    return [
+        DensityReport(x, a, n, predicted=a * log_integral(x) / phi if a else 0.0)
+        for x, n in zip(xs, counts)
+    ]

@@ -16,6 +16,7 @@ the degree-1 kernels.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -62,7 +63,9 @@ def integrate(
 ) -> float:
     """Adaptive Simpson quadrature with Richardson extrapolation.
 
-    Absolute error below tol for smooth integrands; raises QuadratureError
+    Absolute error below tol for smooth integrands, where tol is raised to
+    4 machine epsilons times the first Simpson estimate when it is smaller,
+    since rounding in the sum alone is that large; raises QuadratureError
     when the recursion budget runs out before the local tolerance is met.
     """
     if not tol > 0:  # also refuses NaN, which no error estimate would ever meet
@@ -98,6 +101,9 @@ def integrate(
     fa, fb = fn(lo), fn(hi)
     fm = fn(0.5 * (lo + hi))
     whole = simpson(fa, fm, fb, hi - lo)
+    # the sum itself carries rounding of a few ulps of its size, and the local
+    # tolerance halves at each level, so a tol below that is never met
+    tol = max(tol, 4 * sys.float_info.epsilon * abs(whole))
     return recurse(lo, hi, fa, fm, fb, whole, tol, 0)
 
 

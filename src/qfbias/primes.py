@@ -1,14 +1,13 @@
-"""Prime generation: segmented odd-only sieve with congruence-class filtering.
+"""Prime generation: segmented odd-only sieve, and congruence classes.
 
 The sieve keeps one byte flag per odd number in the active window, so the
 default window of 2**20 numbers costs ~512 KiB of flags and fits in L2 cache.
 Each window is filled from a pre-sieved tile of 15015 odd numbers that
 already has the multiples of 3..13 struck, and only the base primes from 17
 up are struck per window; those are built once per power of two of the
-square root and shared by every window of a stream. Class filters compress
-by index. Numbers are plain Python / numpy int64; capacity checks keep
-requests within a configured bound rather than letting a huge sieve thrash
-the machine.
+square root and shared by every window of a stream. Numbers are plain
+Python / numpy int64; capacity checks keep requests within a configured
+bound rather than letting a huge sieve thrash the machine.
 """
 
 from __future__ import annotations
@@ -186,16 +185,6 @@ class CongruenceClass:
         return f"{self.residue} (mod {self.modulus})"
 
 
-def primes_in_class(
-    limit: int, cls: CongruenceClass, segment_size: int = DEFAULT_SEGMENT_SIZE
-) -> np.ndarray:
-    """Primes p <= limit with p in the class, ascending."""
-    primes = sieve_range(2, limit, segment_size=segment_size) if limit >= 2 else np.empty(0, dtype=np.int64)
-    if cls.is_trivial:
-        return primes
-    return primes[np.flatnonzero(primes % cls.modulus == cls.residue)]
-
-
 def nth_prime_bound(n: int) -> int:
     """Upper bound for the n-th prime: n(ln n + ln ln n) for n >= 6."""
     if n < 6:
@@ -253,10 +242,3 @@ def stride_primes(n_max: int, stride: int) -> np.ndarray:
 def nth_prime(n: int) -> int:
     """The n-th prime, 1-indexed (n=1 gives 2)."""
     return int(first_primes(n)[-1])
-
-
-def prime_count(limit: int) -> int:
-    """pi(limit): the number of primes <= limit."""
-    if limit < 2:
-        return 0
-    return int(len(sieve_range(2, limit)))

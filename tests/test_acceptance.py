@@ -180,7 +180,7 @@ def test_criterion_09_density():
     gauss = FieldSplitting(-1)
     ratios = []
     for m in (1, 5):
-        rep = density_check(gauss, CongruenceClass(m, 8), 10**7)
+        rep = density_check(gauss, CongruenceClass(m, 8), [10**7])[0]
         assert rep.ratio is not None and 0.95 <= rep.ratio <= 1.05, (m, rep)
         ratios.append(f"(m={m}) {rep.ratio:.4f}")
     elapsed = time.perf_counter() - t0

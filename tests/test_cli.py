@@ -113,6 +113,13 @@ class TestLimitCommand:
         result = invoke(runner, "limit", "--form", "1,0,1", "--k", "2")
         assert result.stdout.strip() == "4.503876787768"
 
+    def test_high_power_of_moderate_form_converges(self, runner):
+        # integrals of size ~1e4 whose rounding exceeds the default tolerance;
+        # the reference value is the integral ratio at 40 digits (mpmath)
+        result = invoke(runner, "limit", "--form", "1,0,5", "--k", "8")
+        assert result.exit_code == 0
+        assert float(result.stdout) == pytest.approx(2939.8132247575093, abs=1e-11)
+
     def test_polynomial_route(self, runner):
         result = invoke(runner, "limit", "--form", "1,0,1", "--f", "x", "--g", "y")
         assert result.stdout.strip() == "2.414213562373"
@@ -184,6 +191,14 @@ class TestRepresentCommand:
         result = invoke(runner, "represent", "--form", "1,0,1", "--limit", "4",
                         "--cache", str(cache))
         assert result.stdout.strip() == "0"
+
+    @pytest.mark.parametrize("limit", ["1", "-5"])
+    def test_limit_below_two_is_usage_error(self, runner, tmp_path, limit):
+        cache = tmp_path / "c.qfr"
+        result = runner.invoke(main, ["represent", "--form", "1,0,1", "--limit", limit,
+                                      "--cache", str(cache)])
+        assert result.exit_code == 2
+        assert not cache.exists()
 
     def test_imprimitive_form_rejected(self, runner, tmp_path):
         result = runner.invoke(main, ["represent", "--form", "2,4,6", "--limit", "10",
@@ -361,6 +376,13 @@ class TestDensityCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "x,empirical,predicted,ratio"
         assert [ln.split(",")[0] for ln in lines[1:]] == ["100", "1000", "10000", "100000"]
+
+    def test_every_checkpoint_from_one_sieve(self, runner, tmp_path, sieve_spy):
+        out = tmp_path / "den.csv"
+        invoke(runner, "density", "--delta", "-1", "--mod", "8", "--res", "1",
+               "--x", "123456", "-o", str(out))
+        assert sieve_spy == [123456]
+        assert len(out.read_text().splitlines()) == 1 + 5
 
     def test_exact_zero_class(self, runner, tmp_path):
         out = tmp_path / "den.csv"

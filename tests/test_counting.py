@@ -20,7 +20,7 @@ from qfbias.counting import (
     prime_ideal_count,
     splitting_type,
 )
-from qfbias.errors import SieveCapacityError
+from qfbias.errors import ConsistencyError, SieveCapacityError
 from qfbias.forms import QuadraticForm, ensure_table
 from qfbias.primes import DEFAULT_CAPACITY, CongruenceClass, sieve_range
 
@@ -181,6 +181,48 @@ class TestPrimeIdealCount:
         monkeypatch.setattr(counting, "sieve_range", refuse)
         with pytest.raises(SieveCapacityError, match="exceeds capacity"):
             prime_ideal_count(GAUSS, DEFAULT_CAPACITY + 1)
+
+    def test_capacity_of_the_largest_bound_refused_before_sieving(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sieved before the capacity check")
+
+        monkeypatch.setattr(counting, "sieve_range", refuse)
+        with pytest.raises(SieveCapacityError, match="exceeds capacity"):
+            prime_ideal_count(GAUSS, [100, DEFAULT_CAPACITY + 1, 1000])
+
+    def test_scalar_gives_int_and_array_gives_int64_array(self):
+        assert type(prime_ideal_count(GAUSS, 100)) is int
+        counts = prime_ideal_count(GAUSS, np.array([10, 1, 100]))
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [4, 0, prime_ideal_count(GAUSS, 100)]
+        assert prime_ideal_count(GAUSS, []).tolist() == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        delta=st.sampled_from([-1, -2, -3, -5, -6, -15]),
+        cls=st.integers(min_value=1, max_value=60).flatmap(
+            lambda mod: st.sampled_from(
+                [CongruenceClass(r, mod) for r in range(mod) if math.gcd(r, mod) == 1]
+            )
+        ),
+        bounds=st.lists(st.integers(min_value=1, max_value=20_000), min_size=1, max_size=8),
+    )
+    def test_bound_array_equals_per_prime_count_and_scalar_calls(self, delta, cls, bounds):
+        fs = FieldSplitting(delta)
+        top = max(bounds)
+        norms = []  # (norm, ideals of that norm) from each prime's splitting type
+        for p in _scan_primes(20_000):
+            kind = splitting_type(fs, p)
+            if kind == "inert" and p * p <= top:
+                norms.append((p * p, 1))
+            elif kind != "inert" and p <= top:
+                norms.append((p, 2 if kind == "split" else 1))
+        expected = [
+            sum(k for n, k in norms if n <= x and cls.contains(n)) for x in bounds
+        ]
+        counts = prime_ideal_count(fs, np.array(bounds), cls)
+        assert counts.tolist() == expected
+        assert [prime_ideal_count(fs, x, cls) for x in bounds] == expected
 
     def test_chi_table_built_once_and_read_only(self, monkeypatch):
         calls = []
@@ -388,17 +430,30 @@ class TestDensity:
             assert log_integral(x) == pytest.approx(oracle, abs=1e-4)
 
     def test_trivial_class_ratio_near_one(self):
-        report = density_check(GAUSS, CongruenceClass.trivial(), 10**6)
+        report = density_check(GAUSS, CongruenceClass.trivial(), [10**6])[0]
         assert report.a_coeff == 1
         assert 0.95 <= report.ratio <= 1.05
 
     def test_zero_coefficient_class_is_exactly_empty(self):
-        report = density_check(GAUSS, CongruenceClass(3, 8), 10**6)
+        report = density_check(GAUSS, CongruenceClass(3, 8), [10**6])[0]
         assert report.a_coeff == 0
         assert report.empirical == 0
         assert report.predicted == 0.0
         assert math.isnan(report.ratio)
 
+    def test_one_report_per_checkpoint_equals_single_checkpoints(self):
+        cls = CongruenceClass(1, 8)
+        xs = [100, 1000, 10_000, 12_345]
+        reports = density_check(GAUSS, cls, xs)
+        assert [r.x for r in reports] == xs
+        assert reports == [density_check(GAUSS, cls, [x])[0] for x in xs]
+
+    def test_zero_coefficient_checked_at_every_checkpoint(self, monkeypatch):
+        # a wrong A = 0 for the trivial class must be caught at the first checkpoint
+        monkeypatch.setattr(counting, "a_coefficient", lambda fs, cls: 0)
+        with pytest.raises(ConsistencyError, match="A=0 .* but 25 ideals counted"):
+            density_check(GAUSS, CongruenceClass.trivial(), [100, 1000])
+
     def test_minimum_x_enforced(self):
         with pytest.raises(ValueError):
-            density_check(GAUSS, CongruenceClass.trivial(), 50)
+            density_check(GAUSS, CongruenceClass.trivial(), [50])

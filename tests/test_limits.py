@@ -124,6 +124,22 @@ class TestMomentRatios:
         for form in (Q11, Q111, QuadraticForm(2, -1, 1)):
             assert limit_ratio_moment(form, 0) == 1.0
 
+    @pytest.mark.parametrize("coeffs", [(1, 0, 1), (1, 0, 5), (1, 0, 6), (1, 0, 14), (2, 0, 7)])
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_b_zero_forms_against_reduction_formula(self, coeffs, k):
+        # b = 0: the ratio is D^(k/2) int cos^k / ((2a)^k int sin^k) on [0, beta],
+        # and int_0^beta cos^k, sin^k follow from the reduction formulas
+        form = QuadraticForm(*coeffs)
+        bt = beta(form)
+        c, s = math.cos(bt), math.sin(bt)
+        cos_int = [bt, s]
+        sin_int = [bt, 1.0 - c]
+        for n in range(2, k + 1):
+            cos_int.append(c ** (n - 1) * s / n + (n - 1) / n * cos_int[n - 2])
+            sin_int.append(-(s ** (n - 1)) * c / n + (n - 1) / n * sin_int[n - 2])
+        closed = math.sqrt(form.D) ** k * cos_int[k] / ((2 * form.a) ** k * sin_int[k])
+        assert limit_ratio_moment(form, k) == pytest.approx(closed, rel=1e-12)
+
 
 class TestPolyRatios:
     def test_linear_matches_first_moment(self):

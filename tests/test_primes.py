@@ -14,8 +14,6 @@ from qfbias.primes import (
     first_primes,
     nth_prime,
     nth_prime_bound,
-    prime_count,
-    primes_in_class,
     sieve_range,
     stride_primes,
 )
@@ -44,10 +42,10 @@ class TestSieveRange:
         assert sieve_range(5000, 6000).tolist() == trial_division_primes(5000, 6000)
 
     def test_classical_pi_of_one_million(self):
-        assert prime_count(10**6) == 78498
+        assert sieve_range(2, 10**6).size == 78498
 
     def test_trial_division_count_at_1e5(self):
-        assert prime_count(10**5) == len(trial_division_primes(2, 10**5))
+        assert sieve_range(2, 10**5).size == len(trial_division_primes(2, 10**5))
 
     def test_segmented_agrees_with_simple_sieve_at_1e6(self):
         from qfbias.primes import _simple_prime_flags
@@ -224,31 +222,3 @@ class TestCongruenceClass:
         assert cls.contains(13) and not cls.contains(17)
         assert CongruenceClass.trivial().contains(7)
 
-
-class TestPrimesInClass:
-    def test_one_mod_four(self):
-        assert primes_in_class(30, CongruenceClass(1, 4)).tolist() == [5, 13, 17, 29]
-
-    def test_trivial_modulus(self):
-        cls = CongruenceClass(1, 1)
-        assert primes_in_class(30, cls).tolist() == sieve_range(2, 30).tolist()
-
-    def test_five_mod_eight(self):
-        assert primes_in_class(20, CongruenceClass(5, 8)).tolist() == [5, 13]
-
-    @pytest.mark.parametrize("modulus", [4, 8, 12])
-    def test_partition_property(self, modulus):
-        limit = 10_000
-        all_primes = set(sieve_range(2, limit).tolist())
-        union: set[int] = set()
-        total = 0
-        for m in range(modulus):
-            if np.gcd(m, modulus) != 1:
-                continue
-            chunk = primes_in_class(limit, CongruenceClass(m, modulus)).tolist()
-            assert union.isdisjoint(chunk)
-            union.update(chunk)
-            total += len(chunk)
-        dividing = {p for p in all_primes if modulus % p == 0}
-        assert union | dividing == all_primes
-        assert total + len(dividing) == len(all_primes)
