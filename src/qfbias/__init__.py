@@ -34,6 +34,7 @@ from .forms import (
     brute_force_representations,
     canonical_pairs,
     cornacchia,
+    empty_table,
     ensure_table,
     representation_table,
     sqrt_mod,
@@ -58,10 +59,10 @@ from .series import (
     BiasSeries,
     MomentSums,
     bias_series,
+    fold_series,
     moment_sum,
     poly_sum,
     ratio_series,
-    series_limit,
     sign_changes,
 )
 

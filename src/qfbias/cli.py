@@ -22,11 +22,11 @@ from .cache import read_cache, write_cache
 from .counting import FieldSplitting
 from .csvtext import csv_blocks
 from .errors import ComputationError, SieveCapacityError
-from .forms import QuadraticForm, RepTable, ensure_table
+from .forms import QuadraticForm, RepTable, empty_table, ensure_table
 from .limits import LimitProblem
 from .polynomials import parse_polynomial
 from .primes import DEFAULT_CAPACITY, CongruenceClass, sieve_range
-from .series import BiasSeries, bias_series, ratio_series, series_limit, sign_changes
+from .series import BiasSeries, fold_series, ratio_series, sign_changes
 
 CACHE_DIR_ENV = "QFBIAS_CACHE_DIR"
 
@@ -99,15 +99,21 @@ def _resolve_cache(path: str) -> Path:
     return p
 
 
+def _load_seed(form: QuadraticForm, cache: str | None) -> RepTable:
+    """The cache's table when one is given, else an empty table of form."""
+    if not cache:
+        return empty_table(form)
+    path = _resolve_cache(cache)
+    if not path.exists():
+        raise click.UsageError(f"cache file {path} does not exist")
+    seed = read_cache(path, expected_form=form)
+    progress(f"cache: {len(seed)} records up to {seed.max_prime} from {path}")
+    return seed
+
+
 def _load_table(form: QuadraticForm, cache: str | None, limit: int) -> RepTable:
     """Table covering primes up to limit, seeded from a cache when given."""
-    seed = None
-    if cache:
-        path = _resolve_cache(cache)
-        if not path.exists():
-            raise click.UsageError(f"cache file {path} does not exist")
-        seed = read_cache(path, expected_form=form)
-        progress(f"cache: {len(seed)} records up to {seed.max_prime} from {path}")
+    seed = _load_seed(form, cache)
     t0 = time.perf_counter()
     table = ensure_table(form, limit, seed)
     dt = time.perf_counter() - t0
@@ -241,9 +247,8 @@ def _dfunc_step(path, x_max: int, table: RepTable):
 def cmd_series(form, mod, res, nmax, stride, output, cache):
     """Bias series: cumulative coordinate sums at every stride-th prime index."""
     cls = _class_from(mod, res)
-
-    table = _load_table(form, cache, series_limit(nmax, stride))
-    final = _series_step(output, bias_series(table, cls, nmax, stride=stride))
+    [ser] = fold_series(_load_seed(form, cache), [cls], nmax, stride=stride)
+    final = _series_step(output, ser)
     click.echo("undefined" if math.isnan(final) else _fmt(final))
 
 
@@ -262,10 +267,9 @@ def cmd_ratio(form, mod, res, nmax, stride, output, cache):
     cls = _class_from(mod, res)
     if cls.is_trivial:
         raise click.UsageError("ratio needs a nontrivial congruence class")
-
-    table = _load_table(form, cache, series_limit(nmax, stride))
-    ser_cls = bias_series(table, cls, nmax, stride=stride)
-    ser_all = bias_series(table, CongruenceClass.trivial(), nmax, stride=stride)
+    ser_cls, ser_all = fold_series(
+        _load_seed(form, cache), [cls, CongruenceClass.trivial()], nmax, stride=stride
+    )
     final = _ratio_step(output, ser_cls, ser_all)
     click.echo("undefined" if math.isnan(final) else _fmt(final))
 
@@ -408,7 +412,7 @@ def cmd_equidist(form, mod, res, limit, max_count, w, conjugates, output,
 def cmd_repro(outdir, figure, scale):
     """Regenerate the experiment CSV files behind the four figures."""
     # each figure runs the step of the series, ratio or dfunc command, so its
-    # files equal that command's output; tables and series are built once
+    # files equal that command's output; each form's series come from one fold
     if not 0 < scale <= 1:
         raise click.UsageError("--scale must be in (0, 1]")
     outdir = Path(outdir)
@@ -416,18 +420,11 @@ def cmd_repro(outdir, figure, scale):
     want = {"1", "2", "3", "4"} if figure == "all" else {figure}
     form11 = QuadraticForm(1, 0, 1)
     n11 = max(int(500_000 * scale), 1000)
-    tables: dict[QuadraticForm, RepTable] = {}
+    x_max = max(int(1_000_000 * scale), 10_000)
+    # fig4's table seeds the x^2 + y^2 fold, so no prime is enumerated twice
+    table11 = ensure_table(form11, x_max) if "4" in want else empty_table(form11)
 
-    def table_for(form, limit):
-        tables[form] = ensure_table(form, limit, tables.get(form))
-        return tables[form]
-
-    @functools.cache
-    def series(form, cls, n_max):
-        return bias_series(table_for(form, series_limit(n_max, 100)), cls, n_max, stride=100)
-
-    def bias_pair(fig, form, classes, n_max):
-        s1, s2 = (series(form, cls, n_max) for cls in classes)
+    def bias_pair(fig, s1, s2):
         f1, f2 = (
             _series_step(outdir / f"fig{fig}_class{s.cls.residue}mod{s.cls.modulus}.csv", s)
             for s in (s1, s2)
@@ -438,21 +435,23 @@ def cmd_repro(outdir, figure, scale):
             f"{count} sign changes of the difference"
         )
 
+    if want & {"1", "3"}:
+        s1, s5, s_all = fold_series(
+            table11, (CongruenceClass(1, 8), CongruenceClass(5, 8), CongruenceClass.trivial()), n11
+        )
     if "1" in want:
-        bias_pair("1", form11, (CongruenceClass(1, 8), CongruenceClass(5, 8)), n11)
+        bias_pair("1", s1, s5)
     if "2" in want:
-        bias_pair("2", QuadraticForm(1, 1, 1), (CongruenceClass(1, 12), CongruenceClass(7, 12)),
-                  max(int(100_000 * scale), 1000))
+        bias_pair("2", *fold_series(
+            empty_table(QuadraticForm(1, 1, 1)), (CongruenceClass(1, 12), CongruenceClass(7, 12)),
+            max(int(100_000 * scale), 1000),
+        ))
     if "3" in want:
-        ser_all = series(form11, CongruenceClass.trivial(), n11)
-        for m in (1, 5):
-            ser = series(form11, CongruenceClass(m, 8), n11)
-            final = _ratio_step(outdir / f"fig3_ratio{m}mod8.csv", ser, ser_all)
+        for ser in (s1, s5):
+            final = _ratio_step(outdir / f"fig3_ratio{ser.cls.residue}mod8.csv", ser, s_all)
             progress(f"fig3: final R[{ser.cls}]={_fmt_opt(final)}")
     if "4" in want:
-        x_max = max(int(1_000_000 * scale), 10_000)
-        table = table_for(form11, x_max)
-        *_, f1, f2 = _dfunc_step(outdir / "fig4_dfunctions.csv", x_max, table)
+        *_, f1, f2 = _dfunc_step(outdir / "fig4_dfunctions.csv", x_max, table11)
         progress(f"fig4: negative fractions D1 {f1.negative:.4f}, D2 {f2.negative:.4f}")
     click.echo(str(outdir))
 

@@ -280,7 +280,8 @@ class RepTable:
         return zip(self.p.tolist(), self.x.tolist(), self.y.tolist())
 
 
-def _empty_table(form: QuadraticForm, limit: int = 0) -> RepTable:
+def empty_table(form: QuadraticForm, limit: int = 0) -> RepTable:
+    """A table of form without rows, covering primes to limit."""
     z = np.empty(0, dtype=np.int64)
     return RepTable(form, z, z.copy(), z.copy(), limit)
 
@@ -369,7 +370,7 @@ def _stack(form: QuadraticForm, parts: list, limit: int) -> RepTable:
     peak is the blocks plus one column rather than two whole tables.
     """
     if not parts:
-        return _empty_table(form, limit)
+        return empty_table(form, limit)
     columns = [list(col) for col in zip(*parts)]
     parts.clear()
     joined = []
@@ -394,7 +395,7 @@ def representation_table(form: QuadraticForm, primes: np.ndarray) -> RepTable:
     """
     primes = np.asarray(primes, dtype=np.int64)
     if primes.size == 0:
-        return _empty_table(form)
+        return empty_table(form)
     hi = int(primes[-1])
     _check_capacity(hi)
     a, b, c, D = form.a, form.b, form.c, form.D
@@ -411,6 +412,25 @@ def representation_table(form: QuadraticForm, primes: np.ndarray) -> RepTable:
     return _stack(form, parts, hi)
 
 
+def segment_rows(seed: RepTable, primes: np.ndarray) -> RepTable:
+    """Rows of one segment: primes, every prime of a range in ascending order.
+
+    The seed's rows serve the primes it covers and only the primes above
+    its limit are enumerated (`representation_table`), so a prime the seed
+    holds is never enumerated again. The block covers the segment's last
+    prime. `ensure_table` stacks these blocks; the series fold sums them.
+    """
+    lo, hi = np.searchsorted(seed.p, (primes[0] - 1, primes[-1]), side="right").tolist()
+    held = (seed.p[lo:hi], seed.x[lo:hi], seed.y[lo:hi])
+    cut = int(np.searchsorted(primes, seed.limit, side="right"))
+    if cut == primes.size:
+        return RepTable(seed.form, *held, int(primes[-1]))
+    new = representation_table(seed.form, primes[cut:])
+    if lo == hi:
+        return new
+    return _stack(seed.form, [held, (new.p, new.x, new.y)], new.limit)
+
+
 def ensure_table(form: QuadraticForm, limit: int, table: RepTable | None = None) -> RepTable:
     """A table of form covering every prime <= limit: table grown if short, else built.
 
@@ -420,7 +440,7 @@ def ensure_table(form: QuadraticForm, limit: int, table: RepTable | None = None)
     so asking for limit again sieves nothing.
     """
     if table is None:
-        table = _empty_table(form)
+        table = empty_table(form)
     elif table.form != form:
         raise ValueError("representation table computed for a different form")
     if limit <= table.limit:
@@ -429,6 +449,6 @@ def ensure_table(form: QuadraticForm, limit: int, table: RepTable | None = None)
     parts = [(table.p, table.x, table.y)]
     for seg in PrimeStream(limit).segments(table.limit + 1):
         if seg.size:
-            extra = representation_table(form, seg)
-            parts.append((extra.p, extra.x, extra.y))
+            rows = segment_rows(table, seg)
+            parts.append((rows.p, rows.x, rows.y))
     return _stack(form, parts, limit)

@@ -211,32 +211,25 @@ def first_primes(n: int) -> np.ndarray:
     return sieve_range(2, _capacity_bound(n))[:n]
 
 
-@functools.lru_cache(maxsize=8)
-def stride_primes(n_max: int, stride: int) -> np.ndarray:
-    """Pr(N) for N = stride, 2*stride, ... <= n_max, as a read-only int64 array.
+def prime_segments(n: int) -> Iterator[np.ndarray]:
+    """The first n primes, as the nonempty segments of one `PrimeStream` pass.
 
-    One streamed pass over [2, nth_prime_bound(n_max)] keeps only the sampled
-    primes, never the first n_max. Memoised per (n_max, stride), so series
-    on one grid share the pass.
+    The pass stops at the n-th prime, truncating the last segment there, and
+    holds one segment at a time. SieveCapacityError if the n-th prime may lie
+    past the capacity, raised before any sieving.
     """
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    if n_max < stride:
-        raise ValueError("n_max must be at least the stride")
-    bound = _capacity_bound(n_max)
-    want = np.arange(stride - 1, n_max, stride)  # zero-based prime indices
-    out = np.empty(want.size, dtype=np.int64)
-    done = seen = 0
+    if n < 1:
+        raise ValueError("prime index must be >= 1")
+    bound = _capacity_bound(n)
+    left = n
     for seg in PrimeStream(bound).segments():
-        upto = int(np.searchsorted(want, seen + seg.size))
-        out[done:upto] = seg[want[done:upto] - seen]
-        done, seen = upto, seen + seg.size
-        if done == want.size:
-            break
-    if done < want.size:  # nth_prime_bound is an upper bound, so unreachable
-        raise ArithmeticError(f"fewer than {n_max} primes below {bound}")
-    out.flags.writeable = False
-    return out
+        if seg.size:
+            yield seg[:left]
+            left -= min(seg.size, left)
+            if left == 0:
+                return
+    # nth_prime_bound is an upper bound, so unreachable
+    raise ArithmeticError(f"fewer than {n} primes below {bound}")
 
 
 def nth_prime(n: int) -> int:

@@ -11,13 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import SieveCapacityError
-from .forms import QuadraticForm, RepTable
+from .forms import QuadraticForm, RepTable, segment_rows
 from .polynomials import BivariatePolynomial
-from .primes import CongruenceClass, stride_primes
+from .primes import CongruenceClass, prime_segments
 
 MAX_MOMENT_POWER = 8
 
@@ -96,13 +97,25 @@ def _prefix_sums(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return cum[idx]
 
 
-def series_limit(n_max: int, stride: int) -> int:
-    """Pr(N) at the last grid point: the largest prime a bias series reads.
+def _grid_pass(n_max: int, stride: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """One streamed pass over the primes to Pr(N) at the last grid point
+    N = stride, 2*stride, ... <= n_max: each segment with the Pr(N) it holds."""
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    if n_max < stride:
+        raise ValueError("n_max must be at least the stride")
+    seen = 0
+    for primes in prime_segments(n_max - n_max % stride):
+        # a copy, so that keeping the points does not keep the segment
+        yield primes, primes[(stride - 1 - seen) % stride :: stride].copy()
+        seen += primes.size
 
-    A table that covers this bound serves `bias_series(table, cls, n_max,
-    stride)` for every class.
-    """
-    return int(stride_primes(n_max, stride)[-1])
+
+def _check_sums(rows: int, p: int) -> None:
+    """Refuse int64 prefix sums over this many rows of primes up to p."""
+    # max coordinate is sqrt(p/a) <= sqrt(p)
+    if rows * math.isqrt(p) >= 2**62:
+        raise SieveCapacityError("prefix sums would overflow int64 accumulation")
 
 
 def bias_series(
@@ -112,22 +125,60 @@ def bias_series(
 
     The N-th point accumulates the table's canonical pairs over primes
     p <= Pr(N) lying in the class. Points with an empty y-sum keep F
-    undefined. The Pr(N) come from `stride_primes`, one streamed pass shared
-    by every series on the same (n_max, stride) grid. ValueError if the table
-    does not cover `series_limit(n_max, stride)`.
+    undefined. The Pr(N) come from one streamed pass that holds one segment
+    of primes at a time. ValueError if the table does not cover the last
+    Pr(N); `fold_series` needs no such table.
     """
-    pr = stride_primes(n_max, stride)
+    pr = np.concatenate([at for _, at in _grid_pass(n_max, stride)])
     pr_last = int(pr[-1])
     rows = table.slice_below(pr_last).slice_class(cls)
-    # max coordinate is sqrt(p/a) <= sqrt(Pr(N)); guard the int64 prefix sums
-    if rows.p.size and int(rows.p.size) * int(math.isqrt(pr_last)) >= 2**62:
-        raise SieveCapacityError("prefix sums would overflow int64 accumulation")
+    _check_sums(rows.p.size, pr_last)
     ns = np.arange(stride, n_max + 1, stride)
     idx = np.searchsorted(rows.p, pr, side="right")
     points = np.column_stack(
         (ns, pr, _prefix_sums(rows.x, idx), _prefix_sums(rows.y, idx))
     ).astype(np.int64, copy=False)
     return BiasSeries(form=table.form, cls=cls, stride=stride, points=points)
+
+
+def fold_series(
+    seed: RepTable,
+    classes: Sequence[CongruenceClass],
+    n_max: int,
+    stride: int = 100,
+) -> list[BiasSeries]:
+    """The bias series of every class, from one pass that holds no table.
+
+    Each series equals `bias_series` on a table of the seed's form to the
+    last Pr(N). One streamed pass over the primes to that bound takes the
+    Pr(N) from its segments, and adds each segment's rows to running x and y
+    sums of every class. The rows come from `forms.segment_rows`: the seed's
+    where it covers them, enumerated above its limit. Give an empty seed
+    (`forms.empty_table`) when there is no table to start from.
+    """
+    pr, sums = [], [[] for _ in classes]
+    carry = np.zeros((len(classes), 2), dtype=np.int64)  # each class's (sum_a, sum_b)
+    counts = [0] * len(classes)
+    for primes, at in _grid_pass(n_max, stride):
+        block = segment_rows(seed, primes)
+        pr.append(at)
+        for i, cls in enumerate(classes):
+            rows = block.slice_class(cls)
+            counts[i] += rows.p.size
+            _check_sums(counts[i], int(primes[-1]))
+            # the sums at the grid points, then over the whole block
+            idx = np.append(np.searchsorted(rows.p, at, side="right"), rows.p.size)
+            part = carry[i] + np.column_stack(
+                (_prefix_sums(rows.x, idx), _prefix_sums(rows.y, idx))
+            )
+            sums[i].append(part[:-1])
+            carry[i] = part[-1]
+    head = (np.arange(stride, n_max + 1, stride), np.concatenate(pr))
+    return [
+        BiasSeries(form=seed.form, cls=cls, stride=stride,
+                   points=np.column_stack((*head, np.concatenate(s))).astype(np.int64, copy=False))
+        for cls, s in zip(classes, sums)
+    ]
 
 
 def _check_grids(u: BiasSeries, v: BiasSeries, what: str) -> None:

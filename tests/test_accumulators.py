@@ -7,8 +7,8 @@ from qfbias.counting import d_functions
 from qfbias.equidist import sample_angles
 from qfbias.forms import QuadraticForm, ensure_table
 from qfbias.polynomials import parse_polynomial
-from qfbias.primes import CongruenceClass
-from qfbias.series import bias_series, moment_sum, poly_sum, series_limit
+from qfbias.primes import CongruenceClass, nth_prime
+from qfbias.series import bias_series, moment_sum, poly_sum
 
 Q11 = QuadraticForm(1, 0, 1)
 C14 = CongruenceClass(1, 4)
@@ -38,8 +38,8 @@ def test_table_short_of_the_bound_is_refused(table_to_1000, name):
 
 def test_bias_series_table_short_of_the_series_limit_is_refused():
     n_max, stride = 200, 100
-    bound = series_limit(n_max, stride)
-    assert bound == 1223  # the 200th prime
+    bound = nth_prime(n_max)  # Pr(N) at the last grid point
+    assert bound == 1223
     bias_series(ensure_table(Q11, bound), C14, n_max, stride)
     with pytest.raises(ValueError, match=f"covers primes to {bound - 1}, not {bound}"):
         bias_series(ensure_table(Q11, bound - 1), C14, n_max, stride)

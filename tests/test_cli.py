@@ -24,7 +24,7 @@ from qfbias.equidist import (
 )
 from qfbias.forms import QuadraticForm, ensure_table, representation_table
 from qfbias.primes import CongruenceClass, sieve_range
-from qfbias.series import bias_series
+from qfbias.series import bias_series, fold_series
 
 
 @pytest.fixture
@@ -50,6 +50,43 @@ def sieve_spy(monkeypatch):
     for module in ("primes", "counting", "cli"):
         monkeypatch.setattr(f"qfbias.{module}.sieve_range", spy)
     return calls
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Record every series fold with the ranges sieved inside it, and every
+    (form, prime) a representation table is enumerated for."""
+    folds, enumerated, active = [], [], []
+
+    def fold_spy(seed, classes, *args, **kwargs):
+        folds.append((seed.form, tuple(classes), []))
+        active.append(folds[-1][2])
+        try:
+            return fold_series(seed, classes, *args, **kwargs)
+        finally:
+            active.pop()
+
+    def sieve_spy(lo, hi, *args, **kwargs):
+        if active:
+            active[-1].append((lo, hi))
+        return sieve_range(lo, hi, *args, **kwargs)
+
+    def table_spy(form, primes):
+        enumerated.extend((form, p) for p in primes.tolist())
+        return representation_table(form, primes)
+
+    monkeypatch.setattr("qfbias.cli.fold_series", fold_spy)
+    monkeypatch.setattr("qfbias.primes.sieve_range", sieve_spy)
+    monkeypatch.setattr("qfbias.forms.representation_table", table_spy)
+    return folds, enumerated
+
+
+def assert_one_pass_each(folds, enumerated):
+    """Each fold sieves from 2 up with no number twice; no prime is enumerated twice."""
+    for _, _, spans in folds:
+        assert spans and spans[0][0] == 2
+        assert all(hi < lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+    assert enumerated and len(enumerated) == len(set(enumerated))
 
 
 @pytest.mark.parametrize("args", [
@@ -251,6 +288,16 @@ class TestSeriesCommand:
                "--nmax", "100", "--stride", "25", "-o", str(cached), "--cache", str(cache))
         assert fresh.read_bytes() == cached.read_bytes()
 
+    def test_short_cache_equals_scratch(self, runner, tmp_path):
+        # the cache serves the primes it covers and the rest are enumerated
+        cache = tmp_path / "c.qfr"
+        invoke(runner, "represent", "--form", "1,-1,2", "--limit", "3000", "--cache", str(cache))
+        fresh, cached = tmp_path / "fresh.csv", tmp_path / "cached.csv"
+        common = ["series", "--form", "1,-1,2", "--nmax", "2000", "--stride", "50"]
+        invoke(runner, *common, "-o", str(fresh))
+        invoke(runner, *common, "-o", str(cached), "--cache", str(cache))
+        assert fresh.read_bytes() == cached.read_bytes()
+
     def test_cache_form_mismatch_fails(self, runner, tmp_path):
         cache = tmp_path / "c.qfr"
         invoke(runner, "represent", "--form", "1,0,2", "--limit", "600", "--cache", str(cache))
@@ -305,6 +352,17 @@ class TestRatioCommand:
         result = runner.invoke(main, ["ratio", "--form", "1,0,1", "--nmax", "10",
                                       "-o", str(tmp_path / "r.csv")])
         assert result.exit_code == 2
+
+    def test_both_series_from_one_pass(self, runner, tmp_path, passes):
+        # Pr(1e5) = 1299709 spans two sieve segments
+        invoke(runner, "ratio", "--form", "1,0,1", "--mod", "8", "--res", "5",
+               "--nmax", "100000", "-o", str(tmp_path / "r.csv"))
+        folds, enumerated = passes
+        assert [(form, classes) for form, classes, _ in folds] == [
+            (QuadraticForm(1, 0, 1), (CongruenceClass(5, 8), CongruenceClass.trivial()))
+        ]
+        assert len(folds[0][2]) == 2
+        assert_one_pass_each(folds, enumerated)
 
 
 class TestDfuncCommand:
@@ -579,17 +637,18 @@ class TestReproCommand:
         for name in names:
             assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
-    def test_all_computes_each_series_once(self, runner, tmp_path, monkeypatch):
-        calls = []
-
-        def spy(table, cls, n_max, **kwargs):
-            calls.append((table.form, cls, n_max))
-            return bias_series(table, cls, n_max, **kwargs)
-
-        monkeypatch.setattr("qfbias.cli.bias_series", spy)
-        invoke(runner, "repro", "--outdir", str(tmp_path), "--scale", "0.002")
-        # fig1's two class series, fig2's two, and fig3's all-primes series
-        assert len(calls) == len(set(calls)) == 5
+    def test_all_computes_each_series_once(self, runner, tmp_path, passes):
+        invoke(runner, "repro", "--outdir", str(tmp_path), "--scale", "0.01")
+        folds, enumerated = passes
+        # one pass for fig1's and fig3's x^2 + y^2 series, one for fig2's
+        assert [(form, classes) for form, classes, _ in folds] == [
+            (QuadraticForm(1, 0, 1),
+             (CongruenceClass(1, 8), CongruenceClass(5, 8), CongruenceClass.trivial())),
+            (QuadraticForm(1, 1, 1), (CongruenceClass(1, 12), CongruenceClass(7, 12))),
+        ]
+        # fig4's table to 1e4 seeds the first fold, which enumerates only above it
+        assert (QuadraticForm(1, 0, 1), 9973) in enumerated
+        assert_one_pass_each(folds, enumerated)
 
 
 THREADED_COMMANDS = {

@@ -14,8 +14,8 @@ from qfbias.primes import (
     first_primes,
     nth_prime,
     nth_prime_bound,
+    prime_segments,
     sieve_range,
-    stride_primes,
 )
 
 from conftest import trial_division_primes
@@ -169,18 +169,17 @@ class TestNthPrime:
             assert primes.tolist() == oracle[:n]
 
 
-class TestStridePrimes:
-    @given(n_max=st.integers(min_value=1, max_value=20_000), stride=st.integers(min_value=1, max_value=700))
+class TestPrimeSegments:
+    @given(n=st.integers(min_value=1, max_value=3000), segment_size=st.integers(1, 30_000))
     @settings(max_examples=60, deadline=None)
-    def test_equals_first_primes_at_the_stride_points(self, n_max, stride):
-        if stride > n_max:
-            with pytest.raises(ValueError):
-                stride_primes(n_max, stride)
-            return
-        ns = np.arange(stride, n_max + 1, stride)
-        assert np.array_equal(stride_primes(n_max, stride), first_primes(n_max)[ns - 1])
+    def test_concatenation_is_the_first_n_primes(self, n, segment_size):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(primes_module, "PrimeStream", lambda limit: PrimeStream(limit, segment_size))
+            segs = list(prime_segments(n))
+        assert all(seg.size for seg in segs)
+        assert np.array_equal(np.concatenate(segs), first_primes(n))
 
-    def test_one_streamed_pass_shared_and_read_only(self, monkeypatch):
+    def test_one_streamed_pass_stops_at_the_nth_prime(self, monkeypatch):
         spans = []
 
         def spy(lo, hi, *args, **kwargs):
@@ -188,20 +187,18 @@ class TestStridePrimes:
             return sieve_range(lo, hi, *args, **kwargs)
 
         monkeypatch.setattr(primes_module, "sieve_range", spy)
-        stride_primes.cache_clear()
-        pr = stride_primes(300_000, 100)
+        segs = list(prime_segments(300_000))
         assert spans and all(hi - lo < DEFAULT_SEGMENT_SIZE for lo, hi in spans)
+        assert spans[0][0] == 2 and all(hi + 1 == lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
         assert spans[-1][1] <= nth_prime_bound(300_000)
-        count = len(spans)
-        assert stride_primes(300_000, 100) is pr and len(spans) == count
-        assert pr.size == 3000 and int(pr[-1]) == nth_prime(300_000)
-        with pytest.raises(ValueError, match="read-only"):
-            pr[0] = 0
+        assert sum(seg.size for seg in segs) == 300_000 and int(segs[-1][-1]) == nth_prime(300_000)
+        # the last segment reaches past the 300000th prime only in its sieve
+        assert spans[-1][0] <= nth_prime(300_000) <= spans[-1][1]
 
     def test_capacity_error_before_sieving(self, monkeypatch):
         monkeypatch.setattr(primes_module, "sieve_range", lambda *a, **k: pytest.fail("sieved"))
         with pytest.raises(SieveCapacityError, match="capacity"):
-            stride_primes(200_000_000, 100)
+            next(prime_segments(200_000_000))
 
 
 class TestCongruenceClass:

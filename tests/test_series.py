@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,23 +9,25 @@ from hypothesis import strategies as st
 
 from qfbias.errors import SieveCapacityError
 from qfbias import primes as primes_module
-from qfbias.forms import QuadraticForm, ensure_table, representation_table
+from qfbias import forms as forms_module
+from qfbias.forms import QuadraticForm, empty_table, ensure_table, representation_table
 from qfbias.polynomials import BivariatePolynomial, parse_polynomial
 from qfbias.primes import (
     DEFAULT_SEGMENT_SIZE,
     CongruenceClass,
+    PrimeStream,
     first_primes,
+    nth_prime,
     nth_prime_bound,
     sieve_range,
-    stride_primes,
 )
 from qfbias.series import (
     BiasSeries,
     bias_series,
+    fold_series,
     moment_sum,
     poly_sum,
     ratio_series,
-    series_limit,
     sign_changes,
 )
 
@@ -34,8 +37,8 @@ TRIVIAL = CongruenceClass.trivial()
 
 
 def _series(form, cls, n_max, stride=100):
-    """bias_series on a table built to the series' own bound."""
-    return bias_series(ensure_table(form, series_limit(n_max, stride)), cls, n_max, stride)
+    """bias_series on a table built to the series' own bound, Pr of its last point."""
+    return bias_series(ensure_table(form, nth_prime(n_max - n_max % stride)), cls, n_max, stride)
 
 
 class TestMomentSum:
@@ -141,22 +144,33 @@ class TestBiasSeries:
 
     def test_series_on_one_grid_share_one_streamed_pass(self, monkeypatch):
         n_max = 200_000
-        table = ensure_table(Q11, nth_prime_bound(n_max))
-        spans = []
+        seed = ensure_table(Q11, 1_000_000)  # covers the first segment only
+        spans, enumerated = [], []
 
-        def spy(lo, hi, *args, **kwargs):
+        def sieve_spy(lo, hi, *args, **kwargs):
             spans.append((lo, hi))
             return sieve_range(lo, hi, *args, **kwargs)
 
-        monkeypatch.setattr(primes_module, "sieve_range", spy)
-        stride_primes.cache_clear()
+        def table_spy(form, primes):
+            enumerated.extend(primes.tolist())
+            return representation_table(form, primes)
+
+        monkeypatch.setattr(primes_module, "sieve_range", sieve_spy)
+        monkeypatch.setattr(forms_module, "representation_table", table_spy)
         classes = (TRIVIAL, CongruenceClass(1, 8), CongruenceClass(5, 8))
-        series = [bias_series(table, cls, n_max, stride=100) for cls in classes]
-        # one pass of segments, none of them the whole first-N range
-        assert spans[0][0] == 2 and len(spans) == len(set(spans))
-        assert all(hi - lo < DEFAULT_SEGMENT_SIZE for lo, hi in spans)
-        want = first_primes(n_max)[99::100].tolist()
-        assert all(ser.points[:, 1].tolist() == want for ser in series)
+        series = fold_series(seed, classes, n_max, stride=100)
+        # one pass of segments from 2 up, none of them the whole first-N range,
+        # and no number sieved twice
+        assert spans[0][0] == 2 and all(hi - lo < DEFAULT_SEGMENT_SIZE for lo, hi in spans)
+        assert all(hi < lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+        want = first_primes(n_max)
+        assert all(ser.points[:, 1].tolist() == want[99::100].tolist() for ser in series)
+        # only the primes above the seed, each once, up to Pr(n_max)
+        assert enumerated == want[want > seed.limit].tolist()
+        monkeypatch.undo()
+        table = ensure_table(Q11, int(want[-1]))
+        for ser in series:
+            np.testing.assert_array_equal(ser.points, bias_series(table, ser.cls, n_max).points)
 
     def test_capacity_error_before_sieving(self, monkeypatch):
         table = ensure_table(Q11, 100)
@@ -165,7 +179,7 @@ class TestBiasSeries:
         with pytest.raises(SieveCapacityError, match="capacity"):
             bias_series(table, C14, 200_000_000)
         with pytest.raises(SieveCapacityError, match="capacity"):
-            series_limit(200_000_000, 100)
+            fold_series(empty_table(Q11), [C14], 200_000_000)
         assert calls == []
 
     def test_stride_validation(self):
@@ -226,6 +240,72 @@ class TestBiasSeriesAgainstLoop:
                 assert math.isnan(f)
             else:
                 assert f == sum_a / sum_b
+
+
+# b < 0 forms as in the general-forms workload, and (1,-6,10), for which 5
+# has three canonical pairs; 3 mod 4 and 2 mod 3 are empty classes
+FOLD_CASES = {
+    Q11: (TRIVIAL, C14, CongruenceClass(3, 4), CongruenceClass(5, 8)),
+    QuadraticForm(1, 1, 1): (CongruenceClass(7, 12), CongruenceClass(2, 3)),
+    QuadraticForm(1, -1, 2): (TRIVIAL, CongruenceClass(2, 7)),
+    QuadraticForm(3, -2, 5): (CongruenceClass(1, 4), TRIVIAL),
+    QuadraticForm(1, -6, 10): (TRIVIAL, CongruenceClass(1, 4), CongruenceClass(3, 4)),
+}
+
+
+class TestFoldSeries:
+    @given(form=st.sampled_from(list(FOLD_CASES)), n_max=st.integers(1, 1500),
+           stride=st.integers(1, 1500), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_bias_series_on_a_full_table(self, form, n_max, stride, data):
+        stride = min(stride, n_max)
+        pr_last = nth_prime(n_max - n_max % stride)
+        seed = ensure_table(form, data.draw(st.integers(0, pr_last - 1), label="seed limit"))
+        segment_size = data.draw(
+            st.one_of(st.integers(1, 64), st.integers(1, pr_last)), label="segment size"
+        )
+        classes = FOLD_CASES[form]
+        with pytest.MonkeyPatch.context() as mp:
+            # the fold's pass in segments of this size; ensure_table's stream is its own
+            mp.setattr(primes_module, "PrimeStream",
+                       lambda limit: PrimeStream(limit, segment_size))
+            folded = fold_series(seed, classes, n_max, stride)
+        table = ensure_table(form, pr_last)
+        assert len(folded) == len(classes)
+        for cls, ser in zip(classes, folded):
+            want = bias_series(table, cls, n_max, stride)
+            assert (ser.form, ser.cls, ser.stride) == (form, cls, stride)
+            assert ser.points.dtype == np.int64
+            np.testing.assert_array_equal(ser.points, want.points)
+
+    @given(n_max=st.integers(1, 20_000), stride=st.integers(1, 700))
+    @settings(max_examples=60, deadline=None)
+    def test_grid_points_equal_first_primes_at_the_stride_points(self, n_max, stride):
+        if stride > n_max:
+            with pytest.raises(ValueError):
+                fold_series(empty_table(Q11), [C14], n_max, stride)
+            return
+        ns = np.arange(stride, n_max + 1, stride)
+        [ser] = fold_series(empty_table(Q11), [C14], n_max, stride)
+        assert np.array_equal(ser.points[:, 0], ns)
+        assert np.array_equal(ser.points[:, 1], first_primes(n_max)[ns - 1])
+
+    def test_memory_stays_flat_where_the_table_grows(self):
+        classes = (CongruenceClass(1, 8), CongruenceClass(5, 8), TRIVIAL)
+        fold_series(empty_table(Q11), classes, 1000)  # imports and memoised base primes
+        peaks = {}
+        for n_max in (100_000, 400_000):
+            tracemalloc.start()
+            try:
+                fold_series(empty_table(Q11), classes, n_max)
+                peaks[n_max] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # measured 4.40 MB at N = 1e5 and 4.46 MB at N = 4e5 (numpy 2, one
+        # sieve segment and one lattice window live at a time); the table to
+        # Pr(4e5) = 5.8e6 it replaces holds ~2e5 rows, 4.8 MB, 4x that at 1e5
+        assert peaks[400_000] < 6_000_000
+        assert peaks[400_000] < 1.5 * peaks[100_000]
 
 
 class TestRatioSeries:
