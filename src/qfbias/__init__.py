@@ -54,7 +54,7 @@ from .polynomials import (
     leading_homogeneous_part,
     parse_polynomial,
 )
-from .primes import CongruenceClass, PrimeStream, nth_prime, sieve_range
+from .primes import CongruenceClass, nth_prime, sieve_range
 from .series import (
     BiasSeries,
     MomentSums,

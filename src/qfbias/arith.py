@@ -3,21 +3,34 @@
 import numpy as np
 
 
-def euler_phi(n: int) -> int:
-    """Euler's totient, by trial-division factoring."""
-    if n < 1:
-        raise ValueError("totient needs n >= 1")
-    result = n
-    m = n
+def _factor(n: int) -> list[tuple[int, int]]:
+    """(prime, exponent) of every prime dividing |n|, ascending, by trial
+    division; ValueError for n = 0."""
+    if n == 0:
+        raise ValueError("0 has no prime factorisation")
+    m = abs(n)
+    out = []
     p = 2
     while p * p <= m:
         if m % p == 0:
+            e = 0
             while m % p == 0:
                 m //= p
-            result -= result // p
+                e += 1
+            out.append((p, e))
         p += 1 if p == 2 else 2
     if m > 1:
-        result -= result // m
+        out.append((m, 1))
+    return out
+
+
+def euler_phi(n: int) -> int:
+    """Euler's totient, from the factorisation of n."""
+    if n < 1:
+        raise ValueError("totient needs n >= 1")
+    result = n
+    for p, _ in _factor(n):
+        result -= result // p
     return result
 
 
@@ -98,36 +111,15 @@ def squarefree_part(n: int) -> int:
     """Largest squarefree divisor pattern: n / (largest square dividing n).
 
     Sign is preserved: squarefree_part(-4) = -1, squarefree_part(-12) = -3.
+    ValueError for n = 0.
     """
-    if n == 0:
-        raise ValueError("squarefree part of 0 is undefined")
-    sign = -1 if n < 0 else 1
-    m = abs(n)
-    out = 1
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            if e % 2 == 1:
-                out *= p
-        p += 1 if p == 2 else 2
-    return sign * out * m
+    out = -1 if n < 0 else 1
+    for p, e in _factor(n):
+        if e % 2 == 1:
+            out *= p
+    return out
 
 
 def distinct_prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of |n|, ascending."""
-    m = abs(n)
-    out = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out.append(m)
-    return out
+    """Distinct prime factors of |n|, ascending; ValueError for n = 0."""
+    return [p for p, _ in _factor(n)]

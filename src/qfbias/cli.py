@@ -7,6 +7,7 @@ standard error. Exit codes: 0 success, 2 usage error, 3 computation error,
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
@@ -25,7 +26,7 @@ from .errors import ComputationError, SieveCapacityError
 from .forms import QuadraticForm, RepTable, empty_table, ensure_table
 from .limits import LimitProblem
 from .polynomials import parse_polynomial
-from .primes import DEFAULT_CAPACITY, CongruenceClass, sieve_range
+from .primes import DEFAULT_CAPACITY, CongruenceClass, segments
 from .series import BiasSeries, fold_series, ratio_series, sign_changes
 
 CACHE_DIR_ENV = "QFBIAS_CACHE_DIR"
@@ -171,11 +172,14 @@ def cmd_sieve(limit, lo, hi, out):
     if hi > DEFAULT_CAPACITY:
         raise SieveCapacityError(f"sieve to {hi} exceeds capacity {DEFAULT_CAPACITY}")
     t0 = time.perf_counter()
-    primes = sieve_range(lo, hi)
+    count = 0
+    with open(out, "wb") if out else contextlib.nullcontext() as fh:
+        for primes in segments(lo, hi):
+            count += primes.size
+            if fh:
+                fh.writelines(csv_blocks((primes,)))
     progress(f"sieved [{lo}, {hi}] in {time.perf_counter() - t0:.2f}s")
-    if out:
-        _write_csv(out, None, primes)
-    click.echo(str(len(primes)))
+    click.echo(str(count))
 
 
 @main.command("represent")

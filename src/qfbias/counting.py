@@ -6,7 +6,8 @@ squarefree discriminant input delta < 0:
   * running differences D1/D2 comparing the odd and even parts of p = a^2 +
     (2b)^2 over the two residue classes 1, 5 (mod 8);
   * prime-ideal counts by norm and norm residue, with splitting decided by
-    the Kronecker character of the field discriminant;
+    the Kronecker character of the field discriminant, added up one sieve
+    window (`primes.segments`) at a time at every bound at once;
   * the coefficient A(m, M) as the index of the norm-residue subgroup H of
     (Z/MZ)^* when m lies in H and 0 otherwise, H being the kernel of the
     Kronecker character when |d_K| divides M and all of (Z/MZ)^* otherwise.
@@ -25,7 +26,7 @@ from .arith import distinct_prime_factors, euler_phi, kronecker, kronecker_array
 from .errors import ConsistencyError, SieveCapacityError
 from .forms import QuadraticForm, RepTable
 from .limits import integrate
-from .primes import DEFAULT_CAPACITY, CongruenceClass, sieve_range
+from .primes import DEFAULT_CAPACITY, CongruenceClass, segments
 
 SPLIT = "split"
 INERT = "inert"
@@ -166,8 +167,10 @@ def prime_ideal_count(
     Split rational primes p <= x contribute two ideals of norm p, inert
     primes one ideal of norm p^2, ramified primes one ideal of norm p. x is
     an int, answered with an int, or an array of bounds, answered with an
-    int64 array of the counts at each, all from one sieve to the largest
-    bound; a bound past the sieve capacity is refused before any sieving.
+    int64 array of the counts at each. One `segments` pass to the largest
+    bound adds every window's counts at all the bounds, so only one window
+    of primes is held; a bound past the sieve capacity is refused before
+    any sieving.
     """
     xs = np.asarray(x)
     top = int(xs.max(initial=1))
@@ -178,15 +181,17 @@ def prime_ideal_count(
     if xs.min(initial=1) < 1:
         raise ValueError("x must be >= 1")
     d = fs.field_discriminant
-    primes = sieve_range(2, max(top, 2))
-    chi_p = _chi_table(d)[primes % abs(d)]
-    # an inert p has norm p^2, so only the prefix p <= sqrt(top) can count
-    root = int(np.searchsorted(primes, math.isqrt(top), side="right"))
-    norms = (primes[chi_p == 1], primes[chi_p == 0], primes[:root][chi_p[:root] == -1] ** 2)
-    if cls is not None and not cls.is_trivial:
-        norms = [n[n % cls.modulus == cls.residue] for n in norms]
-    split, ramified, inert = (np.searchsorted(n, xs, side="right") for n in norms)
-    counts = (2 * split + ramified + inert).astype(np.int64)
+    chi = _chi_table(d)
+    root = math.isqrt(top)  # an inert p has norm p^2, so only p <= sqrt(top) can count
+    counts = np.zeros(xs.shape, dtype=np.int64)
+    for primes in segments(2, top):
+        chi_p = chi[primes % abs(d)]
+        inert_p = primes[(chi_p == -1) & (primes <= root)]
+        norms = (primes[chi_p == 1], primes[chi_p == 0], inert_p * inert_p)
+        if cls is not None and not cls.is_trivial:
+            norms = [n[n % cls.modulus == cls.residue] for n in norms]
+        split, ramified, inert = (np.searchsorted(n, xs, side="right") for n in norms)
+        counts += 2 * split + ramified + inert
     return int(counts) if counts.ndim == 0 else counts
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OracleBoundError, TableBoundError
-from .primes import DEFAULT_CAPACITY, CongruenceClass, PrimeStream
+from .primes import DEFAULT_CAPACITY, CongruenceClass, segments
 
 DEFAULT_ORACLE_BOUND = 10**6
 # values per lattice window: its prime flags take WINDOW bytes and its
@@ -447,8 +447,7 @@ def ensure_table(form: QuadraticForm, limit: int, table: RepTable | None = None)
         return table
     _check_capacity(limit)
     parts = [(table.p, table.x, table.y)]
-    for seg in PrimeStream(limit).segments(table.limit + 1):
-        if seg.size:
-            rows = segment_rows(table, seg)
-            parts.append((rows.p, rows.x, rows.y))
+    for seg in segments(table.limit + 1, limit):
+        rows = segment_rows(table, seg)
+        parts.append((rows.p, rows.x, rows.y))
     return _stack(form, parts, limit)

@@ -5,9 +5,14 @@ default window of 2**20 numbers costs ~512 KiB of flags and fits in L2 cache.
 Each window is filled from a pre-sieved tile of 15015 odd numbers that
 already has the multiples of 3..13 struck, and only the base primes from 17
 up are struck per window; those are built once per power of two of the
-square root and shared by every window of a stream. Numbers are plain
-Python / numpy int64; capacity checks keep requests within a configured
-bound rather than letting a huge sieve thrash the machine.
+square root and shared by every window of a stream.
+
+`segments(lo, hi)` is the one window loop every prime consumer reads: it
+hands over the primes of each window as its own array, so no caller holds
+the primes of a whole range. `sieve_range` joins the windows for callers
+that want one array. Numbers are plain Python / numpy int64; capacity
+checks keep requests within a configured bound rather than letting a huge
+sieve thrash the machine.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import numpy as np
 
 from .errors import SieveCapacityError
 
+# numbers per sieve window, read at every call so that tests can patch it
 DEFAULT_SEGMENT_SIZE = 1 << 20
 # generous desk-scale ceiling; first_primes and table builders refuse past this
 DEFAULT_CAPACITY = 4_000_000_000
@@ -69,84 +75,69 @@ def _base_primes(bits: int) -> np.ndarray:
     return base
 
 
-def sieve_range(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
+def _windows(lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """Consecutive windows [lo, hi] of DEFAULT_SEGMENT_SIZE numbers covering
+    the interval, the size read at call time."""
+    span = DEFAULT_SEGMENT_SIZE
+    if span < 1:
+        raise ValueError("DEFAULT_SEGMENT_SIZE must be >= 1")
+    while lo <= hi:
+        top = min(lo + span - 1, hi)
+        yield lo, top
+        lo = top + 1
+
+
+def _sieve_window(lo: int, hi: int) -> np.ndarray:
+    """The primes of one window [lo, hi], 2 <= lo <= hi, ascending, as int64.
+
+    The odd numbers start as a copy of the pre-sieved tile (multiples of
+    3..13 already struck), so only the base primes 17..sqrt(hi) are struck,
+    from their shared memoised array. The tile primes themselves are put
+    back, and 2 added, where the window holds them.
+    """
+    lo_odd = lo | 1  # first odd candidate
+    n_odds = (hi - lo_odd) // 2 + 1  # 0 for the window [2, 2]
+    off = (lo_odd // 2) % _TILE_PERIOD  # lo_odd = 2k + 1
+    flags = np.resize(_TILE[off : off + _TILE_PERIOD], n_odds)
+    for p in _TILE_PRIMES:
+        if lo_odd <= p <= hi:
+            flags[(p - lo_odd) // 2] = True
+    base = _base_primes(math.isqrt(hi).bit_length())
+    ps = base[: np.searchsorted(base, math.isqrt(hi), side="right")]
+    # each prime's first odd multiple >= max(p*p, lo_odd), as a flag index
+    first = np.maximum(ps * ps, (-(-lo_odd // ps) | 1) * ps)
+    for p, i in zip(ps.tolist(), ((first - lo_odd) // 2).tolist()):
+        flags[i::p] = False
+    found = lo_odd + 2 * np.flatnonzero(flags)
+    return np.concatenate(([2], found)) if lo == 2 else found
+
+
+def sieve_range(lo: int, hi: int) -> np.ndarray:
     """All primes in the closed interval [lo, hi], ascending, as int64.
 
-    Each segment of odd numbers starts as a copy of the pre-sieved tile
-    (multiples of 3..13 already struck), so only the base primes 17..sqrt(hi)
-    are struck per segment, from their shared memoised array. The tile primes
-    themselves are put back, and 2 added, where the range holds them. An empty
-    interval (no primes in range) yields an empty array; lo > hi is a
-    contract violation.
+    The interval is sieved one cache-sized window at a time (one 1e8-wide
+    window runs ~4x slower) and the windows are joined into one array;
+    `segments` hands them over one by one instead. An interval with no
+    primes yields an empty array; lo > hi is a contract violation.
     """
     if lo > hi:
         raise ValueError(f"empty sieve interval: lo={lo} > hi={hi}")
-    if segment_size < 1:
-        raise ValueError("segment_size must be >= 1")
-    if hi < 2:
-        return np.empty(0, dtype=np.int64)
-
-    parts = []
-    if lo <= 2:
-        parts.append(np.array([2], dtype=np.int64))
-    base = _base_primes(math.isqrt(hi).bit_length())
-
-    seg_lo = max(lo, 3) | 1  # first odd candidate
-    # widen tiny windows to at least one odd number
-    span = max(segment_size, 2)
-    while seg_lo <= hi:
-        seg_hi = min(seg_lo + span - 1, hi)
-        n_odds = (seg_hi - seg_lo) // 2 + 1
-        off = (seg_lo // 2) % _TILE_PERIOD  # seg_lo = 2k + 1
-        flags = np.resize(_TILE[off : off + _TILE_PERIOD], n_odds)
-        for p in _TILE_PRIMES:
-            if seg_lo <= p <= seg_hi:
-                flags[(p - seg_lo) // 2] = True
-        ps = base[: np.searchsorted(base, math.isqrt(seg_hi), side="right")]
-        # each prime's first odd multiple >= max(p*p, seg_lo), as a flag index
-        first = np.maximum(ps * ps, (-(-seg_lo // ps) | 1) * ps)
-        for p, i in zip(ps.tolist(), ((first - seg_lo) // 2).tolist()):
-            flags[i::p] = False
-        found = seg_lo + 2 * np.flatnonzero(flags)
-        if found.size:
-            parts.append(found)
-        seg_lo = (seg_hi + 1) | 1  # next odd beyond the window
-
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(parts)
+    parts = [_sieve_window(a, b) for a, b in _windows(max(lo, 2), hi)]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class PrimeStream:
-    """Every prime p <= limit, exactly once, in increasing order.
+def segments(lo: int, hi: int) -> Iterator[np.ndarray]:
+    """The primes of [lo, hi], ascending, as the nonempty arrays of one
+    `sieve_range` call per window of DEFAULT_SEGMENT_SIZE numbers.
 
-    The segment size only controls the sieving window; the emitted stream is
-    identical for any segment_size >= 1.
+    Concatenated they equal `sieve_range(lo, hi)`, but only one window is
+    held at a time; every prime consumer of the package reads this stream.
+    An empty interval (lo > hi) yields nothing.
     """
-
-    limit: int
-    segment_size: int = DEFAULT_SEGMENT_SIZE
-
-    def __post_init__(self):
-        if self.limit < 0:
-            raise ValueError("limit must be nonnegative")
-        if self.segment_size < 1:
-            raise ValueError("segment_size must be >= 1")
-
-    def segments(self, start: int = 2) -> Iterator[np.ndarray]:
-        """Primes in consecutive windows from start, ascending; concatenation
-        is the stream's part from start on."""
-        lo = max(start, 2)
-        span = max(self.segment_size, 2)
-        while lo <= self.limit:
-            hi = min(lo + span - 1, self.limit)
-            yield sieve_range(lo, hi, segment_size=span)
-            lo = hi + 1
-
-    def __iter__(self) -> Iterator[int]:
-        for seg in self.segments():
-            yield from seg.tolist()
+    for a, b in _windows(max(lo, 2), hi):
+        seg = sieve_range(a, b)
+        if seg.size:
+            yield seg
 
 
 @dataclass(frozen=True)
@@ -203,35 +194,33 @@ def _capacity_bound(n: int) -> int:
     return bound
 
 
-def first_primes(n: int) -> np.ndarray:
-    """The first n primes, ascending, as int64."""
-    if n < 1:
-        raise ValueError("prime index must be >= 1")
-    # nth_prime_bound is an upper bound (13 is the 6th prime), so one sieve holds them
-    return sieve_range(2, _capacity_bound(n))[:n]
-
-
 def prime_segments(n: int) -> Iterator[np.ndarray]:
-    """The first n primes, as the nonempty segments of one `PrimeStream` pass.
+    """The first n primes, as the nonempty arrays of one `segments` pass.
 
-    The pass stops at the n-th prime, truncating the last segment there, and
-    holds one segment at a time. SieveCapacityError if the n-th prime may lie
+    The pass stops at the n-th prime, truncating the last array there, and
+    holds one window at a time. SieveCapacityError if the n-th prime may lie
     past the capacity, raised before any sieving.
     """
     if n < 1:
         raise ValueError("prime index must be >= 1")
     bound = _capacity_bound(n)
     left = n
-    for seg in PrimeStream(bound).segments():
-        if seg.size:
-            yield seg[:left]
-            left -= min(seg.size, left)
-            if left == 0:
-                return
+    for seg in segments(2, bound):
+        yield seg[:left]
+        left -= min(seg.size, left)
+        if left == 0:
+            return
     # nth_prime_bound is an upper bound, so unreachable
     raise ArithmeticError(f"fewer than {n} primes below {bound}")
 
 
+def first_primes(n: int) -> np.ndarray:
+    """The first n primes, ascending, as int64."""
+    return np.concatenate(list(prime_segments(n)))
+
+
 def nth_prime(n: int) -> int:
     """The n-th prime, 1-indexed (n=1 gives 2)."""
-    return int(first_primes(n)[-1])
+    for seg in prime_segments(n):
+        pass
+    return int(seg[-1])

@@ -8,7 +8,6 @@ set of numpy columns, and NaN marks an undefined F or R (an empty CSV field).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -16,7 +15,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import SieveCapacityError
-from .forms import QuadraticForm, RepTable, segment_rows
+from .forms import QuadraticForm, RepTable, _x_extent, segment_rows
 from .polynomials import BivariatePolynomial
 from .primes import CongruenceClass, prime_segments
 
@@ -111,10 +110,10 @@ def _grid_pass(n_max: int, stride: int) -> Iterator[tuple[np.ndarray, np.ndarray
         seen += primes.size
 
 
-def _check_sums(rows: int, p: int) -> None:
-    """Refuse int64 prefix sums over this many rows of primes up to p."""
-    # max coordinate is sqrt(p/a) <= sqrt(p)
-    if rows * math.isqrt(p) >= 2**62:
+def _check_sums(form: QuadraticForm, rows: int, p: int) -> None:
+    """Refuse int64 prefix sums over this many rows of form's primes up to p."""
+    # a canonical row has 0 <= y < x, and x is within the ellipse's extent
+    if rows * _x_extent(form, p) >= 2**62:
         raise SieveCapacityError("prefix sums would overflow int64 accumulation")
 
 
@@ -132,7 +131,7 @@ def bias_series(
     pr = np.concatenate([at for _, at in _grid_pass(n_max, stride)])
     pr_last = int(pr[-1])
     rows = table.slice_below(pr_last).slice_class(cls)
-    _check_sums(rows.p.size, pr_last)
+    _check_sums(table.form, rows.p.size, pr_last)
     ns = np.arange(stride, n_max + 1, stride)
     idx = np.searchsorted(rows.p, pr, side="right")
     points = np.column_stack(
@@ -165,7 +164,7 @@ def fold_series(
         for i, cls in enumerate(classes):
             rows = block.slice_class(cls)
             counts[i] += rows.p.size
-            _check_sums(counts[i], int(primes[-1]))
+            _check_sums(seed.form, counts[i], int(primes[-1]))
             # the sums at the grid points, then over the whole block
             idx = np.append(np.searchsorted(rows.p, at, side="right"), rows.p.size)
             part = carry[i] + np.column_stack(

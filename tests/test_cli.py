@@ -6,12 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfbias import __version__
+from qfbias import primes as primes_module
 from qfbias.cli import _fmt, main
 from qfbias.counting import d_functions
 from qfbias.equidist import (
@@ -23,7 +25,7 @@ from qfbias.equidist import (
     weyl_sum,
 )
 from qfbias.forms import QuadraticForm, ensure_table, representation_table
-from qfbias.primes import CongruenceClass, sieve_range
+from qfbias.primes import DEFAULT_SEGMENT_SIZE, CongruenceClass, sieve_range
 from qfbias.series import bias_series, fold_series
 
 
@@ -38,18 +40,27 @@ def invoke(runner, *args, **kwargs):
 
 @pytest.fixture
 def sieve_spy(monkeypatch):
-    """Record the upper end of every sieve; fail any sieve too big for a test."""
+    """Record every sieved (lo, hi); fail a sieve wider than one segment, or
+    a test that sieves more than 1e7 numbers in all."""
     calls = []
 
     def spy(lo, hi, *args, **kwargs):
-        calls.append(hi)
-        if hi > 10**7:
-            raise AssertionError(f"test asked to sieve to {hi}")
+        calls.append((lo, hi))
+        if hi - lo >= DEFAULT_SEGMENT_SIZE or sum(b - a + 1 for a, b in calls) > 10**7:
+            raise AssertionError(f"test asked to sieve [{lo}, {hi}]")
         return sieve_range(lo, hi, *args, **kwargs)
 
-    for module in ("primes", "counting", "cli"):
-        monkeypatch.setattr(f"qfbias.{module}.sieve_range", spy)
+    # every command sieves through `primes.segments`, one call per window
+    monkeypatch.setattr("qfbias.primes.sieve_range", spy)
     return calls
+
+
+def assert_windows_cover(spans, lo, hi):
+    """The sieved spans run from lo to hi in order, each number once, none
+    wider than one segment."""
+    assert spans[0][0] == lo and spans[-1][1] == hi
+    assert all(b + 1 == a for (_, b), (a, _) in zip(spans, spans[1:]))
+    assert all(b - a < DEFAULT_SEGMENT_SIZE for a, b in spans)
 
 
 @pytest.fixture
@@ -209,6 +220,21 @@ class TestSieveCommand:
         primes = sieve_range(lo, hi).tolist()
         assert out.read_bytes() == "".join(f"{p}\n" for p in primes).encode()
         assert result.stdout.strip() == str(len(primes))
+
+    def test_streams_the_sieve_one_window_at_a_time(self, runner, sieve_spy):
+        result = invoke(runner, "sieve", "--lo", "999999000", "--hi", "1001000000")
+        assert_windows_cover(sieve_spy, 999_999_000, 1_001_000_000)
+        assert result.stdout == "48200\n"
+
+    def test_out_file_written_across_three_windows(self, runner, tmp_path, sieve_spy):
+        out = tmp_path / "p.txt"
+        result = invoke(runner, "sieve", "--limit", "3000000", "--out", str(out))
+        assert len(sieve_spy) == 3
+        assert_windows_cover(sieve_spy, 2, 3_000_000)
+        # the reference is the plain sieve of Eratosthenes, not the segmented one
+        want = np.flatnonzero(primes_module._simple_prime_flags(3_000_000))
+        assert out.read_bytes() == "".join(f"{p}\n" for p in want.tolist()).encode()
+        assert result.stdout == f"{want.size}\n" == "216816\n"
 
     def test_conflicting_flags(self, runner):
         result = runner.invoke(main, ["sieve", "--limit", "5", "--lo", "2", "--hi", "9"])
@@ -439,8 +465,15 @@ class TestDensityCommand:
         out = tmp_path / "den.csv"
         invoke(runner, "density", "--delta", "-1", "--mod", "8", "--res", "1",
                "--x", "123456", "-o", str(out))
-        assert sieve_spy == [123456]
+        assert sieve_spy == [(2, 123456)]
         assert len(out.read_text().splitlines()) == 1 + 5
+
+    def test_streams_the_sieve_one_window_at_a_time(self, runner, tmp_path, sieve_spy):
+        result = invoke(runner, "density", "--delta", "-1", "--mod", "8", "--res", "1",
+                        "--x", "3000000", "-o", str(tmp_path / "den.csv"))
+        assert len(sieve_spy) == 3
+        assert_windows_cover(sieve_spy, 2, 3_000_000)
+        assert result.stdout == "0.998112549642\n"
 
     def test_exact_zero_class(self, runner, tmp_path):
         out = tmp_path / "den.csv"

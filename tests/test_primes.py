@@ -10,11 +10,11 @@ from qfbias.errors import SieveCapacityError
 from qfbias.primes import (
     DEFAULT_SEGMENT_SIZE,
     CongruenceClass,
-    PrimeStream,
     first_primes,
     nth_prime,
     nth_prime_bound,
     prime_segments,
+    segments,
     sieve_range,
 )
 
@@ -61,7 +61,11 @@ class TestSieveRange:
     @settings(max_examples=60)
     def test_segment_size_never_changes_output(self, lo, width, seg):
         hi = lo + width
-        assert sieve_range(lo, hi, segment_size=seg).tolist() == sieve_range(lo, hi).tolist()
+        want = sieve_range(lo, hi).tolist()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(primes_module, "DEFAULT_SEGMENT_SIZE", seg)
+            assert sieve_range(lo, hi).tolist() == want
+            assert _stream(lo, hi) == want
 
 
 TILE_SPAN = 2 * 3 * 5 * 7 * 11 * 13  # the pre-sieved tile covers 15015 odd numbers
@@ -85,13 +89,16 @@ class TestPresievedSegments:
         width = data.draw(st.integers(0, 600 if seg < 10 else 2 * TILE_SPAN), label="width")
         hi = min(lo + width, _FLAGS.size - 1)
         want = np.flatnonzero(_FLAGS[: hi + 1])
-        assert np.array_equal(sieve_range(lo, hi, seg), want[want >= lo])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(primes_module, "DEFAULT_SEGMENT_SIZE", seg)
+            assert np.array_equal(sieve_range(lo, hi), want[want >= lo])
 
     @pytest.mark.parametrize("seg", [1, 2, 3, 7, 30031])
-    def test_every_range_with_ends_in_0_to_16(self, seg):
+    def test_every_range_with_ends_in_0_to_16(self, monkeypatch, seg):
+        monkeypatch.setattr(primes_module, "DEFAULT_SEGMENT_SIZE", seg)
         for lo in range(17):
             for hi in range(lo, 17):
-                got = sieve_range(lo, hi, seg).tolist()
+                got = sieve_range(lo, hi).tolist()
                 assert got == [p for p in (2, 3, 5, 7, 11, 13) if lo <= p <= hi]
 
     def test_base_primes_built_once_per_power_of_two(self, monkeypatch):
@@ -100,31 +107,70 @@ class TestPresievedSegments:
         monkeypatch.setattr(primes_module, "_simple_prime_flags",
                             lambda n: calls.append(n) or simple(n))
         primes_module._base_primes.cache_clear()
-        segments = list(PrimeStream(10**6, segment_size=1000).segments())
-        assert len(segments) == 1000
-        assert np.array_equal(np.concatenate(segments), sieve_range(2, 10**6))
+        monkeypatch.setattr(primes_module, "DEFAULT_SEGMENT_SIZE", 1000)
+        segs = list(segments(2, 10**6))
+        assert len(segs) == 1000
+        monkeypatch.undo()
+        assert np.array_equal(np.concatenate(segs), sieve_range(2, 10**6))
         assert len(calls) <= math.isqrt(10**6).bit_length()
 
 
+def _stream(lo, hi):
+    """The primes of `segments(lo, hi)` as one list."""
+    return [p for seg in segments(lo, hi) for p in seg.tolist()]
+
+
 class TestPrimeStream:
+    """`segments`: the one window loop every prime consumer reads."""
+
     def test_matches_sieve_range(self):
-        assert list(PrimeStream(200)) == sieve_range(2, 200).tolist()
+        assert _stream(2, 200) == sieve_range(2, 200).tolist()
 
     @pytest.mark.parametrize("seg", [1, 2, 7, 64, 10**6])
-    def test_segment_independence(self, seg):
-        assert list(PrimeStream(500, segment_size=seg)) == list(PrimeStream(500))
+    def test_segment_independence(self, monkeypatch, seg):
+        want = _stream(0, 500)
+        monkeypatch.setattr(primes_module, "DEFAULT_SEGMENT_SIZE", seg)
+        segs = list(segments(0, 500))
+        assert all(s.size for s in segs)
+        assert [p for s in segs for p in s.tolist()] == want
 
     def test_strictly_increasing_no_composites(self):
-        primes = list(PrimeStream(1000))
+        primes = _stream(2, 1000)
         assert all(a < b for a, b in zip(primes, primes[1:]))
         assert set(primes) == set(trial_division_primes(2, 1000))
 
     def test_empty_stream(self):
-        assert list(PrimeStream(1)) == []
+        assert _stream(2, 1) == []
+        assert _stream(24, 28) == []
+        assert _stream(10, 5) == []
 
-    def test_rejects_bad_segment(self):
+    def test_rejects_bad_segment(self, monkeypatch):
+        monkeypatch.setattr(primes_module, "DEFAULT_SEGMENT_SIZE", 0)
         with pytest.raises(ValueError):
-            PrimeStream(10, segment_size=0)
+            list(segments(2, 10))
+        with pytest.raises(ValueError):
+            sieve_range(2, 10)
+
+    @given(lo=st.integers(0, 3000), width=st.integers(0, 3000),
+           segment_size=st.integers(1, 30_000))
+    @settings(max_examples=60, deadline=None)
+    def test_windows_are_contiguous_and_no_wider_than_a_segment(self, lo, width, segment_size):
+        hi = lo + width
+        spans = []
+
+        def spy(a, b):
+            spans.append((a, b))
+            return sieve_range(a, b)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(primes_module, "DEFAULT_SEGMENT_SIZE", segment_size)
+            mp.setattr(primes_module, "sieve_range", spy)
+            got = _stream(lo, hi)
+        assert got == trial_division_primes(lo, hi)
+        if hi >= 2:
+            assert spans[0][0] == max(lo, 2) and spans[-1][1] == hi
+        assert all(b - a < segment_size for a, b in spans)
+        assert all(b + 1 == a for (_, b), (a, _) in zip(spans, spans[1:]))
 
 
 class TestNthPrime:
@@ -174,7 +220,7 @@ class TestPrimeSegments:
     @settings(max_examples=60, deadline=None)
     def test_concatenation_is_the_first_n_primes(self, n, segment_size):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(primes_module, "PrimeStream", lambda limit: PrimeStream(limit, segment_size))
+            mp.setattr(primes_module, "DEFAULT_SEGMENT_SIZE", segment_size)
             segs = list(prime_segments(n))
         assert all(seg.size for seg in segs)
         assert np.array_equal(np.concatenate(segs), first_primes(n))

@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from qfbias.errors import SieveCapacityError
 from qfbias import primes as primes_module
 from qfbias import forms as forms_module
-from qfbias.forms import QuadraticForm, empty_table, ensure_table, representation_table
+from qfbias.forms import QuadraticForm, _x_extent, empty_table, ensure_table, representation_table
 from qfbias.polynomials import BivariatePolynomial, parse_polynomial
 from qfbias.primes import (
     DEFAULT_SEGMENT_SIZE,
     CongruenceClass,
-    PrimeStream,
     first_primes,
     nth_prime,
     nth_prime_bound,
@@ -23,6 +22,7 @@ from qfbias.primes import (
 )
 from qfbias.series import (
     BiasSeries,
+    _check_sums,
     bias_series,
     fold_series,
     moment_sum,
@@ -266,9 +266,8 @@ class TestFoldSeries:
         )
         classes = FOLD_CASES[form]
         with pytest.MonkeyPatch.context() as mp:
-            # the fold's pass in segments of this size; ensure_table's stream is its own
-            mp.setattr(primes_module, "PrimeStream",
-                       lambda limit: PrimeStream(limit, segment_size))
+            # the fold's pass in segments of this size
+            mp.setattr(primes_module, "DEFAULT_SEGMENT_SIZE", segment_size)
             folded = fold_series(seed, classes, n_max, stride)
         table = ensure_table(form, pr_last)
         assert len(folded) == len(classes)
@@ -306,6 +305,33 @@ class TestFoldSeries:
         # Pr(4e5) = 5.8e6 it replaces holds ~2e5 rows, 4.8 MB, 4x that at 1e5
         assert peaks[400_000] < 6_000_000
         assert peaks[400_000] < 1.5 * peaks[100_000]
+
+
+# non-reduced forms (|b| > a or a > c), whose canonical x can pass sqrt(p):
+# 5 = Q(7, 2) under (1,-6,10)
+NON_REDUCED = [QuadraticForm(1, -6, 10), QuadraticForm(2, -5, 4), QuadraticForm(1, -3, 5)]
+_non_reduced = st.tuples(st.integers(1, 6), st.integers(-14, 14), st.integers(1, 60)).filter(
+    lambda f: f[1] ** 2 < 4 * f[0] * f[2] and math.gcd(*f) == 1
+    and (abs(f[1]) > f[0] or f[0] > f[2])
+).map(lambda f: QuadraticForm(*f))
+
+
+class TestSumGuard:
+    @given(form=st.one_of(st.sampled_from(NON_REDUCED), _non_reduced), limit=st.integers(2, 20_000))
+    @settings(max_examples=60, deadline=None)
+    def test_no_row_exceeds_the_bound_the_guard_uses(self, form, limit):
+        table = ensure_table(form, limit)
+        assert all(0 <= y < x <= _x_extent(form, p) for p, x, y in table.rows())
+        # the guard bounds every row up to p by the extent at p
+        assert int(table.x.max(initial=0)) <= _x_extent(form, limit)
+
+    def test_guard_reads_the_forms_extent(self):
+        # (x - 2**20 y)^2 + y^2, so x reaches ~2**20 * sqrt(p)
+        skew = QuadraticForm(1, -2**21, 2**40 + 1)
+        rows = 2**62 // (2**19 * 1000)  # would pass a sqrt(p) bound at p = 1e6
+        with pytest.raises(SieveCapacityError, match="overflow"):
+            _check_sums(skew, rows, 10**6)
+        _check_sums(Q11, rows, 10**6)
 
 
 class TestRatioSeries:
