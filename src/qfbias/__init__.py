@@ -1,69 +1,56 @@
 """qfbias: primes represented by binary quadratic forms, their bias series,
-counting differences, angle equidistribution statistics, and limit values."""
+counting differences, angle equidistribution statistics, and limit values.
 
+Each layer module is registered lazily: `qfbias.primes` and the others sit in
+`sys.modules` from the start and execute, numpy with them, on the first
+attribute read. The names below resolve through the same modules on use.
+"""
+
+import importlib.util
 import os
+import sys
 
 # qfbias never calls BLAS; numpy's OpenBLAS would otherwise start one
 # busy-waiting worker thread per extra core on import
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .counting import (
-    BiasFractions,
-    CountSeries,
-    DensityReport,
-    FieldSplitting,
-    NormResidueSubgroup,
-    a_coefficient,
-    d_functions,
-    density_check,
-    negative_bias_fraction,
-    norm_residue_subgroup,
-    prime_ideal_count,
-    splitting_type,
-)
-from .equidist import (
-    ks_statistic,
-    sample_angles,
-    sector_counts,
-    weyl_sum,
-)
-from .forms import (
-    QuadraticForm,
-    Representation,
-    RepTable,
-    brute_force_representations,
-    canonical_pairs,
-    cornacchia,
-    empty_table,
-    ensure_table,
-    representation_table,
-    sqrt_mod,
-)
-from .limits import (
-    LimitProblem,
-    beta,
-    integrand_s,
-    integrand_t,
-    integrate,
-    limit_ratio_moment,
-    limit_ratio_poly,
-)
-from .polynomials import (
-    BivariatePolynomial,
-    PolynomialSyntaxError,
-    leading_homogeneous_part,
-    parse_polynomial,
-)
-from .primes import CongruenceClass, nth_prime, sieve_range
-from .series import (
-    BiasSeries,
-    MomentSums,
-    bias_series,
-    fold_series,
-    moment_sum,
-    poly_sum,
-    ratio_series,
-    sign_changes,
-)
-
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "counting": (
+        "BiasFractions", "CountSeries", "DensityReport", "FieldSplitting", "NormResidueSubgroup",
+        "a_coefficient", "d_functions", "density_check", "negative_bias_fraction",
+        "norm_residue_subgroup", "prime_ideal_count",
+    ),
+    "equidist": ("ks_statistic", "sample_angles", "sector_counts", "weyl_sum"),
+    "forms": ("RepTable", "empty_table", "ensure_table", "representation_table"),
+    "limits": (
+        "LimitProblem", "beta", "integrand_s", "integrand_t", "integrate", "limit_ratio_moment",
+        "limit_ratio_poly",
+    ),
+    "polynomials": (
+        "BivariatePolynomial", "PolynomialSyntaxError", "leading_homogeneous_part",
+        "parse_polynomial",
+    ),
+    "primes": ("CongruenceClass", "nth_prime", "sieve_range"),
+    "qform": ("QuadraticForm",),
+    "series": (
+        "BiasSeries", "MomentSums", "bias_series", "fold_series", "moment_sum", "poly_sum",
+        "ratio_series", "sign_changes",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+for _layer in ("arith", "cache", "counting", "csvtext", "equidist", "forms", "limits",
+               "polynomials", "primes", "series"):
+    _spec = importlib.util.find_spec(f"{__name__}.{_layer}")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    sys.modules[_spec.name] = globals()[_layer] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(sys.modules[_spec.name])
+del _layer, _spec
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)

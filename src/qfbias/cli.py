@@ -16,18 +16,15 @@ import time
 from pathlib import Path
 
 import click
-import numpy as np
 
-from . import __version__, counting, equidist
-from .cache import read_cache, write_cache
-from .counting import FieldSplitting
-from .csvtext import csv_blocks
+# layers are bound as modules, which `import qfbias` registers lazily: numpy
+# loads with the first layer a command reads, so `limit`, `--help`,
+# `--version` and usage errors import none
+from . import (
+    __version__, cache, counting, csvtext, equidist, forms, limits, polynomials, primes, series,
+)
 from .errors import ComputationError, SieveCapacityError
-from .forms import QuadraticForm, RepTable, empty_table, ensure_table
-from .limits import LimitProblem
-from .polynomials import parse_polynomial
-from .primes import DEFAULT_CAPACITY, CongruenceClass, segments
-from .series import BiasSeries, fold_series, ratio_series, sign_changes
+from .qform import QuadraticForm
 
 CACHE_DIR_ENV = "QFBIAS_CACHE_DIR"
 
@@ -79,17 +76,17 @@ def _parse_poly(ctx, param, value):
     if value is None:
         return None
     try:
-        return parse_polynomial(value)
+        return polynomials.parse_polynomial(value)
     except ValueError as exc:
         raise click.BadParameter(str(exc)) from exc
 
 
-def _class_from(mod: int, res: int | None) -> CongruenceClass:
+def _class_from(mod: int, res: int | None) -> primes.CongruenceClass:
     if res is None and mod == 1:
-        return CongruenceClass.trivial()
+        return primes.CongruenceClass.trivial()
     if res is None:
         raise click.UsageError("--res is required when --mod is given")
-    return CongruenceClass(res, mod)
+    return primes.CongruenceClass(res, mod)
 
 
 def _resolve_cache(path: str) -> Path:
@@ -100,23 +97,23 @@ def _resolve_cache(path: str) -> Path:
     return p
 
 
-def _load_seed(form: QuadraticForm, cache: str | None) -> RepTable:
+def _load_seed(form: QuadraticForm, cache_file: str | None) -> forms.RepTable:
     """The cache's table when one is given, else an empty table of form."""
-    if not cache:
-        return empty_table(form)
-    path = _resolve_cache(cache)
+    if not cache_file:
+        return forms.empty_table(form)
+    path = _resolve_cache(cache_file)
     if not path.exists():
         raise click.UsageError(f"cache file {path} does not exist")
-    seed = read_cache(path, expected_form=form)
+    seed = cache.read_cache(path, expected_form=form)
     progress(f"cache: {len(seed)} records up to {seed.max_prime} from {path}")
     return seed
 
 
-def _load_table(form: QuadraticForm, cache: str | None, limit: int) -> RepTable:
+def _load_table(form: QuadraticForm, cache_file: str | None, limit: int) -> forms.RepTable:
     """Table covering primes up to limit, seeded from a cache when given."""
-    seed = _load_seed(form, cache)
+    seed = _load_seed(form, cache_file)
     t0 = time.perf_counter()
-    table = ensure_table(form, limit, seed)
+    table = forms.ensure_table(form, limit, seed)
     dt = time.perf_counter() - t0
     if dt > 0.2:
         progress(f"representations: {len(table)} rows in {dt:.1f}s")
@@ -169,15 +166,15 @@ def cmd_sieve(limit, lo, hi, out):
         raise click.UsageError("need --limit or both --lo and --hi")
     if lo > hi:
         raise click.UsageError("--lo must not exceed --hi")
-    if hi > DEFAULT_CAPACITY:
-        raise SieveCapacityError(f"sieve to {hi} exceeds capacity {DEFAULT_CAPACITY}")
+    if hi > primes.DEFAULT_CAPACITY:
+        raise SieveCapacityError(f"sieve to {hi} exceeds capacity {primes.DEFAULT_CAPACITY}")
     t0 = time.perf_counter()
     count = 0
     with open(out, "wb") if out else contextlib.nullcontext() as fh:
-        for primes in segments(lo, hi):
-            count += primes.size
+        for block in primes.segments(lo, hi):
+            count += block.size
             if fh:
-                fh.writelines(csv_blocks((primes,)))
+                fh.writelines(csvtext.csv_blocks((block,)))
     progress(f"sieved [{lo}, {hi}] in {time.perf_counter() - t0:.2f}s")
     click.echo(str(count))
 
@@ -191,11 +188,11 @@ def cmd_sieve(limit, lo, hi, out):
 def cmd_represent(form, limit, cache_out):
     """Compute canonical representations up to a bound and cache them."""
     t0 = time.perf_counter()
-    table = ensure_table(form, limit)
+    table = forms.ensure_table(form, limit)
     dt = time.perf_counter() - t0
     path = _resolve_cache(cache_out)
     path.parent.mkdir(parents=True, exist_ok=True)
-    write_cache(path, table)
+    cache.write_cache(path, table)
     rate = len(table) / dt if dt > 0 else float("inf")
     progress(f"{len(table)} records in {dt:.1f}s ({rate:,.0f} records/s) -> {path}")
     click.echo(str(len(table)))
@@ -210,25 +207,27 @@ def _write_csv(path, header: str | None, *columns) -> None:
     with open(path, "wb") as fh:
         if header is not None:
             fh.write(header.encode() + b"\n")
-        fh.writelines(csv_blocks(columns))
+        fh.writelines(csvtext.csv_blocks(columns))
 
 
-def _series_step(path, ser: BiasSeries) -> float:
+def _series_step(path, ser: series.BiasSeries) -> float:
     """Write a bias series CSV; returns the final F (NaN if undefined)."""
     f = ser.F
     _write_csv(path, "N,PrN,sum_a,sum_b,F", *ser.points.T, f)
     return float(f[-1])
 
 
-def _ratio_step(path, ser_cls: BiasSeries, ser_all: BiasSeries) -> float:
+def _ratio_step(path, ser_cls: series.BiasSeries, ser_all: series.BiasSeries) -> float:
     """Write the ratio CSV of a class series over the all-primes one; returns the final R."""
-    r = ratio_series(ser_cls, ser_all)
+    r = series.ratio_series(ser_cls, ser_all)
     _write_csv(path, "N,R", ser_cls.points[:, 0], r)
     return float(r[-1])
 
 
-def _dfunc_step(path, x_max: int, table: RepTable):
+def _dfunc_step(path, x_max: int, table: forms.RepTable):
     """Write the D1/D2 CSV; returns both series and their negative fractions."""
+    import numpy as np
+
     d1, d2 = counting.d_functions(table, x_max)
     # both grids are strictly increasing and share only the x_max endpoint;
     # a sorted concatenation with neighbours dropped is their union
@@ -251,7 +250,7 @@ def _dfunc_step(path, x_max: int, table: RepTable):
 def cmd_series(form, mod, res, nmax, stride, output, cache):
     """Bias series: cumulative coordinate sums at every stride-th prime index."""
     cls = _class_from(mod, res)
-    [ser] = fold_series(_load_seed(form, cache), [cls], nmax, stride=stride)
+    [ser] = series.fold_series(_load_seed(form, cache), [cls], nmax, stride=stride)
     final = _series_step(output, ser)
     click.echo("undefined" if math.isnan(final) else _fmt(final))
 
@@ -271,8 +270,8 @@ def cmd_ratio(form, mod, res, nmax, stride, output, cache):
     cls = _class_from(mod, res)
     if cls.is_trivial:
         raise click.UsageError("ratio needs a nontrivial congruence class")
-    ser_cls, ser_all = fold_series(
-        _load_seed(form, cache), [cls, CongruenceClass.trivial()], nmax, stride=stride
+    ser_cls, ser_all = series.fold_series(
+        _load_seed(form, cache), [cls, primes.CongruenceClass.trivial()], nmax, stride=stride
     )
     final = _ratio_step(output, ser_cls, ser_all)
     click.echo("undefined" if math.isnan(final) else _fmt(final))
@@ -287,7 +286,7 @@ def cmd_ratio(form, mod, res, nmax, stride, output, cache):
 @handle_errors
 def cmd_limit(form, k, poly_f, poly_g, tol):
     """Exact limit of the bias series, by quadrature of the closed form."""
-    value = LimitProblem(form=form, k=k, f=poly_f, g=poly_g).solve(tol=tol)
+    value = limits.LimitProblem(form=form, k=k, f=poly_f, g=poly_g).solve(tol=tol)
     click.echo(_fmt(value))
 
 
@@ -317,7 +316,7 @@ def cmd_dfunc(xmax, output, cache):
 @handle_errors
 def cmd_acoeff(delta, mod, res):
     """Density coefficient A(m, M) as a norm-residue subgroup index."""
-    fs = FieldSplitting(delta)
+    fs = counting.FieldSplitting(delta)
     cls = _class_from(mod, res)
     click.echo(str(counting.a_coefficient(fs, cls)))
 
@@ -332,7 +331,7 @@ def cmd_acoeff(delta, mod, res):
 @handle_errors
 def cmd_density(delta, mod, res, x_max, output):
     """Prime-ideal counts against the predicted leading term, at checkpoints."""
-    fs = FieldSplitting(delta)
+    fs = counting.FieldSplitting(delta)
     cls = _class_from(mod, res)
     if x_max < 100:
         raise click.UsageError("--x must be at least 100")
@@ -426,28 +425,28 @@ def cmd_repro(outdir, figure, scale):
     n11 = max(int(500_000 * scale), 1000)
     x_max = max(int(1_000_000 * scale), 10_000)
     # fig4's table seeds the x^2 + y^2 fold, so no prime is enumerated twice
-    table11 = ensure_table(form11, x_max) if "4" in want else empty_table(form11)
+    table11 = forms.ensure_table(form11, x_max) if "4" in want else forms.empty_table(form11)
 
     def bias_pair(fig, s1, s2):
         f1, f2 = (
             _series_step(outdir / f"fig{fig}_class{s.cls.residue}mod{s.cls.modulus}.csv", s)
             for s in (s1, s2)
         )
-        count, _ = sign_changes(s1, s2)
+        count, _ = series.sign_changes(s1, s2)
         progress(
             f"fig{fig}: final F[{s1.cls}]={_fmt_opt(f1)} F[{s2.cls}]={_fmt_opt(f2)}; "
             f"{count} sign changes of the difference"
         )
 
     if want & {"1", "3"}:
-        s1, s5, s_all = fold_series(
-            table11, (CongruenceClass(1, 8), CongruenceClass(5, 8), CongruenceClass.trivial()), n11
-        )
+        cc = primes.CongruenceClass
+        s1, s5, s_all = series.fold_series(table11, (cc(1, 8), cc(5, 8), cc.trivial()), n11)
     if "1" in want:
         bias_pair("1", s1, s5)
     if "2" in want:
-        bias_pair("2", *fold_series(
-            empty_table(QuadraticForm(1, 1, 1)), (CongruenceClass(1, 12), CongruenceClass(7, 12)),
+        bias_pair("2", *series.fold_series(
+            forms.empty_table(QuadraticForm(1, 1, 1)),
+            (primes.CongruenceClass(1, 12), primes.CongruenceClass(7, 12)),
             max(int(100_000 * scale), 1000),
         ))
     if "3" in want:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import QuadratureError, ZeroDenominatorError
-from .forms import QuadraticForm
 from .polynomials import BivariatePolynomial, leading_homogeneous_part
+from .qform import QuadraticForm
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_DEPTH = 60

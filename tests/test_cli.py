@@ -86,7 +86,7 @@ def passes(monkeypatch):
         enumerated.extend((form, p) for p in primes.tolist())
         return representation_table(form, primes)
 
-    monkeypatch.setattr("qfbias.cli.fold_series", fold_spy)
+    monkeypatch.setattr("qfbias.series.fold_series", fold_spy)
     monkeypatch.setattr("qfbias.primes.sieve_range", sieve_spy)
     monkeypatch.setattr("qfbias.forms.representation_table", table_spy)
     return folds, enumerated
@@ -122,19 +122,26 @@ def test_version_from_source_checkout(runner):
     assert result.stdout.split()[-1] == __version__ == "0.1.0"
 
 
-def _import_probe(openblas_threads=None):
-    """Native thread count and OPENBLAS_NUM_THREADS after a fresh
-    `import qfbias.cli`, with the variable unset or set to the given value."""
+def _fresh_python(code, *argv, openblas_threads=None):
+    """Stdout of `code` run in a fresh interpreter on the source checkout,
+    with OPENBLAS_NUM_THREADS unset or set to the given value."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if openblas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = openblas_threads
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import os, qfbias.cli; print(len(os.listdir('/proc/self/task')), "
-            "os.environ.get('OPENBLAS_NUM_THREADS', 'unset'))")
-    probe = subprocess.run([sys.executable, "-c", code], env=env,
+    probe = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                            capture_output=True, text=True, check=True)
-    threads, setting = probe.stdout.split()
+    return probe.stdout
+
+
+def _import_probe(openblas_threads=None, imports="import qfbias.cli"):
+    """Native thread count and OPENBLAS_NUM_THREADS after a fresh
+    `import qfbias.cli` (or the given statements), with the variable unset
+    or set to the given value."""
+    code = (f"import os; {imports}; print(len(os.listdir('/proc/self/task')), "
+            "os.environ.get('OPENBLAS_NUM_THREADS', 'unset'))")
+    threads, setting = _fresh_python(code, openblas_threads=openblas_threads).split()
     return int(threads), setting
 
 
@@ -149,6 +156,59 @@ def test_import_starts_no_blas_pool():
 @needs_proc
 def test_import_keeps_callers_blas_setting():
     assert _import_probe("2")[1] == "2"
+
+
+@needs_proc
+def test_first_layer_read_imports_numpy_with_blas_pool_off():
+    # the CLI imports no numpy; the first layer it reads does, after
+    # `import qfbias` has set the variable
+    imports = "import sys, qfbias.cli; qfbias.cli.primes.sieve_range; assert 'numpy' in sys.modules"
+    assert _import_probe(imports=imports) == (1, "1")
+
+
+class TestNumpyFreeStartup:
+    """The console script's own start-up, and every command that needs no
+    table, run without importing numpy; each check is a fresh process."""
+
+    def test_import_cli(self):
+        out = _fresh_python("import sys, qfbias.cli; print('numpy' in sys.modules)")
+        assert out.split() == ["False"]
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0),
+        (["--version"], 0),
+        (["limit", "--help"], 0),
+        (["limit", "--form", "1,0,1", "--k", "1"], 0),
+        (["series", "--form", "1,0,1"], 2),
+        (["series", "--form", "2,0,2", "--nmax", "10", "-o", "s.csv"], 2),
+    ])
+    def test_console_script(self, argv, code):
+        script = ("import sys\nfrom qfbias.cli import main\n"
+                  "try:\n    main(sys.argv[1:], prog_name='qfbias')\n"
+                  "except SystemExit as exc:\n    print(exc.code, 'numpy' in sys.modules)\n")
+        assert _fresh_python(script, *argv).split()[-2:] == [str(code), "False"]
+
+    def test_layers_registered_and_loaded_on_first_read(self):
+        # the seven layers the per-layer benchmark traces, each by one of
+        # its traced functions; `limits` alone loads without numpy
+        script = """
+import sys, types, qfbias
+reads = {"limits": "integrate", "primes": "sieve_range", "forms": "representation_table",
+         "series": "bias_series", "counting": "d_functions", "equidist": "weyl_sum",
+         "cache": "read_cache"}
+mods = {layer: sys.modules[f"qfbias.{layer}"] for layer in reads}
+assert "numpy" not in sys.modules
+for layer, name in reads.items():
+    mod = mods[layer]
+    assert type(mod) is not types.ModuleType
+    assert callable(getattr(mod, name)) and type(mod) is types.ModuleType
+    assert getattr(qfbias, layer) is mod is sys.modules[f"qfbias.{layer}"]
+    print(layer, "numpy" in sys.modules)
+"""
+        lines = _fresh_python(script).splitlines()
+        assert lines[0] == "limits False"
+        assert lines[1:] == [f"{layer} True" for layer in
+                             ("primes", "forms", "series", "counting", "equidist", "cache")]
 
 
 class TestLimitCommand:
