@@ -8,12 +8,12 @@ the largest stored prime as the trusted coverage limit.
 
 from __future__ import annotations
 
-import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import replacing
 from .errors import CacheFormatError
 from .forms import QuadraticForm, RepTable
 
@@ -28,31 +28,22 @@ def write_cache(path, table: RepTable) -> None:
     """Write a representation table in the QFR1 layout.
 
     Records are packed and written _BLOCK at a time, so writing never holds
-    a second copy of the table. The bytes go to a temporary file in the same
-    directory, which then replaces path in one rename: a write that fails
-    leaves any previous cache at path whole and removes the temporary file.
+    a second copy of the table. The file is written whole or not at all
+    (`atomic.replacing`): a write that fails leaves any previous cache at
+    path whole.
     """
-    path = Path(path)
     form = table.form
     n = len(table)
     block = np.empty(min(n, _BLOCK), dtype=_RECORD_DTYPE)
-    # "x" refuses to reuse a name; an unlucky clash fails before touching path
-    tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
-    fh = open(tmp, "xb")
-    try:
-        with fh:
-            fh.write(MAGIC)
-            fh.write(_HEADER.pack(form.a, form.b, form.c, n))
-            for lo in range(0, n, _BLOCK):
-                rec = block[: min(_BLOCK, n - lo)]
-                rec["p"] = table.p[lo : lo + _BLOCK]
-                rec["x"] = table.x[lo : lo + _BLOCK]
-                rec["y"] = table.y[lo : lo + _BLOCK]
-                fh.write(rec.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with replacing(path) as fh:
+        fh.write(MAGIC)
+        fh.write(_HEADER.pack(form.a, form.b, form.c, n))
+        for lo in range(0, n, _BLOCK):
+            rec = block[: min(_BLOCK, n - lo)]
+            rec["p"] = table.p[lo : lo + _BLOCK]
+            rec["x"] = table.x[lo : lo + _BLOCK]
+            rec["y"] = table.y[lo : lo + _BLOCK]
+            fh.write(rec.tobytes())
 
 
 def read_cache(path, expected_form: QuadraticForm | None = None) -> RepTable:

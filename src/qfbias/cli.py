@@ -23,6 +23,7 @@ import click
 from . import (
     __version__, cache, counting, csvtext, equidist, forms, limits, polynomials, primes, series,
 )
+from .atomic import replacing
 from .errors import ComputationError, SieveCapacityError
 from .qform import QuadraticForm
 
@@ -109,17 +110,6 @@ def _load_seed(form: QuadraticForm, cache_file: str | None) -> forms.RepTable:
     return seed
 
 
-def _load_table(form: QuadraticForm, cache_file: str | None, limit: int) -> forms.RepTable:
-    """Table covering primes up to limit, seeded from a cache when given."""
-    seed = _load_seed(form, cache_file)
-    t0 = time.perf_counter()
-    table = forms.ensure_table(form, limit, seed)
-    dt = time.perf_counter() - t0
-    if dt > 0.2:
-        progress(f"representations: {len(table)} rows in {dt:.1f}s")
-    return table
-
-
 form_option = click.option(
     "--form", callback=_parse_form, required=True, help="form coefficients a,b,c"
 )
@@ -198,43 +188,50 @@ def cmd_represent(form, limit, cache_out):
     click.echo(str(len(table)))
 
 
-def _write_csv(path, header: str | None, *columns) -> None:
-    """Write the header line, if any, then one line per row of the columns.
+@contextlib.contextmanager
+def _write_csv(path, header: str | None):
+    """Write a CSV block by block: the header line, if any, then the rows of
+    each block of columns handed to the yielded write(*columns).
 
     Integer columns write as str(v), float columns as 12 decimals with an
-    empty field for NaN (undefined); see `csvtext.csv_blocks`.
+    empty field for NaN (undefined); see `csvtext.csv_blocks`. The file
+    appears whole when the block ends (`atomic.replacing`): a stream that
+    fails part-way leaves no partial file and any previous file at path
+    whole.
     """
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         if header is not None:
             fh.write(header.encode() + b"\n")
-        fh.writelines(csvtext.csv_blocks(columns))
+        yield lambda *columns: fh.writelines(csvtext.csv_blocks(columns))
 
 
 def _series_step(path, ser: series.BiasSeries) -> float:
     """Write a bias series CSV; returns the final F (NaN if undefined)."""
     f = ser.F
-    _write_csv(path, "N,PrN,sum_a,sum_b,F", *ser.points.T, f)
+    with _write_csv(path, "N,PrN,sum_a,sum_b,F") as write:
+        write(*ser.points.T, f)
     return float(f[-1])
 
 
 def _ratio_step(path, ser_cls: series.BiasSeries, ser_all: series.BiasSeries) -> float:
     """Write the ratio CSV of a class series over the all-primes one; returns the final R."""
     r = series.ratio_series(ser_cls, ser_all)
-    _write_csv(path, "N,R", ser_cls.points[:, 0], r)
+    with _write_csv(path, "N,R") as write:
+        write(ser_cls.points[:, 0], r)
     return float(r[-1])
 
 
-def _dfunc_step(path, x_max: int, table: forms.RepTable):
-    """Write the D1/D2 CSV; returns both series and their negative fractions."""
-    import numpy as np
+@contextlib.contextmanager
+def _dfunc_step(path, x_max: int):
+    """Write the D1/D2 CSV of x^2 + y^2 rows below x_max as they arrive.
 
-    d1, d2 = counting.d_functions(table, x_max)
-    # both grids are strictly increasing and share only the x_max endpoint;
-    # a sorted concatenation with neighbours dropped is their union
-    merged = np.sort(np.concatenate((d1.x_grid, d2.x_grid)))
-    merged = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
-    _write_csv(path, "x,D1,D2", merged, d1.value_at(merged), d2.value_at(merged))
-    return d1, d2, counting.negative_bias_fraction(d1), counting.negative_bias_fraction(d2)
+    Yields a `counting.DStep` that writes the rows of every block handed to
+    its `add` (ascending p); leaving the block writes the x_max endpoint.
+    """
+    with _write_csv(path, "x,D1,D2") as write:
+        step = counting.DStep(x_max, write)
+        yield step
+        step.end()
 
 
 @main.command("series")
@@ -298,14 +295,16 @@ def cmd_limit(form, k, poly_f, poly_g, tol):
 @handle_errors
 def cmd_dfunc(xmax, output, cache):
     """Counting-function differences for p = a^2 + 4b^2 in classes 1, 5 mod 8."""
-    form = QuadraticForm(1, 0, 1)
-    table = _load_table(form, cache, xmax)
-    d1, d2, f1, f2 = _dfunc_step(output, xmax, table)
+    blocks = forms.row_blocks(_load_seed(QuadraticForm(1, 0, 1), cache), xmax - 1)
+    with _dfunc_step(output, xmax) as step:
+        for block in blocks:
+            step.add(block)
+    f1, f2 = step.fractions()
     progress(
         f"negative fraction: D1 {f1.negative:.4f} (<=0: {f1.nonpositive:.4f}), "
         f"D2 {f2.negative:.4f} (<=0: {f2.nonpositive:.4f})"
     )
-    click.echo(f"{d1.values[-1]} {d2.values[-1]}")
+    click.echo(f"{step.final[0]} {step.final[1]}")
 
 
 @main.command("acoeff")
@@ -342,9 +341,9 @@ def cmd_density(delta, mod, res, x_max, output):
         x *= 10
     checkpoints.append(x_max)
     reports = counting.density_check(fs, cls, checkpoints)
-    _write_csv(output, "x,empirical,predicted,ratio", checkpoints,
-               [r.empirical for r in reports], [r.predicted for r in reports],
-               [r.ratio for r in reports])
+    with _write_csv(output, "x,empirical,predicted,ratio") as write:
+        write(checkpoints, [r.empirical for r in reports], [r.predicted for r in reports],
+              [r.ratio for r in reports])
     final = reports[-1].ratio
     click.echo("exact-zero" if math.isnan(final) else _fmt(final))
 
@@ -354,8 +353,10 @@ def cmd_density(delta, mod, res, x_max, output):
 @mod_option
 @res_option
 @click.option("--limit", type=int, default=None, help="prime bound for samples")
-@click.option("--count", "max_count", type=int, default=None, help="sample count cap")
-@click.option("--w", type=int, default=None, help="winding (roots of unity); default by field")
+@click.option("--count", "max_count", type=click.IntRange(min=0), default=None,
+              help="sample count cap")
+@click.option("--w", type=click.IntRange(min=1), default=None,
+              help="winding (roots of unity); default by field")
 @click.option("--conjugates", is_flag=True,
               help="add the mirror angles 2pi - theta to the --sectors counts (needs --sectors)")
 @output_option
@@ -376,12 +377,25 @@ def cmd_equidist(form, mod, res, limit, max_count, w, conjugates, output,
         raise click.UsageError("need --limit (or a --cache covering the primes)")
     if conjugates and sectors == 0:
         raise click.UsageError("--conjugates only changes the --sectors counts; give --sectors")
-    table, raw, theta = equidist.sample_angles(
-        _load_table(form, cache, limit or 2), cls, limit, max_count, w
-    )
-    if len(table) == 0:
-        raise ComputationError("no canonical representations in the requested range")
-    _write_csv(output, "p,x,y,raw_arg,theta", table.p, table.x, table.y, raw, theta)
+    import numpy as np
+
+    seed = _load_seed(form, cache)
+    # without --limit the cache's coverage is the bound
+    blocks = forms.row_blocks(seed, seed.limit if limit is None else limit)
+    raws, thetas, left = [], [], max_count
+    with _write_csv(output, "p,x,y,raw_arg,theta") as write:
+        for block in blocks:
+            rows, raw, theta = equidist.sample_angles(block, cls, None, left, w)
+            write(rows.p, rows.x, rows.y, raw, theta)
+            raws.append(raw)
+            thetas.append(theta)
+            if left is not None:
+                left -= len(rows)
+                if left == 0:  # --count reached: the pass ends here
+                    break
+        if not any(raw.size for raw in raws):
+            raise ComputationError("no canonical representations in the requested range")
+    raw, theta = np.concatenate(raws), np.concatenate(thetas)
 
     quarter = math.pi / 4
     ks = equidist.ks_statistic(raw, quarter)
@@ -392,7 +406,8 @@ def cmd_equidist(form, mod, res, limit, max_count, w, conjugates, output,
         if not grid or grid[-1] != n:
             grid.append(n)
         stats = equidist.prefix_statistics(raw, grid, quarter)
-        _write_csv(stats_path, "N,ks,weyl_1,weyl_2,weyl_3,weyl_4,weyl_5", grid, *stats.T)
+        with _write_csv(stats_path, "N,ks,weyl_1,weyl_2,weyl_3,weyl_4,weyl_5") as write:
+            write(grid, *stats.T)
     if sectors > 0:
         counts = equidist.sector_counts(equidist.mirrored(theta) if conjugates else theta, sectors)
         progress("sector counts: " + " ".join(str(c) for c in counts))
@@ -424,8 +439,22 @@ def cmd_repro(outdir, figure, scale):
     form11 = QuadraticForm(1, 0, 1)
     n11 = max(int(500_000 * scale), 1000)
     x_max = max(int(1_000_000 * scale), 10_000)
-    # fig4's table seeds the x^2 + y^2 fold, so no prime is enumerated twice
-    table11 = forms.ensure_table(form11, x_max) if "4" in want else forms.empty_table(form11)
+    seed11 = forms.empty_table(form11)
+    cc = primes.CongruenceClass
+    # fig4 reads the blocks of the x^2 + y^2 fold, which then runs on to
+    # x_max - 1, or, drawn without fig1 and fig3, the row stream dfunc reads
+    fig4 = contextlib.nullcontext()
+    if "4" in want:
+        fig4 = _dfunc_step(outdir / "fig4_dfunctions.csv", x_max)
+    with fig4 as step:
+        if want & {"1", "3"}:
+            s1, s5, s_all = series.fold_series(
+                seed11, (cc(1, 8), cc(5, 8), cc.trivial()), n11,
+                reach=x_max - 1 if step else 0, visit=step and step.add,
+            )
+        elif step:
+            for block in forms.row_blocks(seed11, x_max - 1):
+                step.add(block)
 
     def bias_pair(fig, s1, s2):
         f1, f2 = (
@@ -438,23 +467,19 @@ def cmd_repro(outdir, figure, scale):
             f"{count} sign changes of the difference"
         )
 
-    if want & {"1", "3"}:
-        cc = primes.CongruenceClass
-        s1, s5, s_all = series.fold_series(table11, (cc(1, 8), cc(5, 8), cc.trivial()), n11)
     if "1" in want:
         bias_pair("1", s1, s5)
     if "2" in want:
         bias_pair("2", *series.fold_series(
-            forms.empty_table(QuadraticForm(1, 1, 1)),
-            (primes.CongruenceClass(1, 12), primes.CongruenceClass(7, 12)),
+            forms.empty_table(QuadraticForm(1, 1, 1)), (cc(1, 12), cc(7, 12)),
             max(int(100_000 * scale), 1000),
         ))
     if "3" in want:
         for ser in (s1, s5):
             final = _ratio_step(outdir / f"fig3_ratio{ser.cls.residue}mod8.csv", ser, s_all)
             progress(f"fig3: final R[{ser.cls}]={_fmt_opt(final)}")
-    if "4" in want:
-        *_, f1, f2 = _dfunc_step(outdir / "fig4_dfunctions.csv", x_max, table11)
+    if step:
+        f1, f2 = step.fractions()
         progress(f"fig4: negative fractions D1 {f1.negative:.4f}, D2 {f2.negative:.4f}")
     click.echo(str(outdir))
 

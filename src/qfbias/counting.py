@@ -25,7 +25,6 @@ import numpy as np
 from .arith import distinct_prime_factors, euler_phi, kronecker, kronecker_array, squarefree_part
 from .errors import ConsistencyError, SieveCapacityError
 from .forms import QuadraticForm, RepTable
-from .limits import integrate
 from .primes import DEFAULT_CAPACITY, CongruenceClass, segments
 
 SPLIT = "split"
@@ -33,6 +32,7 @@ INERT = "inert"
 RAMIFIED = "ramified"
 
 _CHI_BLOCK = 1 << 16
+_SUM_OF_SQUARES = QuadraticForm(1, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -108,36 +108,85 @@ def negative_bias_fraction(series: CountSeries) -> BiasFractions:
     )
 
 
+class DStep:
+    """The D1/D2 race over rows of x^2 + y^2, fed one block at a time.
+
+    For each prime p < x_max with p = 1 (mod 8) (D1) or p = 5 (mod 8) (D2),
+    write p = a^2 + 4 b^2 with a odd and positive; the count steps +1 when
+    |a| > |2b| and -1 when |a| < |2b| (equality cannot occur). `add` takes
+    the next block of rows in ascending p and hands emit one block of the
+    union grid: columns x, D1, D2 at every such prime of the block, each
+    value counting the events at or below x. `end` emits the x_max endpoint
+    row. Only the two running counts and the sign tallies of
+    `fractions` are kept between blocks.
+    """
+
+    def __init__(self, x_max: int, emit):
+        if x_max < 2:
+            raise ValueError("x_max must be >= 2")
+        self.x_max = x_max
+        self.emit = emit
+        self.final = np.zeros(2, dtype=np.int64)  # D1, D2 after the last event
+        # grid points, negative values and nonpositive values of each series
+        self._tally = np.zeros((3, 2), dtype=np.int64)
+
+    def add(self, block: RepTable) -> None:
+        if block.form != _SUM_OF_SQUARES:
+            raise ValueError(f"D1/D2 read a table of x^2 + y^2, not of ({block.form})")
+        # the definition counts p < x strictly
+        n = int(np.searchsorted(block.p, self.x_max - 1, side="right"))
+        residue = block.p[:n] % 8
+        rows = np.flatnonzero((residue == 1) | (residue == 5))
+        x, y, residue = block.x[rows], block.y[rows], residue[rows]
+        odd_x = x % 2 == 1
+        steps = np.where(np.where(odd_x, x, y) > np.where(odd_x, y, x), 1, -1)
+        d = np.empty((2, rows.size), dtype=np.int64)
+        for i, r in enumerate((1, 5)):
+            mine = residue == r
+            np.cumsum(np.where(mine, steps, 0), out=d[i])
+            d[i] += self.final[i]
+            self._count(i, d[i][mine])
+        if rows.size:
+            self.final = d[:, -1].copy()
+        self.emit(block.p[rows], d[0], d[1])
+
+    def end(self) -> None:
+        """Emit the x_max endpoint row, which holds the final counts."""
+        for i in range(2):
+            self._count(i, self.final[i : i + 1])
+        self.emit(np.array([self.x_max]), self.final[:1], self.final[1:])
+
+    def _count(self, i: int, values: np.ndarray) -> None:
+        self._tally[:, i] += (values.size, np.count_nonzero(values < 0),
+                              np.count_nonzero(values <= 0))
+
+    def fractions(self) -> tuple[BiasFractions, BiasFractions]:
+        """`negative_bias_fraction` of D1 and D2 over the points emitted so far."""
+        n, negative, nonpositive = self._tally.tolist()
+        return tuple(
+            BiasFractions(float(negative[i]) / n[i], float(nonpositive[i]) / n[i])
+            for i in range(2)
+        )
+
+
 def d_functions(table: RepTable, x_max: int) -> tuple[CountSeries, CountSeries]:
     """Running differences of odd-vs-even dominance for p = a^2 + (2b)^2.
 
-    For each prime p < x_max with p = 1 (mod 8) (first series) or p = 5
-    (mod 8) (second), write p = a^2 + 4 b^2 with a odd and positive; count +1
-    when |a| > |2b| and -1 when |a| < |2b| (equality cannot occur). Each
-    series carries one grid point per contributing prime plus the endpoint.
-    The pairs come from an x^2 + y^2 table covering x_max - 1; ValueError for
-    a table of another form or one that falls short.
+    The whole-table form of `DStep`: each series carries one grid point per
+    contributing prime plus the x_max endpoint. The pairs come from an
+    x^2 + y^2 table covering x_max - 1; ValueError for a table of another
+    form or one that falls short.
     """
-    if x_max < 2:
-        raise ValueError("x_max must be >= 2")
-    if table.form != QuadraticForm(1, 0, 1):
-        raise ValueError(f"D1/D2 read a table of x^2 + y^2, not of ({table.form})")
-    # the definition counts p < x strictly
-    table = table.slice_below(x_max - 1)
-
-    p = table.p
-    x = table.x
-    y = table.y
-    odd = np.where(x % 2 == 1, x, y)
-    even = np.where(x % 2 == 1, y, x)
-    steps = np.where(odd > even, 1, -1).astype(np.int64)
-
+    blocks = []
+    step = DStep(x_max, lambda *columns: blocks.append(columns))
+    step.add(table.slice_below(x_max - 1))
+    step.end()
+    x, d1, d2 = (np.concatenate(c) for c in zip(*blocks))
     out = []
-    for residue in (1, 5):
-        rows = np.flatnonzero(p % 8 == residue)
-        vals = np.cumsum(steps[rows])
-        vals = np.append(vals, vals[-1] if vals.size else 0)
-        out.append(CountSeries(x_grid=np.append(p[rows], x_max), values=vals))
+    for residue, d in ((1, d1), (5, d2)):
+        keep = x % 8 == residue
+        keep[-1] = True  # the endpoint
+        out.append(CountSeries(x_grid=x[keep], values=d[keep]))
     return out[0], out[1]
 
 
@@ -258,6 +307,8 @@ def a_coefficient(fs: FieldSplitting, cls: CongruenceClass) -> int:
 
 def log_integral(x: float) -> float:
     """Offset logarithmic integral: integral from 2 to x of dt / ln t."""
+    from .limits import integrate  # only density reports load the quadrature
+
     if x < 2:
         return 0.0
     return integrate(lambda t: 1.0 / math.log(t), 2.0, float(x), tol=1e-6)

@@ -18,13 +18,15 @@ for the ordering never fixes signs).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .errors import OracleBoundError, TableBoundError
-from .primes import DEFAULT_CAPACITY, CongruenceClass, segments
+from .primes import DEFAULT_CAPACITY, CongruenceClass, _windows, segments
 from .qform import QuadraticForm
 
 DEFAULT_ORACLE_BOUND = 10**6
@@ -386,7 +388,7 @@ def segment_rows(seed: RepTable, primes: np.ndarray) -> RepTable:
     The seed's rows serve the primes it covers and only the primes above
     its limit are enumerated (`representation_table`), so a prime the seed
     holds is never enumerated again. The block covers the segment's last
-    prime. `ensure_table` stacks these blocks; the series fold sums them.
+    prime. `row_blocks` and the series fold read these blocks.
     """
     lo, hi = np.searchsorted(seed.p, (primes[0] - 1, primes[-1]), side="right").tolist()
     held = (seed.p[lo:hi], seed.x[lo:hi], seed.y[lo:hi])
@@ -399,13 +401,34 @@ def segment_rows(seed: RepTable, primes: np.ndarray) -> RepTable:
     return _stack(seed.form, [held, (new.p, new.x, new.y)], new.limit)
 
 
+def row_blocks(seed: RepTable, limit: int) -> Iterator[RepTable]:
+    """The rows of every prime <= limit, as blocks in ascending p.
+
+    The seed's rows come first, cut at the sieve-segment edges, then the
+    blocks `segment_rows` enumerates above the seed's limit, one sieve
+    segment each, so a consumer holds one block at a time. The stream is
+    lazy, but a limit past the sieve capacity is refused at the call,
+    before any sieving.
+    """
+    _check_capacity(limit)
+    tops = [b for _, b in _windows(2, min(limit, seed.limit))]
+    ends = np.searchsorted(seed.p, tops, side="right").tolist()
+    held = (
+        RepTable(seed.form, seed.p[i:j], seed.x[i:j], seed.y[i:j], top)
+        for i, j, top in zip([0, *ends], ends, tops)
+    )
+    grown = (segment_rows(seed, seg) for seg in segments(seed.limit + 1, limit))
+    return itertools.chain(held, grown)
+
+
 def ensure_table(form: QuadraticForm, limit: int, table: RepTable | None = None) -> RepTable:
     """A table of form covering every prime <= limit: table grown if short, else built.
 
-    The one routine that builds or grows a table. Only the primes above the
-    table's coverage are processed, one sieve segment at a time, so no prime
-    array of the whole range is ever held; every prime <= limit is covered,
-    so asking for limit again sieves nothing.
+    The one routine that builds or grows a table: it stacks `row_blocks`.
+    Only the primes above the table's coverage are processed, one sieve
+    segment at a time, so no prime array of the whole range is ever held;
+    every prime <= limit is covered, so asking for limit again sieves
+    nothing.
     """
     if table is None:
         table = empty_table(form)
@@ -413,9 +436,4 @@ def ensure_table(form: QuadraticForm, limit: int, table: RepTable | None = None)
         raise ValueError("representation table computed for a different form")
     if limit <= table.limit:
         return table
-    _check_capacity(limit)
-    parts = [(table.p, table.x, table.y)]
-    for seg in segments(table.limit + 1, limit):
-        rows = segment_rows(table, seg)
-        parts.append((rows.p, rows.x, rows.y))
-    return _stack(form, parts, limit)
+    return _stack(form, [(b.p, b.x, b.y) for b in row_blocks(table, limit)], limit)

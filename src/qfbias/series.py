@@ -9,15 +9,18 @@ set of numpy columns, and NaN marks an undefined F or R (an empty CSV field).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import SieveCapacityError
 from .forms import QuadraticForm, RepTable, _x_extent, segment_rows
-from .polynomials import BivariatePolynomial
 from .primes import CongruenceClass, prime_segments
+
+if TYPE_CHECKING:  # the commands that fold series load neither
+    from fractions import Fraction
+
+    from .polynomials import BivariatePolynomial
 
 MAX_MOMENT_POWER = 8
 
@@ -80,6 +83,8 @@ def poly_sum(
 
     ValueError if the table does not cover x_limit.
     """
+    from fractions import Fraction
+
     if poly.is_zero:
         raise ValueError("zero polynomial rejected")
     table = table.slice_below(x_limit).slice_class(cls)
@@ -96,17 +101,21 @@ def _prefix_sums(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return cum[idx]
 
 
-def _grid_pass(n_max: int, stride: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """One streamed pass over the primes to Pr(N) at the last grid point
-    N = stride, 2*stride, ... <= n_max: each segment with the Pr(N) it holds."""
+def _grid_pass(
+    n_max: int, stride: int, reach: int = 0
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """One streamed pass over the primes to the later of reach and Pr(N) at
+    the last grid point N = stride, 2*stride, ... <= n_max: each segment
+    with the Pr(N) it holds."""
     if stride < 1:
         raise ValueError("stride must be >= 1")
     if n_max < stride:
         raise ValueError("n_max must be at least the stride")
+    n = n_max - n_max % stride
     seen = 0
-    for primes in prime_segments(n_max - n_max % stride):
+    for primes in prime_segments(n, reach):
         # a copy, so that keeping the points does not keep the segment
-        yield primes, primes[(stride - 1 - seen) % stride :: stride].copy()
+        yield primes, primes[: max(n - seen, 0)][(stride - 1 - seen) % stride :: stride].copy()
         seen += primes.size
 
 
@@ -145,6 +154,9 @@ def fold_series(
     classes: Sequence[CongruenceClass],
     n_max: int,
     stride: int = 100,
+    *,
+    reach: int = 0,
+    visit: Callable[[RepTable], None] | None = None,
 ) -> list[BiasSeries]:
     """The bias series of every class, from one pass that holds no table.
 
@@ -154,12 +166,18 @@ def fold_series(
     sums of every class. The rows come from `forms.segment_rows`: the seed's
     where it covers them, enumerated above its limit. Give an empty seed
     (`forms.empty_table`) when there is no table to start from.
+
+    So that the same pass feeds another accumulator, it runs on to the
+    primes <= reach when that lies past the last Pr(N), and visit, when
+    given, receives every block of rows in turn.
     """
     pr, sums = [], [[] for _ in classes]
     carry = np.zeros((len(classes), 2), dtype=np.int64)  # each class's (sum_a, sum_b)
     counts = [0] * len(classes)
-    for primes, at in _grid_pass(n_max, stride):
+    for primes, at in _grid_pass(n_max, stride, reach):
         block = segment_rows(seed, primes)
+        if visit is not None:
+            visit(block)
         pr.append(at)
         for i, cls in enumerate(classes):
             rows = block.slice_class(cls)

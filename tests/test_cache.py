@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from qfbias import cache
+from qfbias import atomic, cache
 from qfbias.cache import MAGIC, read_cache, write_cache
 from qfbias.errors import CacheFormatError
 from qfbias.forms import QuadraticForm, RepTable, representation_table
@@ -109,7 +109,8 @@ def test_failed_write_keeps_previous_cache(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["t.qfr"]
     before = path.read_bytes()
 
-    monkeypatch.setattr(cache, "open", _FullDisk, raising=False)
+    # the cache is written through `atomic.replacing`, which opens the file
+    monkeypatch.setattr(atomic, "open", _FullDisk, raising=False)
     with pytest.raises(OSError):
         write_cache(path, representation_table(Q11, sieve_range(2, 5000)))
     assert [p.name for p in tmp_path.iterdir()] == ["t.qfr"]

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from qfbias import __version__
 from qfbias import primes as primes_module
+from qfbias.cache import read_cache, write_cache
 from qfbias.cli import _fmt, main
 from qfbias.counting import d_functions
 from qfbias.equidist import (
@@ -104,6 +105,8 @@ def assert_one_pass_each(folds, enumerated):
     ["series", "--form", "1,0,1", "--nmax", "200000000", "-o", "s.csv"],
     ["represent", "--form", "1,0,1", "--limit", "5000000000", "--cache", "c.qfr"],
     ["density", "--delta", "-1", "--x", "5000000000", "-o", "d.csv"],
+    ["dfunc", "--xmax", "5000000000", "-o", "d.csv"],
+    ["equidist", "--form", "1,0,1", "--limit", "5000000000", "-o", "a.csv"],
     ["sieve", "--limit", "5000000000", "--out", "p.txt"],
     ["sieve", "--lo", "4000000000", "--hi", "4000000001", "--out", "p.txt"],
 ])
@@ -209,6 +212,23 @@ for layer, name in reads.items():
         assert lines[0] == "limits False"
         assert lines[1:] == [f"{layer} True" for layer in
                              ("primes", "forms", "series", "counting", "equidist", "cache")]
+
+
+def test_stream_commands_load_no_fractions(tmp_path):
+    # the series, D1/D2 and repro streams compile neither `polynomials` nor
+    # `limits`; the commands that evaluate polynomials or integrals still do
+    script = ("import sys\nfrom qfbias.cli import main\n"
+              "try:\n    main(sys.argv[1:], prog_name='qfbias')\n"
+              "except SystemExit as exc:\n    print(exc.code, 'fractions' in sys.modules)\n")
+    for argv, loaded in [
+        (["series", "--form", "1,0,1", "--nmax", "1000", "-o", str(tmp_path / "s.csv")],
+         "False"),
+        (["dfunc", "--xmax", "10000", "-o", str(tmp_path / "d.csv")], "False"),
+        (["repro", "--outdir", str(tmp_path / "r"), "--scale", "0.002"], "False"),
+        (["limit", "--form", "1,0,1", "--k", "1"], "True"),
+        (["density", "--delta", "-1", "--x", "1000", "-o", str(tmp_path / "n.csv")], "True"),
+    ]:
+        assert _fresh_python(script, *argv).split()[-2:] == ["0", loaded], argv
 
 
 class TestLimitCommand:
@@ -484,6 +504,104 @@ class TestDfuncCommand:
         assert out.read_text() == "x,D1,D2\n" + rows
 
 
+Q11 = QuadraticForm(1, 0, 1)
+PRIMES_TO_2E5 = sieve_range(2, 200_000)
+
+
+@st.composite
+def dfunc_bounds(draw):
+    """A sieve segment size in 1..5000 and an x_max in [2, 2e5] at most 200
+    segments long: anywhere, next to a segment edge, or a prime."""
+    size = draw(st.integers(1, 5000))
+    top = min(200_000, 200 * size)
+    kind = draw(st.sampled_from(["any", "edge", "prime"]))
+    if kind == "any":
+        x_max = draw(st.integers(2, top))
+    elif kind == "edge":
+        # the segments are [2, 1 + size], [2 + size, 1 + 2 * size], ...
+        x_max = 1 + draw(st.integers(1, (top - 1) // size)) * size + draw(st.integers(0, 2))
+    else:
+        x_max = int(draw(st.sampled_from(PRIMES_TO_2E5[PRIMES_TO_2E5 <= top].tolist())))
+    return size, min(x_max, top)
+
+
+def dfunc_reference(x_max):
+    """CSV text, stdout and fraction line of dfunc, one table row at a time."""
+    d, seen, lines = [0, 0], [[0, 0, 0], [0, 0, 0]], ["x,D1,D2\n"]
+
+    def tally(i):
+        seen[i][0] += 1
+        seen[i][1] += d[i] < 0
+        seen[i][2] += d[i] <= 0
+
+    for p, x, y in ensure_table(Q11, x_max).rows():
+        if p < x_max and p % 8 in (1, 5):
+            odd, even = (x, y) if x % 2 else (y, x)
+            i = 0 if p % 8 == 1 else 1
+            d[i] += 1 if odd > even else -1
+            tally(i)
+            lines.append(f"{p},{d[0]},{d[1]}\n")
+    tally(0)
+    tally(1)
+    lines.append(f"{x_max},{d[0]},{d[1]}\n")
+    (n1, neg1, nonpos1), (n2, neg2, nonpos2) = seen
+    fractions = (f"negative fraction: D1 {neg1 / n1:.4f} (<=0: {nonpos1 / n1:.4f}), "
+                 f"D2 {neg2 / n2:.4f} (<=0: {nonpos2 / n2:.4f})")
+    return "".join(lines), f"{d[0]} {d[1]}\n", fractions
+
+
+class TestDfuncStream:
+    @given(bounds=dfunc_bounds(), cache_limit=st.none() | st.integers(2, 200_000))
+    @settings(max_examples=40, deadline=None)
+    def test_streamed_csv_equals_per_row_reference(self, tmp_path_factory, bounds,
+                                                   cache_limit):
+        size, x_max = bounds
+        tmp = tmp_path_factory.mktemp("dfunc")
+        args = ["dfunc", "--xmax", str(x_max), "-o", str(tmp / "d.csv")]
+        if cache_limit is not None:
+            # the cache's rows are cut at segment edges, and the rest enumerated
+            write_cache(tmp / "c.qfr", ensure_table(Q11, cache_limit))
+            args += ["--cache", str(tmp / "c.qfr")]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(primes_module, "DEFAULT_SEGMENT_SIZE", size)
+            result = invoke(CliRunner(), *args)
+        csv, stdout, fractions = dfunc_reference(x_max)
+        # line lists: a failing example then reports its first differing row
+        assert (tmp / "d.csv").read_text().splitlines() == csv.splitlines()
+        assert (tmp / "d.csv").read_text() == csv
+        assert result.stdout == stdout
+        assert fractions in result.stderr.splitlines()
+
+    def test_three_segments_streamed(self, runner, tmp_path, sieve_spy):
+        out = tmp_path / "d.csv"
+        result = invoke(runner, "dfunc", "--xmax", "3000000", "-o", str(out))
+        assert len(sieve_spy) == 3
+        assert_windows_cover(sieve_spy, 2, 2_999_999)
+        assert result.stdout == "-59 -76\n"
+        lines = out.read_bytes().splitlines()
+        assert len(lines) == 108285 and lines[-1] == b"3000000,-59,-76"
+
+    def test_covering_cache_sieves_nothing(self, runner, tmp_path, monkeypatch):
+        cache = tmp_path / "c.qfr"
+        write_cache(cache, ensure_table(Q11, 50_000))
+        # a cache covers its largest prime; dfunc reads the primes below x_max
+        xmax = str(read_cache(cache).limit + 1)
+        fresh, cached = tmp_path / "fresh.csv", tmp_path / "cached.csv"
+        plain = invoke(runner, "dfunc", "--xmax", xmax, "-o", str(fresh))
+        monkeypatch.setattr("qfbias.primes.sieve_range",
+                            lambda lo, hi: pytest.fail(f"sieved [{lo}, {hi}]"))
+        result = invoke(runner, "dfunc", "--xmax", xmax, "-o", str(cached), "--cache", str(cache))
+        assert result.stdout == plain.stdout
+        assert cached.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("xmax", ["1", "0", "-7"])
+    def test_xmax_below_two_is_usage_error(self, runner, tmp_path, xmax):
+        result = runner.invoke(main, ["dfunc", "--xmax", xmax, "-o", str(tmp_path / "d.csv")])
+        assert result.exit_code == 2
+        assert "x_max must be >= 2" in result.stderr
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestAcoeffCommand:
     def test_value(self, runner):
         result = invoke(runner, "acoeff", "--delta", "-1", "--mod", "8", "--res", "5")
@@ -624,6 +742,55 @@ class TestEquidistCommand:
         counts = " ".join(str(c) for c in sector_counts(mirrored(theta), k))
         assert f"sector counts: {counts}" in result.stderr.splitlines()
 
+    @given(form=st.sampled_from(["1,0,1", "1,1,1", "2,-1,3"]), size=st.integers(1, 3000),
+           limit=st.integers(2, 30_000), mod=st.sampled_from([1, 4, 8, 12]),
+           count=st.none() | st.integers(0, 2000),
+           cache_limit=st.none() | st.integers(2, 30_000), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_streamed_csv_equals_sample_angles(self, tmp_path_factory, form, size, limit, mod,
+                                               count, cache_limit, data):
+        res = data.draw(st.sampled_from([r for r in range(mod) if math.gcd(r, mod) == 1]))
+        limit = min(limit, 200 * size)  # at most 200 segments
+        qf = QuadraticForm(*map(int, form.split(",")))
+        tmp = tmp_path_factory.mktemp("angles")
+        out = tmp / "a.csv"
+        args = ["equidist", "--form", form, "--mod", str(mod), "--res", str(res), "-o", str(out)]
+        if count is not None:
+            args += ["--count", str(count)]
+        table = ensure_table(qf, limit)
+        if cache_limit is not None:
+            write_cache(tmp / "c.qfr", ensure_table(qf, cache_limit))
+            args += ["--cache", str(tmp / "c.qfr")]
+            if data.draw(st.booleans()):  # without --limit the cache's coverage is the bound
+                table = read_cache(tmp / "c.qfr")
+                limit = None
+        if limit is not None:
+            args += ["--limit", str(limit)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(primes_module, "DEFAULT_SEGMENT_SIZE", size)
+            result = CliRunner().invoke(main, args)
+        rows, raw, theta = sample_angles(table, CongruenceClass(res, mod), limit, count)
+        if len(rows) == 0:
+            # neither the CSV nor its temporary file is left behind
+            assert result.exit_code == 3
+            assert [p.name for p in tmp.iterdir()] == ["c.qfr"] * (cache_limit is not None)
+            return
+        assert result.exit_code == 0
+        cols = zip(rows.p.tolist(), rows.x.tolist(), rows.y.tolist(), raw.tolist(), theta.tolist())
+        expected = [f"{p},{x},{y},{_fmt(r)},{_fmt(t)}" for p, x, y, r, t in cols]
+        assert out.read_text().splitlines()[1:] == expected
+        assert result.stdout == _fmt(ks_statistic(raw, math.pi / 4)) + "\n"
+
+    def test_count_ends_the_pass(self, runner, tmp_path, sieve_spy):
+        # the sieve spy fails a test that sieves more than 1e7 numbers
+        out = tmp_path / "a.csv"
+        result = invoke(runner, "equidist", "--form", "1,0,1", "--limit", "100000000",
+                        "--count", "70000", "-o", str(out))
+        assert len(sieve_spy) == 2
+        rows, raw, _ = sample_angles(ensure_table(Q11, 2_000_000), max_count=70_000)
+        assert len(out.read_bytes().splitlines()) == 1 + 70_000
+        assert result.stdout == _fmt(ks_statistic(raw, math.pi / 4)) + "\n"
+
     def test_negative_count_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["equidist", "--form", "1,0,1", "--limit", "1000",
                                       "--count", "-5", "-o", str(tmp_path / "a.csv")])
@@ -739,7 +906,20 @@ class TestReproCommand:
              (CongruenceClass(1, 8), CongruenceClass(5, 8), CongruenceClass.trivial())),
             (QuadraticForm(1, 1, 1), (CongruenceClass(1, 12), CongruenceClass(7, 12))),
         ]
-        # fig4's table to 1e4 seeds the first fold, which enumerates only above it
+        # fig4 reads the first fold's blocks below 1e4, so none is enumerated twice
+        assert (QuadraticForm(1, 0, 1), 9973) in enumerated
+        assert_one_pass_each(folds, enumerated)
+
+    def test_fold_reaches_past_pr_n_for_fig4(self, runner, tmp_path, passes):
+        # at this scale Pr(1000) = 7919 but fig4 counts the primes below 1e4
+        invoke(runner, "repro", "--outdir", str(tmp_path), "--scale", "0.002", "--figure", "1")
+        folds, enumerated = passes
+        assert folds[0][2][-1][1] < 9999
+        folds.clear()
+        enumerated.clear()
+        invoke(runner, "repro", "--outdir", str(tmp_path), "--scale", "0.002")
+        spans = folds[0][2]
+        assert spans[-1][0] <= 9973 and spans[-1][1] >= 9999
         assert (QuadraticForm(1, 0, 1), 9973) in enumerated
         assert_one_pass_each(folds, enumerated)
 

@@ -164,10 +164,44 @@ class TestBlocks:
 
     def test_writer_header_and_headerless(self, tmp_path):
         path = tmp_path / "t.csv"
-        _write_csv(path, "a,b", np.array([1, -2]), floats([0.25, math.nan]))
+        with _write_csv(path, "a,b") as write:
+            write(np.array([1, -2]), floats([0.25, math.nan]))
         assert path.read_bytes() == b"a,b\n1,0.250000000000\n-2,\n"
-        _write_csv(path, None, np.array([2, 3, 5]))
+        with _write_csv(path, None) as write:
+            write(np.array([2, 3]))
+            write(np.array([], dtype=np.int64))
+            write(np.array([5]))
         assert path.read_bytes() == b"2\n3\n5\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+    @pytest.mark.parametrize("existing", [None, b"old,bytes\n1,2\n"])
+    def test_failed_stream_leaves_no_partial_file(self, tmp_path, existing):
+        path = tmp_path / "t.csv"
+        if existing is not None:
+            path.write_bytes(existing)
+
+        def blocks():
+            yield np.arange(ROW_BLOCK + 5), np.zeros(ROW_BLOCK + 5)
+            raise RuntimeError("the source failed after its first block")
+
+        with pytest.raises(RuntimeError, match="first block"):
+            with _write_csv(path, "a,b") as write:
+                for columns in blocks():
+                    write(*columns)
+        # no temporary is left beside the target, and an older file stays whole
+        assert list(tmp_path.iterdir()) == ([] if existing is None else [path])
+        if existing is not None:
+            assert path.read_bytes() == existing
+
+    def test_link_is_written_through(self, tmp_path):
+        # renaming over a link such as /dev/stdout would replace the link itself
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"old\n")
+        link.symlink_to(target)
+        with _write_csv(link, "a") as write:
+            write(np.array([7]))
+        assert link.is_symlink() and target.read_bytes() == b"a\n7\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
 
     def test_writing_a_million_rows_holds_only_blocks(self, tmp_path):
         n = 1_000_000
@@ -178,7 +212,8 @@ class TestBlocks:
         path = tmp_path / "big.csv"
         tracemalloc.start()
         try:
-            _write_csv(path, "p,x,raw,theta", p, x, raw, theta)
+            with _write_csv(path, "p,x,raw,theta") as write:
+                write(p, x, raw, theta)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
