@@ -160,11 +160,11 @@ def cmd_sieve(limit, lo, hi, out):
         raise SieveCapacityError(f"sieve to {hi} exceeds capacity {primes.DEFAULT_CAPACITY}")
     t0 = time.perf_counter()
     count = 0
-    with open(out, "wb") if out else contextlib.nullcontext() as fh:
+    with _write_csv(out, None) if out else contextlib.nullcontext() as write:
         for block in primes.segments(lo, hi):
             count += block.size
-            if fh:
-                fh.writelines(csvtext.csv_blocks((block,)))
+            if write:
+                write(block)
     progress(f"sieved [{lo}, {hi}] in {time.perf_counter() - t0:.2f}s")
     click.echo(str(count))
 
@@ -439,22 +439,23 @@ def cmd_repro(outdir, figure, scale):
     form11 = QuadraticForm(1, 0, 1)
     n11 = max(int(500_000 * scale), 1000)
     x_max = max(int(1_000_000 * scale), 10_000)
-    seed11 = forms.empty_table(form11)
     cc = primes.CongruenceClass
-    # fig4 reads the blocks of the x^2 + y^2 fold, which then runs on to
-    # x_max - 1, or, drawn without fig1 and fig3, the row stream dfunc reads
+    # fig4 reads the blocks of the x^2 + y^2 fold, then enumerates the primes
+    # past its last Pr(N) up to x_max - 1 itself, one sieve segment at a time
     fig4 = contextlib.nullcontext()
     if "4" in want:
         fig4 = _dfunc_step(outdir / "fig4_dfunctions.csv", x_max)
     with fig4 as step:
+        folded = 1  # the last prime the fold covered
         if want & {"1", "3"}:
             s1, s5, s_all = series.fold_series(
-                seed11, (cc(1, 8), cc(5, 8), cc.trivial()), n11,
-                reach=x_max - 1 if step else 0, visit=step and step.add,
+                forms.empty_table(form11), (cc(1, 8), cc(5, 8), cc.trivial()), n11,
+                visit=step and step.add,
             )
-        elif step:
-            for block in forms.row_blocks(seed11, x_max - 1):
-                step.add(block)
+            folded = int(s_all.points[-1, 1])
+        if step:
+            for seg in primes.segments(folded + 1, x_max - 1):
+                step.add(forms.representation_table(form11, seg))
 
     def bias_pair(fig, s1, s2):
         f1, f2 = (

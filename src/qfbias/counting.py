@@ -27,10 +27,6 @@ from .errors import ConsistencyError, SieveCapacityError
 from .forms import QuadraticForm, RepTable
 from .primes import DEFAULT_CAPACITY, CongruenceClass, segments
 
-SPLIT = "split"
-INERT = "inert"
-RAMIFIED = "ramified"
-
 _CHI_BLOCK = 1 << 16
 _SUM_OF_SQUARES = QuadraticForm(1, 0, 1)
 
@@ -51,14 +47,6 @@ class FieldSplitting:
     def field_discriminant(self) -> int:
         """delta when delta = 1 (mod 4), else 4*delta."""
         return self.delta if self.delta % 4 == 1 else 4 * self.delta
-
-
-def splitting_type(fs: FieldSplitting, p: int) -> str:
-    """How the rational prime p decomposes: split, inert, or ramified."""
-    d = fs.field_discriminant
-    if d % p == 0:
-        return RAMIFIED
-    return SPLIT if kronecker(d, p) == 1 else INERT
 
 
 # ---------------------------------------------------------------------------

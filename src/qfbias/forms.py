@@ -6,9 +6,10 @@ value window at a time, all rows of a window at once, in exact int64
 arithmetic, and kept when the value is one of those primes. The kept points
 are compressed through one index array and sorted by p alone; only a window
 where a prime has several canonical pairs is re-sorted by (p, x, y).
-The per-prime routes stay as independent oracles for tests: a remainder-chain
-solver (`cornacchia`) for forms x^2 + c*y^2, and an exhaustive ellipse walk
-(`brute_force_representations`) that solves the remaining quadratic in y.
+One per-prime route stays as the reference the tables are checked against:
+an exhaustive ellipse walk (`brute_force_representations`) that solves the
+quadratic in y, kept with `canonical_filter` because the benchmark's output
+checks import both from here. The other oracles live in tests/oracles.py.
 
 The canonical filter keeps pairs with x > y, x > 0, y >= 0; for x^2 + y^2
 this picks the unique representation with x > y > 0 of each p = 1 (mod 4).
@@ -33,87 +34,6 @@ DEFAULT_ORACLE_BOUND = 10**6
 # values per lattice window: its prime flags take WINDOW bytes and its
 # candidate points (~0.2 * WINDOW for x^2 + y^2) a few int64 arrays each
 WINDOW = 1 << 18
-
-
-@dataclass(frozen=True)
-class Representation:
-    """A prime p together with integers (x, y) solving Q(x, y) = p."""
-
-    p: int
-    x: int
-    y: int
-
-
-def sqrt_mod(n: int, p: int) -> int | None:
-    """Smallest square root of n modulo an odd prime p, or None.
-
-    Tonelli-Shanks with a deterministic nonresidue search, so results are
-    reproducible. Returns 0 for n = 0 (mod p).
-    """
-    n %= p
-    if n == 0:
-        return 0
-    if pow(n, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        r = pow(n, (p + 1) // 4, p)
-        return min(r, p - r)
-    # write p - 1 = q * 2^s with q odd
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c = pow(z, q, p)
-    r = pow(n, (q + 1) // 2, p)
-    t = pow(n, q, p)
-    m = s
-    while t != 1:
-        i = 0
-        t2 = t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        r = r * b % p
-        c = b * b % p
-        t = t * c % p
-        m = i
-    return min(r, p - r)
-
-
-def cornacchia(d: int, p: int) -> tuple[int, int] | None:
-    """A solution (x, y) of x^2 + d*y^2 = p with x > 0, y > 0, or None.
-
-    Classical remainder-chain method: starting from the root r of -d (mod p)
-    lying in (p/2, p), descend a = p, b = r by Euclidean remainders until the
-    remainder drops to sqrt(p), then test the candidate. Deterministic.
-    """
-    if d < 1:
-        raise ValueError("d must be positive")
-    if p == 2:
-        return (1, 1) if d == 1 else None
-    if math.gcd(d, p) != 1:
-        raise ValueError(f"cornacchia requires gcd(d, p) = 1, got d={d}, p={p}")
-    t = sqrt_mod((-d) % p, p)
-    if t is None:
-        return None
-    r = p - t if t < p - t else t
-    a, b = p, r
-    lim = math.isqrt(p)
-    while b > lim:
-        a, b = b, a % b
-    if b == 0:
-        return None
-    cc, rem = divmod(p - b * b, d)
-    if rem != 0:
-        return None
-    y = math.isqrt(cc)
-    if y == 0 or y * y != cc:
-        return None
-    return b, y
 
 
 def _x_extent(form: QuadraticForm, p: int) -> int:
@@ -156,45 +76,6 @@ def brute_force_representations(
 def canonical_filter(pairs) -> list[tuple[int, int]]:
     """Keep pairs with x > y, x > 0, y >= 0, sorted for determinism."""
     return sorted((x, y) for x, y in pairs if x > y and x > 0 and y >= 0)
-
-
-def _fast_pairs(c: int, p: int) -> list[tuple[int, int]]:
-    """Candidate solutions of x^2 + c*y^2 = p from the remainder chain.
-
-    Returns the positive-quadrant candidates (plus the swap for c = 1); signs
-    are restored by the caller's filter. Relies on the representation being
-    unique up to symmetry. It serves canonical_pairs, the per-prime route
-    the tests use as an oracle; bulk tables come from the lattice enumeration.
-    """
-    sol = cornacchia(c, p)
-    if sol is None:
-        return []
-    x0, y0 = sol
-    cands = {(x0, y0)}
-    if c == 1:
-        cands.add((y0, x0))
-    return sorted(cands)
-
-
-def canonical_pairs(
-    form: QuadraticForm, p: int, oracle_bound: int = DEFAULT_ORACLE_BOUND
-) -> list[Representation]:
-    """All representations of p surviving the canonical filter.
-
-    Uses the remainder-chain fast path for forms x^2 + c*y^2 (odd p coprime
-    to c) and the enumeration oracle otherwise. Empty when p has no
-    qualifying representation.
-    """
-    if form.a == 1 and form.b == 0 and p > 2 and form.c % p != 0:
-        kept = canonical_filter(_fast_pairs(form.c, p))
-    else:
-        kept = canonical_filter(brute_force_representations(form, p, oracle_bound))
-    reps = []
-    for x, y in kept:
-        if form.evaluate(x, y) != p:  # soundness check on every construction
-            raise ArithmeticError(f"representation ({x},{y}) fails Q(x,y)={p}")
-        reps.append(Representation(p=p, x=x, y=y))
-    return reps
 
 
 # ---------------------------------------------------------------------------

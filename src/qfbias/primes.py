@@ -194,30 +194,24 @@ def _capacity_bound(n: int) -> int:
     return bound
 
 
-def prime_segments(n: int, hi: int = 0) -> Iterator[np.ndarray]:
-    """The first n primes and every prime <= hi, as the nonempty arrays of
-    one `segments` pass.
+def prime_segments(n: int) -> Iterator[np.ndarray]:
+    """The first n primes, as the nonempty arrays of one `segments` pass.
 
-    The pass stops at the later of the n-th prime and the last prime <= hi,
-    truncating the last array there, and holds one window at a time.
-    SieveCapacityError if the n-th prime may lie past the capacity, raised
-    before any sieving.
+    The pass stops at the n-th prime, truncating the last array there, and
+    holds one window at a time. SieveCapacityError if the n-th prime may lie
+    past the capacity, raised before any sieving.
     """
     if n < 1:
         raise ValueError("prime index must be >= 1")
     bound = _capacity_bound(n)
     left = n
-    for seg in segments(2, max(bound, hi)):
-        keep = max(left, int(np.searchsorted(seg, hi, side="right")))
-        if keep:
-            yield seg[:keep]
+    for seg in segments(2, bound):
+        yield seg[:left]
         left -= min(seg.size, left)
-        # done once a window's primes reach hi; a window whose primes all
-        # lie below hi may still end before it, so the next one is read
-        if left == 0 and (keep < seg.size or seg[-1] >= hi):
+        if left == 0:
             return
-    if left:  # nth_prime_bound is an upper bound, so unreachable
-        raise ArithmeticError(f"fewer than {n} primes below {bound}")
+    # nth_prime_bound is an upper bound, so unreachable
+    raise ArithmeticError(f"fewer than {n} primes below {bound}")
 
 
 def first_primes(n: int) -> np.ndarray:

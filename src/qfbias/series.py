@@ -101,21 +101,17 @@ def _prefix_sums(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return cum[idx]
 
 
-def _grid_pass(
-    n_max: int, stride: int, reach: int = 0
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """One streamed pass over the primes to the later of reach and Pr(N) at
-    the last grid point N = stride, 2*stride, ... <= n_max: each segment
-    with the Pr(N) it holds."""
+def _grid_pass(n_max: int, stride: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """One streamed pass over the primes to Pr(N) at the last grid point
+    N = stride, 2*stride, ... <= n_max: each segment with the Pr(N) it holds."""
     if stride < 1:
         raise ValueError("stride must be >= 1")
     if n_max < stride:
         raise ValueError("n_max must be at least the stride")
-    n = n_max - n_max % stride
     seen = 0
-    for primes in prime_segments(n, reach):
+    for primes in prime_segments(n_max - n_max % stride):
         # a copy, so that keeping the points does not keep the segment
-        yield primes, primes[: max(n - seen, 0)][(stride - 1 - seen) % stride :: stride].copy()
+        yield primes, primes[(stride - 1 - seen) % stride :: stride].copy()
         seen += primes.size
 
 
@@ -155,7 +151,6 @@ def fold_series(
     n_max: int,
     stride: int = 100,
     *,
-    reach: int = 0,
     visit: Callable[[RepTable], None] | None = None,
 ) -> list[BiasSeries]:
     """The bias series of every class, from one pass that holds no table.
@@ -167,14 +162,14 @@ def fold_series(
     where it covers them, enumerated above its limit. Give an empty seed
     (`forms.empty_table`) when there is no table to start from.
 
-    So that the same pass feeds another accumulator, it runs on to the
-    primes <= reach when that lies past the last Pr(N), and visit, when
-    given, receives every block of rows in turn.
+    So that the same pass feeds another accumulator, visit, when given,
+    receives every block of rows in turn; the last block ends at the last
+    Pr(N).
     """
     pr, sums = [], [[] for _ in classes]
     carry = np.zeros((len(classes), 2), dtype=np.int64)  # each class's (sum_a, sum_b)
     counts = [0] * len(classes)
-    for primes, at in _grid_pass(n_max, stride, reach):
+    for primes, at in _grid_pass(n_max, stride):
         block = segment_rows(seed, primes)
         if visit is not None:
             visit(block)

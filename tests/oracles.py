@@ -1,0 +1,156 @@
+"""Per-prime oracles the tests check the package's bulk routes against.
+
+`canonical_pairs` finds the canonical representations of one prime: by
+Cornacchia's remainder chain for forms x^2 + c*y^2 (as in Cox, *Primes of
+the form x^2 + ny^2*), by the exhaustive ellipse walk
+`qfbias.forms.brute_force_representations` otherwise. `splitting_type`
+decides how one rational prime decomposes in an imaginary quadratic field.
+Neither shares code with the lattice enumeration or the sieve-wide counts
+they check.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from qfbias.arith import kronecker
+from qfbias.counting import FieldSplitting
+from qfbias.forms import (
+    DEFAULT_ORACLE_BOUND,
+    QuadraticForm,
+    brute_force_representations,
+    canonical_filter,
+)
+
+SPLIT = "split"
+INERT = "inert"
+RAMIFIED = "ramified"
+
+
+@dataclass(frozen=True)
+class Representation:
+    """A prime p together with integers (x, y) solving Q(x, y) = p."""
+
+    p: int
+    x: int
+    y: int
+
+
+def sqrt_mod(n: int, p: int) -> int | None:
+    """Smallest square root of n modulo an odd prime p, or None.
+
+    Tonelli-Shanks with a deterministic nonresidue search, so results are
+    reproducible. Returns 0 for n = 0 (mod p).
+    """
+    n %= p
+    if n == 0:
+        return 0
+    if pow(n, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        r = pow(n, (p + 1) // 4, p)
+        return min(r, p - r)
+    # write p - 1 = q * 2^s with q odd
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c = pow(z, q, p)
+    r = pow(n, (q + 1) // 2, p)
+    t = pow(n, q, p)
+    m = s
+    while t != 1:
+        i = 0
+        t2 = t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        r = r * b % p
+        c = b * b % p
+        t = t * c % p
+        m = i
+    return min(r, p - r)
+
+
+def cornacchia(d: int, p: int) -> tuple[int, int] | None:
+    """A solution (x, y) of x^2 + d*y^2 = p with x > 0, y > 0, or None.
+
+    Classical remainder-chain method: starting from the root r of -d (mod p)
+    lying in (p/2, p), descend a = p, b = r by Euclidean remainders until the
+    remainder drops to sqrt(p), then test the candidate. Deterministic.
+    """
+    if d < 1:
+        raise ValueError("d must be positive")
+    if p == 2:
+        return (1, 1) if d == 1 else None
+    if math.gcd(d, p) != 1:
+        raise ValueError(f"cornacchia requires gcd(d, p) = 1, got d={d}, p={p}")
+    t = sqrt_mod((-d) % p, p)
+    if t is None:
+        return None
+    r = p - t if t < p - t else t
+    a, b = p, r
+    lim = math.isqrt(p)
+    while b > lim:
+        a, b = b, a % b
+    if b == 0:
+        return None
+    cc, rem = divmod(p - b * b, d)
+    if rem != 0:
+        return None
+    y = math.isqrt(cc)
+    if y == 0 or y * y != cc:
+        return None
+    return b, y
+
+
+def _fast_pairs(c: int, p: int) -> list[tuple[int, int]]:
+    """Candidate solutions of x^2 + c*y^2 = p from the remainder chain.
+
+    Returns the positive-quadrant candidates (plus the swap for c = 1); signs
+    are restored by the caller's filter. Relies on the representation being
+    unique up to symmetry. It serves canonical_pairs, the per-prime route
+    the tests use as an oracle; bulk tables come from the lattice enumeration.
+    """
+    sol = cornacchia(c, p)
+    if sol is None:
+        return []
+    x0, y0 = sol
+    cands = {(x0, y0)}
+    if c == 1:
+        cands.add((y0, x0))
+    return sorted(cands)
+
+
+def canonical_pairs(
+    form: QuadraticForm, p: int, oracle_bound: int = DEFAULT_ORACLE_BOUND
+) -> list[Representation]:
+    """All representations of p surviving the canonical filter.
+
+    Uses the remainder-chain fast path for forms x^2 + c*y^2 (odd p coprime
+    to c) and the enumeration oracle otherwise. Empty when p has no
+    qualifying representation.
+    """
+    if form.a == 1 and form.b == 0 and p > 2 and form.c % p != 0:
+        kept = canonical_filter(_fast_pairs(form.c, p))
+    else:
+        kept = canonical_filter(brute_force_representations(form, p, oracle_bound))
+    reps = []
+    for x, y in kept:
+        if form.evaluate(x, y) != p:  # soundness check on every construction
+            raise ArithmeticError(f"representation ({x},{y}) fails Q(x,y)={p}")
+        reps.append(Representation(p=p, x=x, y=y))
+    return reps
+
+
+def splitting_type(fs: FieldSplitting, p: int) -> str:
+    """How the rational prime p decomposes: split, inert, or ramified."""
+    d = fs.field_discriminant
+    if d % p == 0:
+        return RAMIFIED
+    return SPLIT if kronecker(d, p) == 1 else INERT

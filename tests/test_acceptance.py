@@ -26,7 +26,6 @@ from qfbias.forms import (
     QuadraticForm,
     brute_force_representations,
     canonical_filter,
-    canonical_pairs,
     representation_table,
 )
 from qfbias.limits import beta, limit_ratio_moment, limit_ratio_poly
@@ -35,6 +34,7 @@ from qfbias.primes import CongruenceClass, sieve_range
 from qfbias.series import bias_series, moment_sum, sign_changes
 
 from conftest import trial_division_primes
+from oracles import canonical_pairs
 
 SILVER = 1.0 + math.sqrt(2.0)
 Q11 = QuadraticForm(1, 0, 1)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from qfbias import __version__
 from qfbias import primes as primes_module
+from qfbias import series as series_module
 from qfbias.cache import read_cache, write_cache
 from qfbias.cli import _fmt, main
 from qfbias.counting import d_functions
@@ -315,6 +316,27 @@ class TestSieveCommand:
         want = np.flatnonzero(primes_module._simple_prime_flags(3_000_000))
         assert out.read_bytes() == "".join(f"{p}\n" for p in want.tolist()).encode()
         assert result.stdout == f"{want.size}\n" == "216816\n"
+
+    @pytest.mark.parametrize("existing", [None, b"2\n3\n5\n"], ids=["new", "existing"])
+    def test_failed_run_leaves_no_partial_file(self, runner, tmp_path, monkeypatch, existing):
+        out = tmp_path / "p.txt"
+        if existing is not None:
+            out.write_bytes(existing)
+        segments = primes_module.segments
+
+        def failing(lo, hi):
+            stream = segments(lo, hi)
+            yield next(stream)
+            raise OSError("disk gone after the first window")
+
+        monkeypatch.setattr("qfbias.primes.segments", failing)
+        result = runner.invoke(main, ["sieve", "--limit", "3000000", "--out", str(out)])
+        assert result.exit_code == 4
+        assert "disk gone" in result.stderr
+        # no temporary is left beside the target, and an older file stays whole
+        assert list(tmp_path.iterdir()) == ([] if existing is None else [out])
+        if existing is not None:
+            assert out.read_bytes() == existing
 
     def test_conflicting_flags(self, runner):
         result = runner.invoke(main, ["sieve", "--limit", "5", "--lo", "2", "--hi", "9"])
@@ -910,18 +932,30 @@ class TestReproCommand:
         assert (QuadraticForm(1, 0, 1), 9973) in enumerated
         assert_one_pass_each(folds, enumerated)
 
-    def test_fold_reaches_past_pr_n_for_fig4(self, runner, tmp_path, passes):
-        # at this scale Pr(1000) = 7919 but fig4 counts the primes below 1e4
-        invoke(runner, "repro", "--outdir", str(tmp_path), "--scale", "0.002", "--figure", "1")
+    def test_fig4_enumerates_past_pr_n(self, runner, tmp_path, passes, monkeypatch):
+        # at this scale Pr(1000) = 7919 but fig4 counts the primes below 1e4:
+        # the fold stops at 7919, and fig4 enumerates the primes after it
         folds, enumerated = passes
-        assert folds[0][2][-1][1] < 9999
-        folds.clear()
-        enumerated.clear()
-        invoke(runner, "repro", "--outdir", str(tmp_path), "--scale", "0.002")
-        spans = folds[0][2]
-        assert spans[-1][0] <= 9973 and spans[-1][1] >= 9999
-        assert (QuadraticForm(1, 0, 1), 9973) in enumerated
+        fold_spy, ends = series_module.fold_series, []
+
+        def fold_then_mark(*args, **kwargs):
+            try:
+                return fold_spy(*args, **kwargs)
+            finally:
+                ends.append(len(enumerated))
+
+        monkeypatch.setattr("qfbias.series.fold_series", fold_then_mark)
+        invoke(runner, "repro", "--outdir", str(tmp_path / "r"), "--scale", "0.002")
+        q11 = QuadraticForm(1, 0, 1)
+        assert {form for form, _ in enumerated[: ends[0]]} == {q11}
+        assert [p for _, p in enumerated[: ends[0]]] == sieve_range(2, 7919).tolist()
+        # fig4 runs before fig2's fold, so its rows come next, each prime once
+        after = [p for form, p in enumerated[ends[0] :] if form == q11]
+        assert after == sieve_range(7920, 9999).tolist()
         assert_one_pass_each(folds, enumerated)
+        out = tmp_path / "d.csv"
+        invoke(runner, "dfunc", "--xmax", "10000", "-o", str(out))
+        assert (tmp_path / "r" / "fig4_dfunctions.csv").read_bytes() == out.read_bytes()
 
 
 THREADED_COMMANDS = {

@@ -20,13 +20,13 @@ from qfbias.counting import (
     negative_bias_fraction,
     norm_residue_subgroup,
     prime_ideal_count,
-    splitting_type,
 )
 from qfbias.errors import ConsistencyError, SieveCapacityError
 from qfbias.forms import QuadraticForm, ensure_table
 from qfbias.primes import DEFAULT_CAPACITY, CongruenceClass, sieve_range
 
 from conftest import trial_division_primes
+from oracles import splitting_type
 
 GAUSS = FieldSplitting(-1)
 Q11 = QuadraticForm(1, 0, 1)

@@ -16,8 +16,10 @@ from qfbias.equidist import (
     sector_counts,
     weyl_sum,
 )
-from qfbias.forms import QuadraticForm, RepTable, canonical_pairs, ensure_table, representation_table
+from qfbias.forms import QuadraticForm, RepTable, ensure_table, representation_table
 from qfbias.primes import CongruenceClass, sieve_range
+
+from oracles import canonical_pairs
 
 TWO_PI = 2 * math.pi
 

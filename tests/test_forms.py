@@ -1,4 +1,5 @@
 import functools
+import importlib
 import math
 import tracemalloc
 from unittest import mock
@@ -12,18 +13,15 @@ from qfbias import forms, primes
 from qfbias.errors import OracleBoundError, TableBoundError
 from qfbias.forms import (
     QuadraticForm,
-    Representation,
     brute_force_representations,
     canonical_filter,
-    canonical_pairs,
-    cornacchia,
     ensure_table,
     representation_table,
-    sqrt_mod,
 )
 from qfbias.primes import DEFAULT_CAPACITY, DEFAULT_SEGMENT_SIZE, CongruenceClass, sieve_range
 
 from conftest import trial_division_primes
+from oracles import Representation, canonical_pairs, cornacchia, sqrt_mod
 
 Q11 = QuadraticForm(1, 0, 1)
 Q111 = QuadraticForm(1, 1, 1)
@@ -72,6 +70,26 @@ class TestQuadraticForm:
         assert Q11.evaluate(3, 2) == 13
         assert Q111.evaluate(2, 1) == 7
         assert Q111.evaluate(0, 0) == 0
+
+
+@pytest.mark.parametrize("module, names", [
+    ("qfbias", ("Representation", "sqrt_mod", "cornacchia", "canonical_pairs", "splitting_type")),
+    ("qfbias.forms",
+     ("Representation", "sqrt_mod", "cornacchia", "_fast_pairs", "canonical_pairs")),
+    ("qfbias.counting", ("splitting_type", "SPLIT", "INERT", "RAMIFIED")),
+])
+def test_per_prime_oracles_live_with_the_tests(module, names):
+    # the package holds what its commands run; the oracles are in tests/oracles.py
+    mod = importlib.import_module(module)
+    assert [name for name in names if hasattr(mod, name)] == []
+
+
+def test_benchmark_oracle_import_resolves():
+    # the benchmark's output checks import these two from qfbias.forms
+    from qfbias.forms import QuadraticForm, brute_force_representations, canonical_filter
+
+    got = canonical_filter(brute_force_representations(QuadraticForm(1, 0, 1), 13))
+    assert got == [(3, 2)]
 
 
 class TestSqrtMod:

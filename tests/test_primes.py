@@ -225,27 +225,6 @@ class TestPrimeSegments:
         assert all(seg.size for seg in segs)
         assert np.array_equal(np.concatenate(segs), first_primes(n))
 
-    @given(n=st.integers(min_value=1, max_value=3000), hi=st.integers(0, 40_000),
-           segment_size=st.integers(1, 30_000))
-    @settings(max_examples=60, deadline=None)
-    def test_reach_runs_on_to_hi(self, n, hi, segment_size):
-        spans = []
-
-        def spy(lo, top):
-            spans.append((lo, top))
-            return sieve_range(lo, top)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(primes_module, "DEFAULT_SEGMENT_SIZE", segment_size)
-            mp.setattr(primes_module, "sieve_range", spy)
-            segs = list(prime_segments(n, hi))
-        assert all(seg.size for seg in segs)
-        want = sieve_range(2, max(hi, nth_prime(n)))
-        assert np.array_equal(np.concatenate(segs), want)
-        # one pass, and at most one window starting past the bound it needs
-        assert all(top + 1 == lo for (_, top), (lo, _) in zip(spans, spans[1:]))
-        assert all(lo <= max(hi, want[-1]) for lo, _ in spans[:-1])
-
     def test_one_streamed_pass_stops_at_the_nth_prime(self, monkeypatch):
         spans = []
 

@@ -31,6 +31,8 @@ from qfbias.series import (
     sign_changes,
 )
 
+from oracles import canonical_pairs
+
 Q11 = QuadraticForm(1, 0, 1)
 C14 = CongruenceClass(1, 4)
 TRIVIAL = CongruenceClass.trivial()
@@ -62,8 +64,6 @@ class TestMomentSum:
         # a skewed (non-reduced) form can represent one prime by several
         # canonical pairs; every pair contributes a term
         skew = QuadraticForm(1, -6, 10)
-        from qfbias.forms import canonical_pairs
-
         pairs = [(r.x, r.y) for r in canonical_pairs(skew, 5)]
         assert pairs == [(5, 1), (5, 2), (7, 2)]
         ms = moment_sum(ensure_table(skew, 5), TRIVIAL, 1, 5)
@@ -74,8 +74,6 @@ class TestMomentSum:
         ms = moment_sum(ensure_table(Q11, 1000), C14, 8, 1000)
         direct = 0
         for p in sieve_range(2, 1000).tolist():
-            from qfbias.forms import canonical_pairs
-
             for rep in canonical_pairs(Q11, p):
                 if p % 4 == 1:
                     direct += rep.x**8
