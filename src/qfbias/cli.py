@@ -7,8 +7,10 @@ standard error. Exit codes: 0 success, 2 usage error, 3 computation error,
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import functools
+import gc
 import math
 import os
 import sys
@@ -28,6 +30,12 @@ from .errors import ComputationError, SieveCapacityError
 from .qform import QuadraticForm
 
 CACHE_DIR_ENV = "QFBIAS_CACHE_DIR"
+
+# each command is one short process: freezing the heap at exit spares the
+# finalizing interpreter's full collections, which would walk every object of
+# numpy, click and the stdlib; refcount teardown, stdio flushing and the other
+# exit handlers run as before
+atexit.register(gc.freeze)
 
 
 def _fmt(v: float) -> str:

@@ -181,10 +181,14 @@ def _window_rows(
     r_out = _isqrt(4 * a * hi - dy2)
     s_in = 4 * a * lo - dy2
     r_in = np.where(s_in > 0, _isqrt(np.maximum(s_in - 1, 0)) + 1, 0)
-    # t = 2ax + by runs over [r_in, r_out] and [-r_out, -max(r_in, 1)]
-    y = np.concatenate((y, y))
-    t_lo = np.concatenate((r_in, -r_out)) - b * y
-    t_hi = np.concatenate((r_out, -np.maximum(r_in, 1))) - b * y
+    if b >= 0:
+        # t = 2ax + by >= 2ax > 0 on the x > y >= 0 sector
+        t_lo, t_hi = r_in - b * y, r_out - b * y
+    else:
+        # t = 2ax + by runs over [r_in, r_out] and [-r_out, -max(r_in, 1)]
+        y = np.concatenate((y, y))
+        t_lo = np.concatenate((r_in, -r_out)) - b * y
+        t_hi = np.concatenate((r_out, -np.maximum(r_in, 1))) - b * y
     x_lo = np.maximum(-(-t_lo // (2 * a)), y + 1)
     x_hi = t_hi // (2 * a)
     step = np.ones_like(y)

@@ -1,5 +1,6 @@
 
 import bisect
+import gc
 import math
 import os
 import subprocess
@@ -126,17 +127,23 @@ def test_version_from_source_checkout(runner):
     assert result.stdout.split()[-1] == __version__ == "0.1.0"
 
 
-def _fresh_python(code, *argv, openblas_threads=None):
-    """Stdout of `code` run in a fresh interpreter on the source checkout,
-    with OPENBLAS_NUM_THREADS unset or set to the given value."""
+def _fresh_run(code, *argv, openblas_threads=None, **kwargs):
+    """`code` run in a fresh interpreter on the source checkout, with
+    OPENBLAS_NUM_THREADS unset or set to the given value."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if openblas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = openblas_threads
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                           capture_output=True, text=True, check=True)
-    return probe.stdout
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, **kwargs)
+
+
+def _fresh_python(code, *argv, openblas_threads=None):
+    """Stdout of `code` run in a fresh interpreter on the source checkout,
+    with OPENBLAS_NUM_THREADS unset or set to the given value."""
+    return _fresh_run(code, *argv, openblas_threads=openblas_threads,
+                      text=True, check=True).stdout
 
 
 def _import_probe(openblas_threads=None, imports="import qfbias.cli"):
@@ -213,6 +220,60 @@ for layer, name in reads.items():
         assert lines[0] == "limits False"
         assert lines[1:] == [f"{layer} True" for layer in
                              ("primes", "forms", "series", "counting", "equidist", "cache")]
+
+
+class TestExitHook:
+    """`import qfbias.cli` registers `gc.freeze` to run at interpreter exit."""
+
+    # the hook as shipped, or unregistered after the import
+    SCRIPT = """
+import atexit, gc, sys
+from qfbias.cli import main
+if sys.argv[1] == "unhooked":
+    atexit.unregister(gc.freeze)
+main(sys.argv[2:], prog_name="qfbias")
+"""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["series", "--form", "1,0,1", "--mod", "8", "--res", "1", "--nmax", "1000",
+          "-o", "s.csv"], 0),
+        (["series", "--form", "1,0,1", "--nmax", "0", "-o", "s.csv"], 2),
+        (["sieve", "--limit", "5000000000"], 3),
+        (["series", "--form", "1,0,1", "--nmax", "1000", "-o", "missing/s.csv"], 4),
+    ])
+    def test_exit_is_unchanged_by_the_hook(self, tmp_path, argv, code):
+        runs = {}
+        for mode in ("hooked", "unhooked"):
+            (tmp_path / mode).mkdir()
+            run = _fresh_run(self.SCRIPT, mode, *argv, cwd=tmp_path / mode)
+            csv = tmp_path / mode / "s.csv"
+            runs[mode] = (run.returncode, run.stdout, run.stderr,
+                          csv.read_bytes() if csv.exists() else None)
+        (rc, out, err, csv), (rc0, out0, err0, csv0) = runs["hooked"], runs["unhooked"]
+        assert rc == rc0 == code
+        assert (out, csv) == (out0, csv0)
+        if code == 0:
+            assert out.strip() and csv.startswith(b"N,PrN,")
+        if code == 4:
+            # the message names a temporary file with a pid and random suffix
+            assert err.startswith(b"i/o error:") and err0.startswith(b"i/o error:")
+        else:
+            assert err == err0
+
+    def test_exit_freezes_the_heap(self):
+        # exit handlers run last-registered first, so this one runs after the hook
+        code = ("import atexit, gc\n"
+                "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+                "import qfbias.cli\n")
+        assert _fresh_python(code).split() == ["True"]
+
+    def test_in_process_runs_never_freeze(self, runner, tmp_path):
+        for args in (["limit", "--form", "1,0,1", "--k", "1"],
+                     ["series", "--form", "1,0,1", "--nmax", "1000", "-o", str(tmp_path / "s.csv")],
+                     ["series", "--form", "1,0,1", "--nmax", "0", "-o", str(tmp_path / "t.csv")],
+                     ["sieve", "--limit", "5000000000"]):
+            runner.invoke(main, args)
+        assert gc.get_freeze_count() == 0 and gc.isenabled()
 
 
 def test_stream_commands_load_no_fractions(tmp_path):

@@ -435,6 +435,23 @@ class TestWindowKernel:
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
+    @pytest.mark.parametrize("coeffs", [(1, 0, 1), (1, 0, 2), (2, 0, 3), (1, 1, 1),
+                                        (2, 1, 3), (1, 1, 3), (5, 4, 7)],
+                             ids=lambda c: "%d,%d,%d" % c)
+    def test_rows_at_window_edges_match_oracle(self, coeffs):
+        # b >= 0 enumerates only t = 2ax + by in [r_in, r_out]: a window whose
+        # first and last primes are represented has rows exactly on both ends
+        form = QuadraticForm(*coeffs)
+        primes = sieve_range(2, 30_000)
+        pairs = {p: canonical_pairs(form, p) for p in primes.tolist()}
+        hits = np.array([p for p, reps in pairs.items() if reps])
+        assert hits.size > 100
+        for lo, hi in zip(hits[:-5:7], hits[5::7]):
+            for window in (primes[(primes >= lo) & (primes <= hi)], np.array([lo]), np.array([hi])):
+                p, x, y = forms._window_rows(form, window)
+                want = [(r.p, r.x, r.y) for q in window.tolist() for r in pairs[q]]
+                assert list(zip(p.tolist(), x.tolist(), y.tolist())) == want
+
     def test_rows_of_one_prime_tie_on_x(self):
         # 7 = Q(3, 1) = Q(3, 2) for x^2 - xy + y^2: two rows share p and x
         form = QuadraticForm(1, -1, 1)
