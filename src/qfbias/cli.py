@@ -26,7 +26,7 @@ from . import (
     __version__, cache, counting, csvtext, equidist, forms, limits, polynomials, primes, series,
 )
 from .atomic import replacing
-from .errors import ComputationError, SieveCapacityError
+from .errors import ComputationError
 from .qform import QuadraticForm
 
 CACHE_DIR_ENV = "QFBIAS_CACHE_DIR"
@@ -128,11 +128,6 @@ threads_option = click.option(
     "--threads", type=int, default=1, show_default=True, expose_value=False,
     help="accepted for compatibility; has no effect",
 )
-# kept so existing command lines still parse; A(m, M) has a closed form
-budget_option = click.option(
-    "--budget", type=int, default=None, expose_value=False,
-    help="accepted for compatibility; has no effect",
-)
 cache_option = click.option("--cache", default=None, help="representation cache file (QFR1)")
 output_option = click.option(
     "-o", "--output", required=True, type=click.Path(dir_okay=False), help="CSV output path"
@@ -164,12 +159,11 @@ def cmd_sieve(limit, lo, hi, out):
         raise click.UsageError("need --limit or both --lo and --hi")
     if lo > hi:
         raise click.UsageError("--lo must not exceed --hi")
-    if hi > primes.DEFAULT_CAPACITY:
-        raise SieveCapacityError(f"sieve to {hi} exceeds capacity {primes.DEFAULT_CAPACITY}")
     t0 = time.perf_counter()
     count = 0
+    blocks = primes.segments(lo, hi)  # refuses a range past the capacity before --out opens
     with _write_csv(out, None) if out else contextlib.nullcontext() as write:
-        for block in primes.segments(lo, hi):
+        for block in blocks:
             count += block.size
             if write:
                 write(block)
@@ -319,7 +313,6 @@ def cmd_dfunc(xmax, output, cache):
 @click.option("--delta", type=int, required=True, help="squarefree negative field input")
 @click.option("--mod", type=int, required=True)
 @click.option("--res", type=int, required=True)
-@budget_option
 @handle_errors
 def cmd_acoeff(delta, mod, res):
     """Density coefficient A(m, M) as a norm-residue subgroup index."""
@@ -334,7 +327,6 @@ def cmd_acoeff(delta, mod, res):
 @res_option
 @click.option("--x", "x_max", type=int, required=True)
 @output_option
-@budget_option
 @handle_errors
 def cmd_density(delta, mod, res, x_max, output):
     """Prime-ideal counts against the predicted leading term, at checkpoints."""

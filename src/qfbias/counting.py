@@ -23,9 +23,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import distinct_prime_factors, euler_phi, kronecker, kronecker_array, squarefree_part
-from .errors import ConsistencyError, SieveCapacityError
+from .errors import ConsistencyError
 from .forms import QuadraticForm, RepTable
-from .primes import DEFAULT_CAPACITY, CongruenceClass, segments
+from .primes import CongruenceClass, segments
 
 _CHI_BLOCK = 1 << 16
 _SUM_OF_SQUARES = QuadraticForm(1, 0, 1)
@@ -206,22 +206,19 @@ def prime_ideal_count(
     an int, answered with an int, or an array of bounds, answered with an
     int64 array of the counts at each. One `segments` pass to the largest
     bound adds every window's counts at all the bounds, so only one window
-    of primes is held; a bound past the sieve capacity is refused before
-    any sieving.
+    of primes is held; the stream refuses a bound past the sieve capacity
+    when it is made, before any sieving or character table.
     """
     xs = np.asarray(x)
     top = int(xs.max(initial=1))
-    if top > DEFAULT_CAPACITY:
-        raise SieveCapacityError(
-            f"prime-ideal count to {top} exceeds capacity {DEFAULT_CAPACITY}"
-        )
     if xs.min(initial=1) < 1:
         raise ValueError("x must be >= 1")
+    stream = segments(2, top)  # made first: a bound past capacity builds no |d|-entry table
     d = fs.field_discriminant
     chi = _chi_table(d)
     root = math.isqrt(top)  # an inert p has norm p^2, so only p <= sqrt(top) can count
     counts = np.zeros(xs.shape, dtype=np.int64)
-    for primes in segments(2, top):
+    for primes in stream:
         chi_p = chi[primes % abs(d)]
         inert_p = primes[(chi_p == -1) & (primes <= root)]
         norms = (primes[chi_p == 1], primes[chi_p == 0], inert_p * inert_p)
@@ -252,8 +249,9 @@ class NormResidueSubgroup:
     modulus: int
     delta: int
 
-    @property
+    @functools.cached_property
     def _discriminant(self) -> int:
+        # computed once per subgroup: FieldSplitting trial-divides delta
         return FieldSplitting(self.delta).field_discriminant
 
     @property

@@ -31,7 +31,7 @@ class OracleBoundError(ComputationError):
 
 
 class TableBoundError(ComputationError):
-    """A representation table would pass the sieve capacity or the int64 range."""
+    """A representation table's lattice arithmetic would pass the int64 range."""
 
 
 class ConsistencyError(ComputationError):

@@ -27,7 +27,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import OracleBoundError, TableBoundError
-from .primes import DEFAULT_CAPACITY, CongruenceClass, _windows, segments
+from .primes import CongruenceClass, _windows, check_capacity, segments
 from .qform import QuadraticForm
 
 DEFAULT_ORACLE_BOUND = 10**6
@@ -137,13 +137,6 @@ def empty_table(form: QuadraticForm, limit: int = 0) -> RepTable:
     return RepTable(form, z, z.copy(), z.copy(), limit)
 
 
-def _check_capacity(limit: int) -> None:
-    if limit > DEFAULT_CAPACITY:
-        raise TableBoundError(
-            f"representation table to {limit} exceeds capacity {DEFAULT_CAPACITY}"
-        )
-
-
 def _isqrt(s: np.ndarray) -> np.ndarray:
     """Exact floor square roots of nonnegative int64 values below 2**62.
 
@@ -181,8 +174,8 @@ def _window_rows(
     r_out = _isqrt(4 * a * hi - dy2)
     s_in = 4 * a * lo - dy2
     r_in = np.where(s_in > 0, _isqrt(np.maximum(s_in - 1, 0)) + 1, 0)
-    if b >= 0:
-        # t = 2ax + by >= 2ax > 0 on the x > y >= 0 sector
+    if 2 * a + b >= 0:
+        # t = 2ax + by > (2a + b)y >= 0 on the x > y >= 0 sector
         t_lo, t_hi = r_in - b * y, r_out - b * y
     else:
         # t = 2ax + by runs over [r_in, r_out] and [-r_out, -max(r_in, 1)]
@@ -245,14 +238,15 @@ def representation_table(form: QuadraticForm, primes: np.ndarray) -> RepTable:
     array get no rows, so class-masked arrays and extension windows work as
     they are. The table's coverage limit is the array's last prime.
 
-    Raises TableBoundError past the sieve capacity or when an int64
+    Raises SieveCapacityError for a prime past the sieve capacity
+    (`primes.check_capacity`), and TableBoundError when an int64
     intermediate could overflow.
     """
     primes = np.asarray(primes, dtype=np.int64)
     if primes.size == 0:
         return empty_table(form)
     hi = int(primes[-1])
-    _check_capacity(hi)
+    check_capacity(hi)
     a, b, c, D = form.a, form.b, form.c, form.D
     y_max = math.isqrt(4 * a * hi // D)
     x_max = _x_extent(form, hi)
@@ -292,10 +286,9 @@ def row_blocks(seed: RepTable, limit: int) -> Iterator[RepTable]:
     The seed's rows come first, cut at the sieve-segment edges, then the
     blocks `segment_rows` enumerates above the seed's limit, one sieve
     segment each, so a consumer holds one block at a time. The stream is
-    lazy, but a limit past the sieve capacity is refused at the call,
-    before any sieving.
+    lazy, but its `primes.segments` stream is made at the call, so a limit
+    past the sieve capacity is refused there, before any sieving.
     """
-    _check_capacity(limit)
     tops = [b for _, b in _windows(2, min(limit, seed.limit))]
     ends = np.searchsorted(seed.p, tops, side="right").tolist()
     held = (

@@ -10,9 +10,10 @@ square root and shared by every window of a stream.
 `segments(lo, hi)` is the one window loop every prime consumer reads: it
 hands over the primes of each window as its own array, so no caller holds
 the primes of a whole range. `sieve_range` joins the windows for callers
-that want one array. Numbers are plain Python / numpy int64; capacity
-checks keep requests within a configured bound rather than letting a huge
-sieve thrash the machine.
+that want one array. Numbers are plain Python / numpy int64. Both refuse
+an interval past DEFAULT_CAPACITY when they are called (`check_capacity`),
+so no consumer repeats the check and a huge request fails before anything
+is sieved rather than thrashing the machine.
 """
 
 from __future__ import annotations
@@ -28,8 +29,14 @@ from .errors import SieveCapacityError
 
 # numbers per sieve window, read at every call so that tests can patch it
 DEFAULT_SEGMENT_SIZE = 1 << 20
-# generous desk-scale ceiling; first_primes and table builders refuse past this
+# generous desk-scale ceiling on the sieve: `check_capacity` is its one reader
 DEFAULT_CAPACITY = 4_000_000_000
+
+
+def check_capacity(hi: int) -> None:
+    """SieveCapacityError if sieving to hi would pass DEFAULT_CAPACITY."""
+    if hi > DEFAULT_CAPACITY:
+        raise SieveCapacityError(f"sieve to {hi} exceeds capacity {DEFAULT_CAPACITY}")
 
 
 def _simple_prime_flags(n: int) -> np.ndarray:
@@ -118,10 +125,12 @@ def sieve_range(lo: int, hi: int) -> np.ndarray:
     The interval is sieved one cache-sized window at a time (one 1e8-wide
     window runs ~4x slower) and the windows are joined into one array;
     `segments` hands them over one by one instead. An interval with no
-    primes yields an empty array; lo > hi is a contract violation.
+    primes yields an empty array; lo > hi is a contract violation, and hi
+    past the capacity a SieveCapacityError.
     """
     if lo > hi:
         raise ValueError(f"empty sieve interval: lo={lo} > hi={hi}")
+    check_capacity(hi)
     parts = [_sieve_window(a, b) for a, b in _windows(max(lo, 2), hi)]
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
@@ -132,12 +141,12 @@ def segments(lo: int, hi: int) -> Iterator[np.ndarray]:
 
     Concatenated they equal `sieve_range(lo, hi)`, but only one window is
     held at a time; every prime consumer of the package reads this stream.
-    An empty interval (lo > hi) yields nothing.
+    An empty interval (lo > hi) yields nothing. The stream is lazy, but hi
+    past the capacity is refused at the call, before any window is sieved.
     """
-    for a, b in _windows(max(lo, 2), hi):
-        seg = sieve_range(a, b)
-        if seg.size:
-            yield seg
+    check_capacity(hi)
+    blocks = (sieve_range(a, b) for a, b in _windows(max(lo, 2), hi))
+    return (seg for seg in blocks if seg.size)
 
 
 @dataclass(frozen=True)
@@ -184,26 +193,17 @@ def nth_prime_bound(n: int) -> int:
     return int(n * (ln + math.log(ln))) + 1
 
 
-def _capacity_bound(n: int) -> int:
-    """nth_prime_bound(n), refused before any sieving past the capacity."""
-    bound = nth_prime_bound(n)
-    if bound > DEFAULT_CAPACITY:
-        raise SieveCapacityError(
-            f"prime #{n} needs sieving to ~{bound}, which exceeds capacity {DEFAULT_CAPACITY}"
-        )
-    return bound
-
-
 def prime_segments(n: int) -> Iterator[np.ndarray]:
     """The first n primes, as the nonempty arrays of one `segments` pass.
 
     The pass stops at the n-th prime, truncating the last array there, and
-    holds one window at a time. SieveCapacityError if the n-th prime may lie
-    past the capacity, raised before any sieving.
+    holds one window at a time. Its sieve runs to `nth_prime_bound(n)`, so
+    the first `next` raises SieveCapacityError, before any sieving, when
+    that bound is past the capacity.
     """
     if n < 1:
         raise ValueError("prime index must be >= 1")
-    bound = _capacity_bound(n)
+    bound = nth_prime_bound(n)
     left = n
     for seg in segments(2, bound):
         yield seg[:left]

@@ -192,6 +192,12 @@ class TestPrimeIdealCount:
         with pytest.raises(SieveCapacityError, match="exceeds capacity"):
             prime_ideal_count(GAUSS, [100, DEFAULT_CAPACITY + 1, 1000])
 
+    def test_capacity_refused_before_the_character_table(self, monkeypatch):
+        # the table has |d_K| entries: 4e7 of them take seconds to build
+        monkeypatch.setattr(counting, "_chi_table", lambda d: pytest.fail("built"))
+        with pytest.raises(SieveCapacityError, match="exceeds capacity"):
+            prime_ideal_count(FieldSplitting(-9999991), DEFAULT_CAPACITY + 1)
+
     def test_scalar_gives_int_and_array_gives_int64_array(self):
         assert type(prime_ideal_count(GAUSS, 100)) is int
         counts = prime_ideal_count(GAUSS, np.array([10, 1, 100]))
@@ -377,6 +383,20 @@ class TestNormResidueSubgroup:
     def test_rejects_modulus_below_one(self):
         with pytest.raises(ValueError, match="modulus must be >= 1"):
             norm_residue_subgroup(GAUSS, 0)
+
+    def test_discriminant_factored_once_per_subgroup(self, monkeypatch):
+        calls = []
+
+        def spy(n):
+            calls.append(n)
+            return squarefree_part(n)
+
+        monkeypatch.setattr(counting, "squarefree_part", spy)
+        sub = norm_residue_subgroup(GAUSS, 8)
+        assert sub.subgroup == (1, 5) and sub.index == 2 and not sub.contains(3)
+        assert calls == [-1]  # one trial division serves every membership and the index
+        assert a_coefficient(GAUSS, CongruenceClass(5, 8)) == 2
+        assert calls == [-1, -1]  # a new subgroup factors once more
 
     @pytest.mark.parametrize("delta", DELTAS)
     def test_scan_matches_closed_form(self, delta):

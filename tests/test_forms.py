@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qfbias import forms, primes
-from qfbias.errors import OracleBoundError, TableBoundError
+from qfbias.errors import OracleBoundError, SieveCapacityError, TableBoundError
 from qfbias.forms import (
     QuadraticForm,
     brute_force_representations,
@@ -312,7 +312,7 @@ class TestLatticeEngine:
         assert len(table) == 0 and table.limit == 97
 
     def test_prime_past_capacity_is_refused(self):
-        with pytest.raises(TableBoundError, match="capacity"):
+        with pytest.raises(SieveCapacityError, match="capacity"):
             representation_table(Q11, np.array([2**61 - 1]))
 
     def test_capacity_checked_before_sieving(self, monkeypatch):
@@ -320,7 +320,7 @@ class TestLatticeEngine:
         calls = []
         monkeypatch.setattr("qfbias.primes.sieve_range", lambda lo, hi, **kw: calls.append(hi))
         for table in (None, seed):
-            with pytest.raises(TableBoundError, match="capacity"):
+            with pytest.raises(SieveCapacityError, match="capacity"):
                 ensure_table(Q11, DEFAULT_CAPACITY + 1, table)
         assert calls == []
 
@@ -436,11 +436,13 @@ class TestWindowKernel:
             assert np.array_equal(g, w)
 
     @pytest.mark.parametrize("coeffs", [(1, 0, 1), (1, 0, 2), (2, 0, 3), (1, 1, 1),
-                                        (2, 1, 3), (1, 1, 3), (5, 4, 7)],
+                                        (2, 1, 3), (1, 1, 3), (5, 4, 7), (1, -1, 2),
+                                        (3, -2, 5), (1, -3, 3)],
                              ids=lambda c: "%d,%d,%d" % c)
     def test_rows_at_window_edges_match_oracle(self, coeffs):
-        # b >= 0 enumerates only t = 2ax + by in [r_in, r_out]: a window whose
-        # first and last primes are represented has rows exactly on both ends
+        # 2a + b >= 0 enumerates only t = 2ax + by in [r_in, r_out], and
+        # (1, -3, 3) both branches: a window whose first and last primes are
+        # represented has rows exactly on both ends
         form = QuadraticForm(*coeffs)
         primes = sieve_range(2, 30_000)
         pairs = {p: canonical_pairs(form, p) for p in primes.tolist()}

@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfbias import primes as primes_module
+from qfbias.counting import FieldSplitting, prime_ideal_count
 from qfbias.errors import SieveCapacityError
+from qfbias.forms import QuadraticForm, empty_table, ensure_table, representation_table, row_blocks
 from qfbias.primes import (
+    DEFAULT_CAPACITY,
     DEFAULT_SEGMENT_SIZE,
     CongruenceClass,
     first_primes,
@@ -245,6 +248,28 @@ class TestPrimeSegments:
         monkeypatch.setattr(primes_module, "sieve_range", lambda *a, **k: pytest.fail("sieved"))
         with pytest.raises(SieveCapacityError, match="capacity"):
             next(prime_segments(200_000_000))
+
+
+PAST = DEFAULT_CAPACITY + 1
+Q11 = QuadraticForm(1, 0, 1)
+
+
+# every consumer of the sieve at one past the capacity; only prime_segments
+# is a generator, pulled once, and the others refuse at the call
+@pytest.mark.parametrize("call", [
+    lambda: sieve_range(2, PAST),
+    lambda: segments(PAST, PAST),
+    lambda: next(prime_segments(PAST)),
+    lambda: row_blocks(empty_table(Q11), PAST),
+    lambda: ensure_table(Q11, PAST),
+    lambda: prime_ideal_count(FieldSplitting(-1), PAST),
+    lambda: representation_table(Q11, np.array([PAST])),
+], ids=["sieve_range", "segments", "prime_segments", "row_blocks", "ensure_table",
+        "prime_ideal_count", "representation_table"])
+def test_capacity_refused_before_sieving(monkeypatch, call):
+    monkeypatch.setattr(primes_module, "_sieve_window", lambda lo, hi: pytest.fail("sieved"))
+    with pytest.raises(SieveCapacityError, match=rf"^sieve to \d+ exceeds capacity {DEFAULT_CAPACITY}$"):
+        call()
 
 
 class TestCongruenceClass:
