@@ -698,26 +698,20 @@ class TestAcoeffCommand:
         result = runner.invoke(main, ["acoeff", "--delta", "-4", "--mod", "8", "--res", "1"])
         assert result.exit_code == 2
 
-    def test_closed_form_values(self, runner):
-        # a scan of primes to 20 once missed the residue 2 (mod 35)
+    @pytest.mark.parametrize("budget", ["-5", "0", "1", "20", "50000"])
+    def test_budget_has_no_effect(self, runner, budget):
+        # A(m, M) is a closed form, so there is no scan budget to set: every
+        # --budget is a usage error and the values stay the closed form's; a
+        # scan of primes to 20 once missed the residue 2 (mod 35)
         for delta, mod, res, value in [("-1", "35", "1", "1"), ("-1", "35", "2", "1"),
                                        ("-1", "35", "3", "1"), ("-1", "8", "5", "2"),
                                        ("-1", "8", "3", "0"), ("-3", "12", "5", "0")]:
-            result = invoke(runner, "acoeff", "--delta", delta, "--mod", mod, "--res", res)
-            assert result.stdout == value + "\n"
-
-
-@pytest.mark.parametrize("command", [
-    ["acoeff", "--delta", "-1", "--mod", "8", "--res", "5"],
-    ["density", "--delta", "-1", "--x", "1000", "-o", "d.csv"],
-], ids=["acoeff", "density"])
-def test_budget_is_a_usage_error(runner, tmp_path, monkeypatch, command):
-    # A(m, M) has a closed form, so no scan budget exists to set
-    monkeypatch.chdir(tmp_path)
-    result = runner.invoke(main, [*command, "--budget", "20"])
-    assert result.exit_code == 2
-    assert "No such option" in result.stderr and "--budget" in result.stderr
-    assert list(tmp_path.iterdir()) == []
+            args = ["acoeff", "--delta", delta, "--mod", mod, "--res", res]
+            assert invoke(runner, *args).stdout == value + "\n"
+            result = runner.invoke(main, [*args, "--budget", budget])
+            assert result.exit_code == 2
+            assert "No such option" in result.stderr and "--budget" in result.stderr
+            assert result.stdout == ""
 
 
 class TestDensityCommand:
@@ -751,6 +745,24 @@ class TestDensityCommand:
         assert result.stdout.strip() == "exact-zero"
         assert out.read_text().splitlines()[1:] == ["100,0,0.000000000000,",
                                                     "1000,0,0.000000000000,"]
+
+    @pytest.mark.parametrize("mod,res", [("8", "1"), ("35", "2")])
+    def test_budget_has_no_effect(self, runner, tmp_path, mod, res):
+        # no budget can change the CSV: --budget is a usage error that writes
+        # nothing, and the run without it is unchanged
+        args = ["density", "--delta", "-1", "--mod", mod, "--res", res, "--x", "1000", "-o"]
+        plain_csv = tmp_path / "plain.csv"
+        plain = invoke(runner, *args, str(plain_csv))
+        plain_bytes = plain_csv.read_bytes()
+        for budget in ("1", "20", "50000"):
+            out = tmp_path / f"budget{budget}.csv"
+            result = runner.invoke(main, [*args, str(out), "--budget", budget])
+            assert result.exit_code == 2
+            assert "No such option" in result.stderr and "--budget" in result.stderr
+            assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.csv"]
+        assert invoke(runner, *args, str(plain_csv)).stdout == plain.stdout
+        assert plain_csv.read_bytes() == plain_bytes
 
 
 class TestEquidistCommand:
