@@ -1,4 +1,6 @@
-"""Small exact-arithmetic helpers used across modules."""
+"""Small exact-arithmetic helpers used across modules; `kronecker_array` is
+the package's one evaluation of the Kronecker symbol (the field character of
+`counting`)."""
 
 import numpy as np
 
@@ -34,41 +36,6 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a|n), the full extension of Jacobi/Legendre.
-
-    Handles n = 0, negative n, and even n with the standard conventions:
-    (a|0) = 1 iff a = +-1, (a|-1) = sign(a) with (0|-1) = 1, and
-    (a|2) = 0 for even a, +1 for a = +-1 (mod 8), -1 otherwise.
-    """
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    result = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            result = -result
-    # strip factors of 2 from n
-    while n % 2 == 0:
-        n //= 2
-        if a % 2 == 0:
-            return 0
-        if a % 8 in (3, 5):
-            result = -result
-    # now n is odd and positive: Jacobi with reciprocity
-    a %= n
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
 def _split_twos(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(odd part, exponent of 2) of each positive int64 entry."""
     twos = np.frexp(v & -v)[1] - 1  # the lowest set bit is 2**twos
@@ -76,11 +43,15 @@ def _split_twos(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def kronecker_array(a: int, n: np.ndarray) -> np.ndarray:
-    """Kronecker symbols (a|n) for an int64 array of n >= 0, as int64.
+    """Kronecker symbols (a|n) for an int64 a and array of n >= 0, as int64.
 
-    The steps of `kronecker`, run on every entry at once: factors of 2 of n
-    first, then the Jacobi reciprocity loop on the entries still active.
+    The package's one Kronecker evaluation, run on every entry at once:
+    (a|0) is 1 for a = +-1 and 0 otherwise; each factor 2 of n gives 0 for
+    even a and -1 for a = 3, 5 (mod 8); the odd part of n then runs the
+    Jacobi reciprocity loop on the entries still active.
     """
+    if not -(2**63) <= a < 2**63:
+        raise ValueError(f"kronecker_array needs a inside int64, got {a}")
     n = np.asarray(n, dtype=np.int64)
     if np.any(n < 0):
         raise ValueError("kronecker_array needs n >= 0")

@@ -8,6 +8,7 @@ the largest stored prime as the trusted coverage limit.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -50,21 +51,25 @@ def read_cache(path, expected_form: QuadraticForm | None = None) -> RepTable:
     """Read a QFR1 file back into a table.
 
     Raises CacheFormatError on a bad magic, truncated payload, unsorted
-    records, or (when expected_form is given) mismatched coefficients.
+    records, or (when expected_form is given) mismatched coefficients. The
+    header is checked against the file size first, then the payload is read
+    once, straight into the record array.
     """
     path = Path(path)
-    blob = path.read_bytes()
-    if blob[:4] != MAGIC:
-        raise CacheFormatError(f"{path}: not a QFR1 cache (bad magic)")
-    if len(blob) < 4 + _HEADER.size:
-        raise CacheFormatError(f"{path}: truncated header")
-    a, b, c, count = _HEADER.unpack_from(blob, 4)
-    body = blob[4 + _HEADER.size :]
-    if len(body) != count * _RECORD_DTYPE.itemsize:
-        raise CacheFormatError(
-            f"{path}: expected {count} records, payload holds "
-            f"{len(body) // _RECORD_DTYPE.itemsize}"
-        )
+    with open(path, "rb") as fh:
+        head = fh.read(4 + _HEADER.size)
+        if head[:4] != MAGIC:
+            raise CacheFormatError(f"{path}: not a QFR1 cache (bad magic)")
+        if len(head) < 4 + _HEADER.size:
+            raise CacheFormatError(f"{path}: truncated header")
+        a, b, c, count = _HEADER.unpack_from(head, 4)
+        size = os.fstat(fh.fileno()).st_size - len(head)
+        if size != count * _RECORD_DTYPE.itemsize:
+            raise CacheFormatError(
+                f"{path}: expected {count} records, payload holds "
+                f"{size // _RECORD_DTYPE.itemsize}"
+            )
+        records = np.fromfile(fh, dtype=_RECORD_DTYPE, count=count)
     try:
         form = QuadraticForm(a, b, c)
     except ValueError as exc:
@@ -73,7 +78,6 @@ def read_cache(path, expected_form: QuadraticForm | None = None) -> RepTable:
         raise CacheFormatError(
             f"{path}: cache holds form {form}, expected {expected_form}"
         )
-    records = np.frombuffer(body, dtype=_RECORD_DTYPE)
     p = records["p"].astype(np.int64)
     if p.size and np.any(np.diff(p) < 0):
         raise CacheFormatError(f"{path}: records are not sorted by p")

@@ -11,6 +11,9 @@ squarefree discriminant input delta < 0:
   * the coefficient A(m, M) as the index of the norm-residue subgroup H of
     (Z/MZ)^* when m lies in H and 0 otherwise, H being the kernel of the
     Kronecker character when |d_K| divides M and all of (Z/MZ)^* otherwise.
+
+Both read the character chi_K through `arith.kronecker_array`, the one
+Kronecker evaluation, and only at the residues they need.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import distinct_prime_factors, euler_phi, kronecker, kronecker_array, squarefree_part
+from .arith import distinct_prime_factors, euler_phi, kronecker_array, squarefree_part
 from .errors import ConsistencyError
 from .forms import QuadraticForm, RepTable
 from .primes import CongruenceClass, segments
@@ -184,13 +187,12 @@ def d_functions(table: RepTable, x_max: int) -> tuple[CountSeries, CountSeries]:
 
 
 @functools.lru_cache(maxsize=8)
-def _chi_table(d: int) -> np.ndarray:
-    """Kronecker character values of d indexed by residue mod |d| (read-only,
-    built once per d)."""
-    mod = abs(d)
-    chi = np.empty(mod, dtype=np.int64)
-    for lo in range(0, mod, _CHI_BLOCK):  # blocks bound the builder's temporaries
-        hi = min(lo + _CHI_BLOCK, mod)
+def _chi_table(d: int, size: int) -> np.ndarray:
+    """Kronecker character values of d at the residues 0 <= r < size, as
+    int8 (read-only, built once per d and size)."""
+    chi = np.empty(size, dtype=np.int8)
+    for lo in range(0, size, _CHI_BLOCK):  # blocks bound the builder's temporaries
+        hi = min(lo + _CHI_BLOCK, size)
         chi[lo:hi] = kronecker_array(d, np.arange(lo, hi))
     chi.flags.writeable = False
     return chi
@@ -207,15 +209,16 @@ def prime_ideal_count(
     int64 array of the counts at each. One `segments` pass to the largest
     bound adds every window's counts at all the bounds, so only one window
     of primes is held; the stream refuses a bound past the sieve capacity
-    when it is made, before any sieving or character table.
+    when it is made, before any sieving or character table. That int8 table
+    holds chi_K at min(|d_K|, max x + 1) residues, as p mod |d_K| <= p.
     """
     xs = np.asarray(x)
     top = int(xs.max(initial=1))
     if xs.min(initial=1) < 1:
         raise ValueError("x must be >= 1")
-    stream = segments(2, top)  # made first: a bound past capacity builds no |d|-entry table
+    stream = segments(2, top)  # made first: a bound past capacity builds no table
     d = fs.field_discriminant
-    chi = _chi_table(d)
+    chi = _chi_table(d, min(abs(d), top + 1))
     root = math.isqrt(top)  # an inert p has norm p^2, so only p <= sqrt(top) can count
     counts = np.zeros(xs.shape, dtype=np.int64)
     for primes in stream:
@@ -243,38 +246,39 @@ class NormResidueSubgroup:
     (Z/MZ)^* otherwise: H corresponds to the intersection of K with
     Q(zeta_M), which is K or Q (Cox, *Primes of the form x^2 + ny^2*, the
     class field theory chapters). So the index is 2 or 1, and membership is
-    one gcd and one Kronecker symbol.
+    one gcd and, at index 2, one Kronecker symbol.
     """
 
     modulus: int
-    delta: int
-
-    @functools.cached_property
-    def _discriminant(self) -> int:
-        # computed once per subgroup: FieldSplitting trial-divides delta
-        return FieldSplitting(self.delta).field_discriminant
+    discriminant: int  # d_K
 
     @property
     def index(self) -> int:
-        return 2 if self.modulus % abs(self._discriminant) == 0 else 1
+        return 2 if self.modulus % abs(self.discriminant) == 0 else 1
 
     def contains(self, residue: int) -> bool:
         r = residue % self.modulus
         if math.gcd(r, self.modulus) != 1:
             return False
-        return self.index == 1 or kronecker(self._discriminant, r) == 1
+        # chi_K has period |d_K|, so r mod |d_K| stays inside int64 for any M
+        return self.index == 1 or bool(
+            kronecker_array(self.discriminant, [r % abs(self.discriminant)])[0] == 1)
 
     @property
     def subgroup(self) -> tuple[int, ...]:
         """The elements of H in [0, M), enumerated on demand; (0,) for M = 1."""
-        return tuple(r for r in range(self.modulus) if self.contains(r))
+        r = np.arange(self.modulus)
+        keep = np.gcd(r, self.modulus) == 1
+        if self.index == 2:
+            keep &= kronecker_array(self.discriminant, r) == 1
+        return tuple(np.flatnonzero(keep).tolist())
 
 
 def norm_residue_subgroup(fs: FieldSplitting, modulus: int) -> NormResidueSubgroup:
     """The norm-residue subgroup H of (Z/MZ)^* for the field, in closed form."""
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
-    return NormResidueSubgroup(modulus=modulus, delta=fs.delta)
+    return NormResidueSubgroup(modulus=modulus, discriminant=fs.field_discriminant)
 
 
 def a_coefficient(fs: FieldSplitting, cls: CongruenceClass) -> int:

@@ -197,15 +197,21 @@ def prime_segments(n: int) -> Iterator[np.ndarray]:
     """The first n primes, as the nonempty arrays of one `segments` pass.
 
     The pass stops at the n-th prime, truncating the last array there, and
-    holds one window at a time. Its sieve runs to `nth_prime_bound(n)`, so
-    the first `next` raises SieveCapacityError, before any sieving, when
-    that bound is past the capacity.
+    holds one window at a time. Its sieve runs to `nth_prime_bound(n)`; like
+    `segments`, the call itself raises ValueError for n < 1 and
+    SieveCapacityError when that bound is past the capacity, before any
+    sieving.
     """
     if n < 1:
         raise ValueError("prime index must be >= 1")
     bound = nth_prime_bound(n)
+    return _first(n, segments(2, bound), bound)
+
+
+def _first(n: int, stream: Iterator[np.ndarray], bound: int) -> Iterator[np.ndarray]:
+    """The arrays of stream up to its n-th prime, the last one cut there."""
     left = n
-    for seg in segments(2, bound):
+    for seg in stream:
         yield seg[:left]
         left -= min(seg.size, left)
         if left == 0:

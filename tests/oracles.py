@@ -4,9 +4,10 @@
 Cornacchia's remainder chain for forms x^2 + c*y^2 (as in Cox, *Primes of
 the form x^2 + ny^2*), by the exhaustive ellipse walk
 `qfbias.forms.brute_force_representations` otherwise. `splitting_type`
-decides how one rational prime decomposes in an imaginary quadratic field.
-Neither shares code with the lattice enumeration or the sieve-wide counts
-they check.
+decides how one rational prime decomposes in an imaginary quadratic field,
+by `kronecker`, the scalar Kronecker symbol walk. None of them shares code
+with the lattice enumeration, `qfbias.arith.kronecker_array` or the
+sieve-wide counts they check.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from qfbias.arith import kronecker
 from qfbias.counting import FieldSplitting
 from qfbias.forms import (
     DEFAULT_ORACLE_BOUND,
@@ -146,6 +146,41 @@ def canonical_pairs(
             raise ArithmeticError(f"representation ({x},{y}) fails Q(x,y)={p}")
         reps.append(Representation(p=p, x=x, y=y))
     return reps
+
+
+def kronecker(a: int, n: int) -> int:
+    """Kronecker symbol (a|n), the full extension of Jacobi/Legendre.
+
+    Handles n = 0, negative n, and even n with the standard conventions:
+    (a|0) = 1 iff a = +-1, (a|-1) = sign(a) with (0|-1) = 1, and
+    (a|2) = 0 for even a, +1 for a = +-1 (mod 8), -1 otherwise.
+    """
+    if n == 0:
+        return 1 if a in (1, -1) else 0
+    result = 1
+    if n < 0:
+        n = -n
+        if a < 0:
+            result = -result
+    # strip factors of 2 from n
+    while n % 2 == 0:
+        n //= 2
+        if a % 2 == 0:
+            return 0
+        if a % 8 in (3, 5):
+            result = -result
+    # now n is odd and positive: Jacobi with reciprocity
+    a %= n
+    while a != 0:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
 
 
 def splitting_type(fs: FieldSplitting, p: int) -> str:

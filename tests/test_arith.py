@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfbias import arith
 from qfbias.arith import distinct_prime_factors, euler_phi, squarefree_part
 
 
@@ -53,3 +54,8 @@ class TestFactorisationHelpers:
     def test_undefined_inputs_raise(self, call):
         with pytest.raises(ValueError):
             call()
+
+
+def test_kronecker_array_is_the_one_kronecker_evaluation():
+    # the scalar walk is the tests' independent reference (tests/oracles.py)
+    assert not hasattr(arith, "kronecker")

@@ -1,6 +1,8 @@
 import errno
 import io
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from qfbias import atomic, cache
 from qfbias.cache import MAGIC, read_cache, write_cache
 from qfbias.errors import CacheFormatError
-from qfbias.forms import QuadraticForm, RepTable, representation_table
+from qfbias.forms import QuadraticForm, RepTable, ensure_table, representation_table
 from qfbias.primes import sieve_range
 
 Q11 = QuadraticForm(1, 0, 1)
@@ -90,6 +92,39 @@ def test_empty_cache_round_trip(tmp_path):
     back = read_cache(path, expected_form=Q11)
     assert len(back) == 0
     assert back.limit == 0
+
+
+@pytest.mark.parametrize("blob, message", [
+    (b"QFR", "not a QFR1 cache (bad magic)"),
+    (b"NOPE" + b"\x00" * 64, "not a QFR1 cache (bad magic)"),
+    (MAGIC + struct.pack("<qqq", 1, 0, 1), "truncated header"),
+    (MAGIC + struct.pack("<qqqQ", 1, 0, 1, 3) + b"\x00" * 50, "expected 3 records, payload holds 2"),
+    (MAGIC + struct.pack("<qqqQ", 2, 4, 6, 0), "invalid form in header"),
+    (MAGIC + struct.pack("<qqqQ", 1, 0, 2, 0), "cache holds form"),
+    (MAGIC + struct.pack("<qqqQ", 1, 0, 1, 2) + struct.pack("<QqqQqq", 13, 3, 2, 5, 2, 1),
+     "records are not sorted by p"),
+], ids=["short-magic", "magic", "header", "count", "form", "expected-form", "order"])
+def test_each_check_keeps_its_message(tmp_path, blob, message):
+    path = tmp_path / "c.qfr"
+    path.write_bytes(blob)
+    with pytest.raises(CacheFormatError, match="^" + re.escape(f"{path}: {message}")):
+        read_cache(path, expected_form=Q11)
+
+
+def test_payload_read_once(tmp_path):
+    path = tmp_path / "t.qfr"
+    write_cache(path, ensure_table(Q11, 2_000_000))
+    payload = path.stat().st_size - len(MAGIC) - cache._HEADER.size
+    tracemalloc.start()
+    try:
+        back = read_cache(path, expected_form=Q11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(back) * cache._RECORD_DTYPE.itemsize == payload
+    # the record array plus the three int64 columns: 2.0x the payload; reading
+    # the file as bytes, then slicing the body off, peaked at 3.0x
+    assert peak <= 2.2 * payload
 
 
 class _FullDisk(io.FileIO):

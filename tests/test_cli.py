@@ -698,6 +698,26 @@ class TestAcoeffCommand:
         result = runner.invoke(main, ["acoeff", "--delta", "-4", "--mod", "8", "--res", "1"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("delta, mod, res, value", [
+        ("-999999937", "8", "1", "1"),  # d_K = -3999999748 does not divide 8
+        ("-9999991", "9999991", "2", "2"),  # d_K = delta, chi_K(2) = 1
+        ("-9999991", "19999982", "3", "0"),  # chi_K(3) = -1
+        ("-1", str(10**20), "1", "2"),  # a modulus past int64: chi_K read mod 4
+        ("-1", str(10**20), "3", "0"),
+    ])
+    def test_large_discriminants_and_moduli(self, runner, delta, mod, res, value):
+        result = invoke(runner, "acoeff", "--delta", delta, "--mod", mod, "--res", res)
+        assert result.stdout == value + "\n"
+
+    def test_discriminant_past_int64(self, runner):
+        # delta = -(2*3*5*...*53), squarefree, so d_K = 4*delta is past int64:
+        # index 1 needs no character value, index 2 is refused as a usage error
+        delta = -math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53])
+        args = ["acoeff", "--delta", str(delta), "--res", "1", "--mod"]
+        assert invoke(runner, *args, "8").stdout == "1\n"
+        result = runner.invoke(main, [*args, str(-4 * delta)])
+        assert result.exit_code == 2 and "a inside int64" in result.stderr
+
     @pytest.mark.parametrize("budget", ["-5", "0", "1", "20", "50000"])
     def test_budget_has_no_effect(self, runner, budget):
         # A(m, M) is a closed form, so there is no scan budget to set: every

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qfbias import counting
 from qfbias import primes as primes_module
-from qfbias.arith import euler_phi, kronecker, kronecker_array, squarefree_part
+from qfbias.arith import euler_phi, kronecker_array, squarefree_part
 from qfbias.counting import (
     CountSeries,
     FieldSplitting,
@@ -26,7 +26,7 @@ from qfbias.forms import QuadraticForm, ensure_table
 from qfbias.primes import DEFAULT_CAPACITY, CongruenceClass, sieve_range
 
 from conftest import trial_division_primes
-from oracles import splitting_type
+from oracles import kronecker, splitting_type
 
 GAUSS = FieldSplitting(-1)
 Q11 = QuadraticForm(1, 0, 1)
@@ -193,8 +193,8 @@ class TestPrimeIdealCount:
             prime_ideal_count(GAUSS, [100, DEFAULT_CAPACITY + 1, 1000])
 
     def test_capacity_refused_before_the_character_table(self, monkeypatch):
-        # the table has |d_K| entries: 4e7 of them take seconds to build
-        monkeypatch.setattr(counting, "_chi_table", lambda d: pytest.fail("built"))
+        # the table has min(|d_K|, x + 1) entries: 4e7 of them take seconds to build
+        monkeypatch.setattr(counting, "_chi_table", lambda d, size: pytest.fail("built"))
         with pytest.raises(SieveCapacityError, match="exceeds capacity"):
             prime_ideal_count(FieldSplitting(-9999991), DEFAULT_CAPACITY + 1)
 
@@ -205,9 +205,11 @@ class TestPrimeIdealCount:
         assert counts.tolist() == [4, 0, prime_ideal_count(GAUSS, 100)]
         assert prime_ideal_count(GAUSS, []).tolist() == []
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
-        delta=st.sampled_from([-1, -2, -3, -5, -6, -15]),
+        # small fields, and squarefree |delta| <= 1e9, whose chi table is cut at the bound
+        delta=st.sampled_from([-1, -2, -3, -5, -6, -15])
+        | st.integers(-10**9, -1).filter(lambda d: squarefree_part(d) == d),
         cls=st.integers(min_value=1, max_value=60).flatmap(
             lambda mod: st.sampled_from(
                 [CongruenceClass(r, mod) for r in range(mod) if math.gcd(r, mod) == 1]
@@ -274,7 +276,7 @@ class TestPrimeIdealCount:
         for x in (100, 1000, 10_000):
             prime_ideal_count(fs, x)
         assert calls == [7]
-        chi = counting._chi_table(fs.field_discriminant)
+        chi = counting._chi_table(fs.field_discriminant, 7)
         assert calls == [7]
         assert chi.tolist() == [kronecker(-7, r) for r in range(7)]
         with pytest.raises(ValueError, match="read-only"):
@@ -283,13 +285,28 @@ class TestPrimeIdealCount:
     @pytest.mark.parametrize("d", [-3, -4, -7, -8, -15, -20, -24, -999983])
     def test_chi_table_equals_kronecker_at_every_residue(self, d):
         counting._chi_table.cache_clear()
-        chi = counting._chi_table(d)
+        chi = counting._chi_table(d, abs(d))
         assert chi.tolist() == [kronecker(d, r) for r in range(abs(d))]
+
+    def test_chi_table_reads_only_the_residues_below_the_bound(self, monkeypatch):
+        sizes = []
+
+        def spy(d, n):
+            sizes.append(n.size)
+            return kronecker_array(d, n)
+
+        monkeypatch.setattr(counting, "kronecker_array", spy)
+        counting._chi_table.cache_clear()
+        fs = FieldSplitting(-9999991)  # d_K = delta: 9,999,991 residues mod |d_K|
+        assert prime_ideal_count(fs, 1000) == 185
+        # a table of all |d_K| residues evaluated 9,999,991
+        assert sum(sizes) <= 1001
+        assert counting._chi_table(fs.field_discriminant, 1001).dtype == np.int8
 
 
 class TestKroneckerArray:
     @given(
-        a=st.integers(min_value=-10**6, max_value=10**6),
+        a=st.integers(min_value=-4 * 10**9, max_value=4 * 10**9),
         n=st.lists(st.integers(min_value=0, max_value=2**40), max_size=50),
     )
     @settings(max_examples=200, deadline=None)
@@ -300,6 +317,11 @@ class TestKroneckerArray:
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
             kronecker_array(-4, np.array([3, -1]))
+
+    def test_rejects_a_past_int64(self):
+        assert kronecker_array(-(2**63), np.array([3])).tolist() == [kronecker(-(2**63), 3)]
+        with pytest.raises(ValueError, match="a inside int64"):
+            kronecker_array(2**63, np.array([3]))
 
 
 STABILIZATION_WINDOW = 100
@@ -394,9 +416,10 @@ class TestNormResidueSubgroup:
         monkeypatch.setattr(counting, "squarefree_part", spy)
         sub = norm_residue_subgroup(GAUSS, 8)
         assert sub.subgroup == (1, 5) and sub.index == 2 and not sub.contains(3)
-        assert calls == [-1]  # one trial division serves every membership and the index
+        # the subgroup keeps the field's d_K, so nothing is factored again
+        assert calls == []
         assert a_coefficient(GAUSS, CongruenceClass(5, 8)) == 2
-        assert calls == [-1, -1]  # a new subgroup factors once more
+        assert calls == []
 
     @pytest.mark.parametrize("delta", DELTAS)
     def test_scan_matches_closed_form(self, delta):

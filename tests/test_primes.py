@@ -247,19 +247,26 @@ class TestPrimeSegments:
     def test_capacity_error_before_sieving(self, monkeypatch):
         monkeypatch.setattr(primes_module, "sieve_range", lambda *a, **k: pytest.fail("sieved"))
         with pytest.raises(SieveCapacityError, match="capacity"):
-            next(prime_segments(200_000_000))
+            prime_segments(200_000_000)
+
+    def test_bad_input_refused_at_the_call(self, monkeypatch):
+        # like `segments`, the call itself refuses: no `next` is needed
+        monkeypatch.setattr(primes_module, "_sieve_window", lambda lo, hi: pytest.fail("sieved"))
+        with pytest.raises(ValueError, match="prime index must be >= 1"):
+            prime_segments(0)
+        with pytest.raises(SieveCapacityError, match="exceeds capacity"):
+            prime_segments(10**10)
 
 
 PAST = DEFAULT_CAPACITY + 1
 Q11 = QuadraticForm(1, 0, 1)
 
 
-# every consumer of the sieve at one past the capacity; only prime_segments
-# is a generator, pulled once, and the others refuse at the call
+# every consumer of the sieve at one past the capacity, each refused at the call
 @pytest.mark.parametrize("call", [
     lambda: sieve_range(2, PAST),
     lambda: segments(PAST, PAST),
-    lambda: next(prime_segments(PAST)),
+    lambda: prime_segments(PAST),
     lambda: row_blocks(empty_table(Q11), PAST),
     lambda: ensure_table(Q11, PAST),
     lambda: prime_ideal_count(FieldSplitting(-1), PAST),
