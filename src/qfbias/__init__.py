@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "counting": (
         "BiasFractions", "CountSeries", "DensityReport", "FieldSplitting", "NormResidueSubgroup",
-        "a_coefficient", "d_functions", "density_check", "negative_bias_fraction",
-        "norm_residue_subgroup", "prime_ideal_count",
+        "a_coefficient", "d_functions", "density_check", "norm_residue_subgroup",
+        "prime_ideal_count",
     ),
     "equidist": ("ks_statistic", "sample_angles", "sector_counts", "weyl_sum"),
     "forms": ("RepTable", "empty_table", "ensure_table", "representation_table"),
@@ -32,12 +32,9 @@ _EXPORTS = {
         "BivariatePolynomial", "PolynomialSyntaxError", "leading_homogeneous_part",
         "parse_polynomial",
     ),
-    "primes": ("CongruenceClass", "nth_prime", "sieve_range"),
+    "primes": ("CongruenceClass", "sieve_range"),
     "qform": ("QuadraticForm",),
-    "series": (
-        "BiasSeries", "MomentSums", "bias_series", "fold_series", "moment_sum", "poly_sum",
-        "ratio_series", "sign_changes",
-    ),
+    "series": ("BiasSeries", "bias_series", "fold_series", "ratio_series", "sign_changes"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

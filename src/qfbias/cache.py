@@ -3,7 +3,8 @@
 Layout: 4 magic bytes, then a header of three signed 64-bit form coefficients
 and an unsigned 64-bit record count, then count records of (p: u64, x: i64,
 y: i64) sorted by p. The format carries no coverage bound, so readers treat
-the largest stored prime as the trusted coverage limit.
+the largest stored prime as the trusted coverage limit. Nor does it carry a
+checksum: the reader checks every record instead (`_check_rows`).
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import replacing
-from .errors import CacheFormatError
-from .forms import QuadraticForm, RepTable
+from .errors import CacheFormatError, TableBoundError
+from .forms import QuadraticForm, RepTable, _extents
 
 MAGIC = b"QFR1"
 _HEADER = struct.Struct("<qqqQ")
@@ -50,10 +51,10 @@ def write_cache(path, table: RepTable) -> None:
 def read_cache(path, expected_form: QuadraticForm | None = None) -> RepTable:
     """Read a QFR1 file back into a table.
 
-    Raises CacheFormatError on a bad magic, truncated payload, unsorted
-    records, or (when expected_form is given) mismatched coefficients. The
-    header is checked against the file size first, then the payload is read
-    once, straight into the record array.
+    Raises CacheFormatError on a bad magic, truncated payload, unsorted or
+    non-canonical records (`_check_rows`), or (when expected_form is given)
+    mismatched coefficients. The header is checked against the file size
+    first, then the payload is read once, straight into the record array.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -78,14 +79,33 @@ def read_cache(path, expected_form: QuadraticForm | None = None) -> RepTable:
         raise CacheFormatError(
             f"{path}: cache holds form {form}, expected {expected_form}"
         )
-    p = records["p"].astype(np.int64)
-    if p.size and np.any(np.diff(p) < 0):
+    p, x, y = (records[k].astype(np.int64) for k in _RECORD_DTYPE.names)
+    del records  # the checks' temporaries reuse its memory
+    if p.size:
+        _check_rows(path, form, p, x, y)
+    return RepTable(form, p, x, y, int(p[-1]) if p.size else 0)
+
+
+def _check_rows(path, form: QuadraticForm, p, x, y) -> None:
+    """CacheFormatError unless the rows ascend by p, then by (x, y), and each
+    is a canonical representation of its prime.
+
+    Rows within 2 <= p, 0 <= y < x and `forms._extents` at the largest p keep
+    every term of Q inside its int64 guard, so Q(x, y) = p is exact there; a
+    row outside is refused whatever its wrapped Q. The one flip of a bit of
+    x or y that keeps Q(x, y) = p lands on another row of p, out of order.
+    """
+    if np.any(np.diff(p) < 0):
         raise CacheFormatError(f"{path}: records are not sorted by p")
-    limit = int(p[-1]) if p.size else 0
-    return RepTable(
-        form,
-        p,
-        records["x"].astype(np.int64),
-        records["y"].astype(np.int64),
-        limit,
-    )
+    try:
+        x_max, y_max = _extents(form, int(p[-1]))
+    except TableBoundError as exc:
+        raise CacheFormatError(f"{path}: {exc}") from exc
+    bad = (p < 2) | (y < 0) | (y >= x) | (x > x_max) | (y > y_max)
+    bad |= form.a * x * x + form.c * y * y != p - form.b * x * y
+    tie = np.flatnonzero(p[1:] == p[:-1])
+    bad[tie + 1] |= (x[tie + 1] < x[tie]) | (x[tie + 1] == x[tie]) & (y[tie + 1] <= y[tie])
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise CacheFormatError(f"{path}: record {i} (p={p[i]}, x={x[i]}, y={y[i]}) is "
+                               "not a canonical representation of p, or is out of order")

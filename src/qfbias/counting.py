@@ -4,7 +4,8 @@ Covers three pieces of machinery for an imaginary quadratic field K of
 squarefree discriminant input delta < 0:
 
   * running differences D1/D2 comparing the odd and even parts of p = a^2 +
-    (2b)^2 over the two residue classes 1, 5 (mod 8);
+    (2b)^2 over the two residue classes 1, 5 (mod 8), with the shares of
+    their grid points below and at zero tallied as they stream (`DStep`);
   * prime-ideal counts by norm and norm residue, with splitting decided by
     the Kronecker character of the field discriminant, added up one sieve
     window (`primes.segments`) at a time at every bound at once;
@@ -12,7 +13,7 @@ squarefree discriminant input delta < 0:
     (Z/MZ)^* when m lies in H and 0 otherwise, H being the kernel of the
     Kronecker character when |d_K| divides M and all of (Z/MZ)^* otherwise.
 
-Both read the character chi_K through `arith.kronecker_array`, the one
+The last two read the character chi_K through `arith.kronecker_array`, the one
 Kronecker evaluation, and only at the residues they need.
 """
 
@@ -83,20 +84,10 @@ class CountSeries:
 
 
 class BiasFractions(NamedTuple):
+    """Shares of a count's grid points with value < 0 and with value <= 0."""
+
     negative: float
     nonpositive: float
-
-
-def negative_bias_fraction(series: CountSeries) -> BiasFractions:
-    """Fraction of grid points with value < 0, and with value <= 0."""
-    vals = series.values
-    n = vals.size
-    if n == 0:
-        raise ValueError("empty count series")
-    return BiasFractions(
-        negative=float(np.count_nonzero(vals < 0)) / n,
-        nonpositive=float(np.count_nonzero(vals <= 0)) / n,
-    )
 
 
 class DStep:
@@ -152,7 +143,7 @@ class DStep:
                               np.count_nonzero(values <= 0))
 
     def fractions(self) -> tuple[BiasFractions, BiasFractions]:
-        """`negative_bias_fraction` of D1 and D2 over the points emitted so far."""
+        """The BiasFractions of D1 and D2 over the points emitted so far."""
         n, negative, nonpositive = self._tally.tolist()
         return tuple(
             BiasFractions(float(negative[i]) / n[i], float(nonpositive[i]) / n[i])

@@ -41,6 +41,17 @@ def _x_extent(form: QuadraticForm, p: int) -> int:
     return math.isqrt(4 * form.c * p // form.D) + 1
 
 
+def _extents(form: QuadraticForm, hi: int) -> tuple[int, int]:
+    """Bounds (x_max, y_max) on x and y where Q(x, y) <= hi; TableBoundError
+    unless each term of Q within them, and 4a * hi, stays below 2**62."""
+    a, b, c, D = form.a, form.b, form.c, form.D
+    y_max = math.isqrt(4 * a * hi // D)  # 4a*Q = (2ax + by)^2 + D y^2
+    x_max = _x_extent(form, hi)
+    if max(a * x_max**2, abs(b) * x_max * y_max, c * y_max**2, 4 * a * hi) >= 1 << 62:
+        raise TableBoundError(f"form ({form}) to {hi} exceeds the int64 range")
+    return x_max, y_max
+
+
 def brute_force_representations(
     form: QuadraticForm, p: int, bound: int = DEFAULT_ORACLE_BOUND
 ) -> set[tuple[int, int]]:
@@ -247,11 +258,7 @@ def representation_table(form: QuadraticForm, primes: np.ndarray) -> RepTable:
         return empty_table(form)
     hi = int(primes[-1])
     check_capacity(hi)
-    a, b, c, D = form.a, form.b, form.c, form.D
-    y_max = math.isqrt(4 * a * hi // D)
-    x_max = _x_extent(form, hi)
-    if max(a * x_max**2, abs(b) * x_max * y_max, c * y_max**2, 4 * a * hi) >= 1 << 62:
-        raise TableBoundError(f"form ({form}) to {hi} exceeds the int64 range")
+    _extents(form, hi)
     parts = []
     start = 0
     while start < primes.size:

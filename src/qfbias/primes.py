@@ -5,7 +5,9 @@ default window of 2**20 numbers costs ~512 KiB of flags and fits in L2 cache.
 Each window is filled from a pre-sieved tile of 15015 odd numbers that
 already has the multiples of 3..13 struck, and only the base primes from 17
 up are struck per window; those are built once per power of two of the
-square root and shared by every window of a stream.
+square root and shared by every window of a stream. The base primes are
+themselves one window of the same sieve, so this is the package's only
+sieve; the plain sieve of Eratosthenes that checks it is a test reference.
 
 `segments(lo, hi)` is the one window loop every prime consumer reads: it
 hands over the primes of each window as its own array, so no caller holds
@@ -39,16 +41,6 @@ def check_capacity(hi: int) -> None:
         raise SieveCapacityError(f"sieve to {hi} exceeds capacity {DEFAULT_CAPACITY}")
 
 
-def _simple_prime_flags(n: int) -> np.ndarray:
-    """Boolean array f with f[i] = (i prime), for 0 <= i <= n."""
-    flags = np.ones(n + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return flags
-
-
 # odd primes struck once into the tile rather than in every segment
 _TILE_PRIMES = (3, 5, 7, 11, 13)
 _TILE_PERIOD = 3 * 5 * 7 * 11 * 13  # 15015 odd numbers
@@ -73,11 +65,12 @@ def _base_primes(bits: int) -> np.ndarray:
     """The primes 17 <= p < 2**bits, ascending, int64 and read-only.
 
     Keyed by the bit length of sqrt(hi), so a stream of segments shares one
-    array per power of two (at most 32 entries inside int64).
+    array per power of two (at most 32 entries inside int64). The array is
+    one `_sieve_window`, whose own base primes reach only sqrt(2**bits), so
+    the memo fills bottom-up (16 -> 9 -> 5 -> 3 bits, the last empty).
     """
-    flags = _simple_prime_flags(1 << bits)
-    flags[: _TILE_PRIMES[-1] + 1] = False
-    base = np.flatnonzero(flags)
+    top = 1 << bits
+    base = _sieve_window(17, top) if top >= 17 else np.empty(0, dtype=np.int64)
     base.flags.writeable = False
     return base
 
@@ -218,15 +211,3 @@ def _first(n: int, stream: Iterator[np.ndarray], bound: int) -> Iterator[np.ndar
             return
     # nth_prime_bound is an upper bound, so unreachable
     raise ArithmeticError(f"fewer than {n} primes below {bound}")
-
-
-def first_primes(n: int) -> np.ndarray:
-    """The first n primes, ascending, as int64."""
-    return np.concatenate(list(prime_segments(n)))
-
-
-def nth_prime(n: int) -> int:
-    """The n-th prime, 1-indexed (n=1 gives 2)."""
-    for seg in prime_segments(n):
-        pass
-    return int(seg[-1])

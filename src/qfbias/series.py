@@ -1,6 +1,6 @@
 """Empirical bias series over represented primes and their sign-change stats.
 
-Sums of coordinate powers are exact integers; only the final quotients are
+Coordinate sums are exact int64 prefix sums; only the final quotients are
 floats. Series indexed by prime count sample at stride multiples, matching
 the plotted points of the experiments this package reproduces. A series is a
 set of numpy columns, and NaN marks an undefined F or R (an empty CSV field).
@@ -9,31 +9,13 @@ set of numpy columns, and NaN marks an undefined F or R (an empty CSV field).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import SieveCapacityError
 from .forms import QuadraticForm, RepTable, _x_extent, segment_rows
 from .primes import CongruenceClass, prime_segments
-
-if TYPE_CHECKING:  # the commands that fold series load neither
-    from fractions import Fraction
-
-    from .polynomials import BivariatePolynomial
-
-MAX_MOMENT_POWER = 8
-
-
-@dataclass(frozen=True)
-class MomentSums:
-    """Exact sums of x^k and y^k over canonical pairs in a congruence class."""
-
-    cls: CongruenceClass
-    k: int
-    sum_a: int
-    sum_b: int
-    count: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,39 +41,6 @@ class BiasSeries:
         out = np.full(sum_a.size, np.nan)
         np.divide(sum_a, sum_b, out=out, where=sum_b != 0)
         return out
-
-
-def moment_sum(table: RepTable, cls: CongruenceClass, k: int, x_limit: int) -> MomentSums:
-    """Exact sums of x^k and y^k over the table's pairs with p <= x_limit in cls.
-
-    Each canonical pair of a prime contributes one term (general forms can
-    contribute several pairs per prime). ValueError if the table does not
-    cover x_limit.
-    """
-    if k < 0 or k > MAX_MOMENT_POWER:
-        raise ValueError(f"moment power {k} outside supported range 0..{MAX_MOMENT_POWER}")
-    table = table.slice_below(x_limit).slice_class(cls)
-    sum_a = sum(int(v) ** k for v in table.x.tolist())
-    sum_b = sum(int(v) ** k for v in table.y.tolist())
-    return MomentSums(cls=cls, k=k, sum_a=sum_a, sum_b=sum_b, count=len(table))
-
-
-def poly_sum(
-    table: RepTable, cls: CongruenceClass, poly: BivariatePolynomial, x_limit: int
-) -> Fraction:
-    """Exact sum of poly(x, y) over the table's pairs with p <= x_limit in cls.
-
-    ValueError if the table does not cover x_limit.
-    """
-    from fractions import Fraction
-
-    if poly.is_zero:
-        raise ValueError("zero polynomial rejected")
-    table = table.slice_below(x_limit).slice_class(cls)
-    total = Fraction(0)
-    for _, x, y in table.rows():
-        total += poly.evaluate(x, y)
-    return total
 
 
 def _prefix_sums(values: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -3,7 +3,9 @@ import math
 import pytest
 
 from qfbias.forms import QuadraticForm, representation_table
-from qfbias.primes import nth_prime, sieve_range
+from qfbias.primes import sieve_range
+
+from oracles import nth_prime
 
 
 def trial_division_primes(lo: int, hi: int) -> list[int]:

@@ -1,4 +1,4 @@
-"""Per-prime oracles the tests check the package's bulk routes against.
+"""Oracles the tests check the package's bulk routes against.
 
 `canonical_pairs` finds the canonical representations of one prime: by
 Cornacchia's remainder chain for forms x^2 + c*y^2 (as in Cox, *Primes of
@@ -8,20 +8,33 @@ decides how one rational prime decomposes in an imaginary quadratic field,
 by `kronecker`, the scalar Kronecker symbol walk. None of them shares code
 with the lattice enumeration, `qfbias.arith.kronecker_array` or the
 sieve-wide counts they check.
+
+`_simple_prime_flags`, the plain sieve of Eratosthenes, is the reference for
+the segmented sieve; `first_primes` and `nth_prime` read the package's
+`prime_segments`. `moment_sum` and `poly_sum` sum Python ints and Fractions
+row by row, against the int64 prefix sums of the series fold, and
+`negative_bias_fraction` counts a whole D1/D2 series, against the running
+tallies of `DStep.fractions`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from qfbias.counting import FieldSplitting
+import numpy as np
+
+from qfbias.counting import BiasFractions, CountSeries, FieldSplitting
 from qfbias.forms import (
     DEFAULT_ORACLE_BOUND,
     QuadraticForm,
+    RepTable,
     brute_force_representations,
     canonical_filter,
 )
+from qfbias.polynomials import BivariatePolynomial
+from qfbias.primes import CongruenceClass, prime_segments
 
 SPLIT = "split"
 INERT = "inert"
@@ -189,3 +202,82 @@ def splitting_type(fs: FieldSplitting, p: int) -> str:
     if d % p == 0:
         return RAMIFIED
     return SPLIT if kronecker(d, p) == 1 else INERT
+
+
+def _simple_prime_flags(n: int) -> np.ndarray:
+    """Boolean array f with f[i] = (i prime), for 0 <= i <= n."""
+    flags = np.ones(n + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return flags
+
+
+def first_primes(n: int) -> np.ndarray:
+    """The first n primes, ascending, as int64."""
+    return np.concatenate(list(prime_segments(n)))
+
+
+def nth_prime(n: int) -> int:
+    """The n-th prime, 1-indexed (n=1 gives 2)."""
+    for seg in prime_segments(n):
+        pass
+    return int(seg[-1])
+
+
+MAX_MOMENT_POWER = 8
+
+
+@dataclass(frozen=True)
+class MomentSums:
+    """Exact sums of x^k and y^k over canonical pairs in a congruence class."""
+
+    cls: CongruenceClass
+    k: int
+    sum_a: int
+    sum_b: int
+    count: int
+
+
+def moment_sum(table: RepTable, cls: CongruenceClass, k: int, x_limit: int) -> MomentSums:
+    """Exact sums of x^k and y^k over the table's pairs with p <= x_limit in cls.
+
+    Each canonical pair of a prime contributes one term (general forms can
+    contribute several pairs per prime). ValueError if the table does not
+    cover x_limit.
+    """
+    if k < 0 or k > MAX_MOMENT_POWER:
+        raise ValueError(f"moment power {k} outside supported range 0..{MAX_MOMENT_POWER}")
+    table = table.slice_below(x_limit).slice_class(cls)
+    sum_a = sum(int(v) ** k for v in table.x.tolist())
+    sum_b = sum(int(v) ** k for v in table.y.tolist())
+    return MomentSums(cls=cls, k=k, sum_a=sum_a, sum_b=sum_b, count=len(table))
+
+
+def poly_sum(
+    table: RepTable, cls: CongruenceClass, poly: BivariatePolynomial, x_limit: int
+) -> Fraction:
+    """Exact sum of poly(x, y) over the table's pairs with p <= x_limit in cls.
+
+    ValueError if the table does not cover x_limit.
+    """
+    if poly.is_zero:
+        raise ValueError("zero polynomial rejected")
+    table = table.slice_below(x_limit).slice_class(cls)
+    total = Fraction(0)
+    for _, x, y in table.rows():
+        total += poly.evaluate(x, y)
+    return total
+
+
+def negative_bias_fraction(series: CountSeries) -> BiasFractions:
+    """Fraction of grid points with value < 0, and with value <= 0."""
+    vals = series.values
+    n = vals.size
+    if n == 0:
+        raise ValueError("empty count series")
+    return BiasFractions(
+        negative=float(np.count_nonzero(vals < 0)) / n,
+        nonpositive=float(np.count_nonzero(vals <= 0)) / n,
+    )

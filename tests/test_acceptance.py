@@ -19,7 +19,6 @@ from qfbias.counting import (
     a_coefficient,
     d_functions,
     density_check,
-    negative_bias_fraction,
 )
 from qfbias.equidist import ks_statistic, mirrored, sample_angles, sector_counts, weyl_sum
 from qfbias.forms import (
@@ -31,10 +30,10 @@ from qfbias.forms import (
 from qfbias.limits import beta, limit_ratio_moment, limit_ratio_poly
 from qfbias.polynomials import parse_polynomial
 from qfbias.primes import CongruenceClass, sieve_range
-from qfbias.series import bias_series, moment_sum, sign_changes
+from qfbias.series import bias_series, sign_changes
 
 from conftest import trial_division_primes
-from oracles import canonical_pairs
+from oracles import canonical_pairs, moment_sum, negative_bias_fraction
 
 SILVER = 1.0 + math.sqrt(2.0)
 Q11 = QuadraticForm(1, 0, 1)

@@ -7,8 +7,10 @@ from qfbias.counting import d_functions
 from qfbias.equidist import sample_angles
 from qfbias.forms import QuadraticForm, ensure_table
 from qfbias.polynomials import parse_polynomial
-from qfbias.primes import CongruenceClass, nth_prime
-from qfbias.series import bias_series, moment_sum, poly_sum
+from qfbias.primes import CongruenceClass
+from qfbias.series import bias_series
+
+from oracles import moment_sum, nth_prime, poly_sum
 
 Q11 = QuadraticForm(1, 0, 1)
 C14 = CongruenceClass(1, 4)

@@ -103,12 +103,56 @@ def test_empty_cache_round_trip(tmp_path):
     (MAGIC + struct.pack("<qqqQ", 1, 0, 2, 0), "cache holds form"),
     (MAGIC + struct.pack("<qqqQ", 1, 0, 1, 2) + struct.pack("<QqqQqq", 13, 3, 2, 5, 2, 1),
      "records are not sorted by p"),
-], ids=["short-magic", "magic", "header", "count", "form", "expected-form", "order"])
+    # Q(2, 3) = 13, but a canonical row has y < x
+    (MAGIC + struct.pack("<qqqQ", 1, 0, 1, 2) + struct.pack("<QqqQqq", 5, 2, 1, 13, 2, 3),
+     "record 1 (p=13, x=2, y=3) is not a canonical representation of p, or is out of order"),
+    (MAGIC + struct.pack("<qqqQ", 1, 0, 1, 1) + struct.pack("<Qqq", 1 << 62, 2, 1),
+     "form (1,0,1) to 4611686018427387904 exceeds the int64 range"),
+], ids=["short-magic", "magic", "header", "count", "form", "expected-form", "order", "row",
+        "int64"])
 def test_each_check_keeps_its_message(tmp_path, blob, message):
     path = tmp_path / "c.qfr"
     path.write_bytes(blob)
     with pytest.raises(CacheFormatError, match="^" + re.escape(f"{path}: {message}")):
         read_cache(path, expected_form=Q11)
+
+
+def _written(tmp_path, coeffs, limit):
+    """A clean cache of the form to limit: its path and its bytes."""
+    path = tmp_path / "c.qfr"
+    write_cache(path, ensure_table(QuadraticForm(*coeffs), limit))
+    return path, bytearray(path.read_bytes())
+
+
+def test_flipped_bit_in_x_refused(tmp_path):
+    path, blob = _written(tmp_path, (1, 0, 1), 100_000)
+    blob[-16] ^= 1  # the low bit of the last record's x
+    path.write_bytes(blob)
+    with pytest.raises(CacheFormatError, match="is not a canonical representation"):
+        read_cache(path, expected_form=Q11)
+
+
+def test_flip_onto_the_other_root_refused(tmp_path):
+    # 13 = Q(5, 4) = Q(7, 4) for x^2 - 3xy + 3y^2, and 5 ^ 2 == 7: the flipped
+    # row passes every per-row check, but the prime's rows no longer ascend
+    path, blob = _written(tmp_path, (1, -3, 3), 13)
+    table = read_cache(path)
+    rows = list(zip(table.p.tolist(), table.x.tolist(), table.y.tolist()))
+    assert rows[-3:] == [(13, 5, 4), (13, 7, 3), (13, 7, 4)]
+    blob[-3 * 24 + 8] ^= 2  # the x of (13, 5, 4) becomes 7
+    path.write_bytes(blob)
+    with pytest.raises(CacheFormatError, match=re.escape("(p=13, x=7, y=3) is not a canonical")):
+        read_cache(path)
+
+
+@pytest.mark.parametrize("coeffs", [(1, -1, 2), (3, -2, 5), (1, -3, 3)], ids=str)
+def test_clean_b_negative_caches_load(tmp_path, coeffs):
+    form = QuadraticForm(*coeffs)
+    table = ensure_table(form, 200_000)
+    path = tmp_path / "c.qfr"
+    write_cache(path, table)
+    back = read_cache(path, expected_form=form)
+    assert np.array_equal(back.x, table.x) and np.array_equal(back.y, table.y)
 
 
 def test_payload_read_once(tmp_path):

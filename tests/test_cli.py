@@ -31,6 +31,8 @@ from qfbias.forms import QuadraticForm, ensure_table, representation_table
 from qfbias.primes import DEFAULT_SEGMENT_SIZE, CongruenceClass, sieve_range
 from qfbias.series import bias_series, fold_series
 
+from oracles import _simple_prime_flags
+
 
 @pytest.fixture
 def runner():
@@ -374,7 +376,7 @@ class TestSieveCommand:
         assert len(sieve_spy) == 3
         assert_windows_cover(sieve_spy, 2, 3_000_000)
         # the reference is the plain sieve of Eratosthenes, not the segmented one
-        want = np.flatnonzero(primes_module._simple_prime_flags(3_000_000))
+        want = np.flatnonzero(_simple_prime_flags(3_000_000))
         assert out.read_bytes() == "".join(f"{p}\n" for p in want.tolist()).encode()
         assert result.stdout == f"{want.size}\n" == "216816\n"
 
@@ -476,6 +478,17 @@ class TestSeriesCommand:
         invoke(runner, "series", "--form", "1,0,1", "--mod", "4", "--res", "1",
                "--nmax", "100", "--stride", "25", "-o", str(cached), "--cache", str(cache))
         assert fresh.read_bytes() == cached.read_bytes()
+
+    def test_flipped_cache_bit_exits_3_before_the_csv(self, runner, tmp_path):
+        cache = tmp_path / "c.qfr"
+        invoke(runner, "represent", "--form", "1,0,1", "--limit", "100000", "--cache", str(cache))
+        blob = bytearray(cache.read_bytes())
+        blob[-16] ^= 1  # the low bit of the last record's x
+        cache.write_bytes(blob)
+        out = tmp_path / "c.csv"
+        result = invoke(runner, "series", "--form", "1,0,1", "--nmax", "1000", "-o", str(out),
+                        "--cache", str(cache))
+        assert result.exit_code == 3 and not out.exists()
 
     def test_short_cache_equals_scratch(self, runner, tmp_path):
         # the cache serves the primes it covers and the rest are enumerated

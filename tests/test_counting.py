@@ -17,7 +17,6 @@ from qfbias.counting import (
     d_functions,
     density_check,
     log_integral,
-    negative_bias_fraction,
     norm_residue_subgroup,
     prime_ideal_count,
 )
@@ -26,7 +25,7 @@ from qfbias.forms import QuadraticForm, ensure_table
 from qfbias.primes import DEFAULT_CAPACITY, CongruenceClass, sieve_range
 
 from conftest import trial_division_primes
-from oracles import kronecker, splitting_type
+from oracles import kronecker, negative_bias_fraction, splitting_type
 
 GAUSS = FieldSplitting(-1)
 Q11 = QuadraticForm(1, 0, 1)

@@ -73,10 +73,13 @@ class TestQuadraticForm:
 
 
 @pytest.mark.parametrize("module, names", [
-    ("qfbias", ("Representation", "sqrt_mod", "cornacchia", "canonical_pairs", "splitting_type")),
+    ("qfbias", ("Representation", "sqrt_mod", "cornacchia", "canonical_pairs", "splitting_type",
+                "nth_prime", "MomentSums", "moment_sum", "poly_sum", "negative_bias_fraction")),
     ("qfbias.forms",
      ("Representation", "sqrt_mod", "cornacchia", "_fast_pairs", "canonical_pairs")),
-    ("qfbias.counting", ("splitting_type", "SPLIT", "INERT", "RAMIFIED")),
+    ("qfbias.counting", ("splitting_type", "SPLIT", "INERT", "RAMIFIED", "negative_bias_fraction")),
+    ("qfbias.primes", ("_simple_prime_flags", "first_primes", "nth_prime")),
+    ("qfbias.series", ("MAX_MOMENT_POWER", "MomentSums", "moment_sum", "poly_sum")),
 ])
 def test_per_prime_oracles_live_with_the_tests(module, names):
     # the package holds what its commands run; the oracles are in tests/oracles.py

@@ -13,8 +13,6 @@ from qfbias.primes import (
     DEFAULT_CAPACITY,
     DEFAULT_SEGMENT_SIZE,
     CongruenceClass,
-    first_primes,
-    nth_prime,
     nth_prime_bound,
     prime_segments,
     segments,
@@ -22,6 +20,7 @@ from qfbias.primes import (
 )
 
 from conftest import trial_division_primes
+from oracles import _simple_prime_flags, first_primes, nth_prime
 
 
 class TestSieveRange:
@@ -51,8 +50,6 @@ class TestSieveRange:
         assert sieve_range(2, 10**5).size == len(trial_division_primes(2, 10**5))
 
     def test_segmented_agrees_with_simple_sieve_at_1e6(self):
-        from qfbias.primes import _simple_prime_flags
-
         simple = np.flatnonzero(_simple_prime_flags(10**6))
         assert np.array_equal(sieve_range(2, 10**6), simple)
 
@@ -72,7 +69,7 @@ class TestSieveRange:
 
 
 TILE_SPAN = 2 * 3 * 5 * 7 * 11 * 13  # the pre-sieved tile covers 15015 odd numbers
-_FLAGS = primes_module._simple_prime_flags(5 * TILE_SPAN)
+_FLAGS = _simple_prime_flags(5 * TILE_SPAN)
 
 
 def _edge(k: int, d: int) -> int:
@@ -106,9 +103,14 @@ class TestPresievedSegments:
 
     def test_base_primes_built_once_per_power_of_two(self, monkeypatch):
         calls = []
-        simple = primes_module._simple_prime_flags
-        monkeypatch.setattr(primes_module, "_simple_prime_flags",
-                            lambda n: calls.append(n) or simple(n))
+        window = primes_module._sieve_window
+
+        def spy(lo, hi):
+            if lo == 17:  # a base-prime build; the windows of segments start elsewhere
+                calls.append(hi)
+            return window(lo, hi)
+
+        monkeypatch.setattr(primes_module, "_sieve_window", spy)
         primes_module._base_primes.cache_clear()
         monkeypatch.setattr(primes_module, "DEFAULT_SEGMENT_SIZE", 1000)
         segs = list(segments(2, 10**6))
@@ -116,6 +118,17 @@ class TestPresievedSegments:
         monkeypatch.undo()
         assert np.array_equal(np.concatenate(segs), sieve_range(2, 10**6))
         assert len(calls) <= math.isqrt(10**6).bit_length()
+
+    def test_base_primes_equal_the_plain_sieve(self):
+        # each power of two is one window of the segmented sieve, whose own
+        # base primes come from the smaller powers built on the way
+        flags = _simple_prime_flags(1 << 22)
+        for bits in range(1, 23):
+            primes_module._base_primes.cache_clear()
+            base = primes_module._base_primes(bits)
+            want = np.flatnonzero(flags[: (1 << bits) + 1])
+            assert base.dtype == np.int64 and not base.flags.writeable
+            assert np.array_equal(base, want[want >= 17])
 
 
 def _stream(lo, hi):

@@ -15,8 +15,6 @@ from qfbias.polynomials import BivariatePolynomial, parse_polynomial
 from qfbias.primes import (
     DEFAULT_SEGMENT_SIZE,
     CongruenceClass,
-    first_primes,
-    nth_prime,
     nth_prime_bound,
     sieve_range,
 )
@@ -25,13 +23,11 @@ from qfbias.series import (
     _check_sums,
     bias_series,
     fold_series,
-    moment_sum,
-    poly_sum,
     ratio_series,
     sign_changes,
 )
 
-from oracles import canonical_pairs
+from oracles import canonical_pairs, first_primes, moment_sum, nth_prime, poly_sum
 
 Q11 = QuadraticForm(1, 0, 1)
 C14 = CongruenceClass(1, 4)
