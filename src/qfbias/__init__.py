@@ -24,10 +24,7 @@ _EXPORTS = {
     ),
     "equidist": ("ks_statistic", "sample_angles", "sector_counts", "weyl_sum"),
     "forms": ("RepTable", "empty_table", "ensure_table", "representation_table"),
-    "limits": (
-        "LimitProblem", "beta", "integrand_s", "integrand_t", "integrate", "limit_ratio_moment",
-        "limit_ratio_poly",
-    ),
+    "limits": ("beta", "integrate", "limit_ratio_moment", "limit_ratio_poly"),
     "polynomials": (
         "BivariatePolynomial", "PolynomialSyntaxError", "leading_homogeneous_part",
         "parse_polynomial",

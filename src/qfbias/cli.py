@@ -285,7 +285,14 @@ def cmd_ratio(form, mod, res, nmax, stride, output, cache):
 @handle_errors
 def cmd_limit(form, k, poly_f, poly_g, tol):
     """Exact limit of the bias series, by quadrature of the closed form."""
-    value = limits.LimitProblem(form=form, k=k, f=poly_f, g=poly_g).solve(tol=tol)
+    if (k is None) == (poly_f is None and poly_g is None):
+        raise click.UsageError("specify either a moment power or both polynomials")
+    if k is not None:
+        value = limits.limit_ratio_moment(form, k, tol)
+    elif poly_f is None or poly_g is None:
+        raise click.UsageError("polynomial problems need both f and g")
+    else:
+        value = limits.limit_ratio_poly(form, poly_f, poly_g, tol)
     click.echo(_fmt(value))
 
 

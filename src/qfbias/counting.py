@@ -63,8 +63,8 @@ class CountSeries:
     """A running integer count sampled at its event grid, as int64 arrays.
 
     Grid entries hold the value after the event at that point; evaluate(x)
-    returns the count over events strictly below x. Both lookups take a
-    scalar or an array of points.
+    returns the count over events strictly below x, at a scalar or an array
+    of points.
     """
 
     x_grid: np.ndarray
@@ -77,10 +77,6 @@ class CountSeries:
     def evaluate(self, x):
         # events strictly below x; the final grid entry is a plain endpoint
         return np.concatenate(([0], self.values))[np.searchsorted(self.x_grid, x)]
-
-    def value_at(self, x):
-        """Running value including any event at x itself."""
-        return np.concatenate(([0], self.values))[np.searchsorted(self.x_grid, x, "right")]
 
 
 class BiasFractions(NamedTuple):
@@ -254,15 +250,6 @@ class NormResidueSubgroup:
         # chi_K has period |d_K|, so r mod |d_K| stays inside int64 for any M
         return self.index == 1 or bool(
             kronecker_array(self.discriminant, [r % abs(self.discriminant)])[0] == 1)
-
-    @property
-    def subgroup(self) -> tuple[int, ...]:
-        """The elements of H in [0, M), enumerated on demand; (0,) for M = 1."""
-        r = np.arange(self.modulus)
-        keep = np.gcd(r, self.modulus) == 1
-        if self.index == 2:
-            keep &= kronecker_array(self.discriminant, r) == 1
-        return tuple(np.flatnonzero(keep).tolist())
 
 
 def norm_residue_subgroup(fs: FieldSplitting, modulus: int) -> NormResidueSubgroup:

@@ -138,9 +138,6 @@ class RepTable:
             self.form, self.p[:count], self.x[:count], self.y[:count], self.limit
         )
 
-    def rows(self):
-        return zip(self.p.tolist(), self.x.tolist(), self.y.tolist())
-
 
 def empty_table(form: QuadraticForm, limit: int = 0) -> RepTable:
     """A table of form without rows, covering primes to limit."""

@@ -1,23 +1,23 @@
-"""Closed-form limit values for the coordinate-sum ratios of represented primes.
+"""Closed-form limit values for polynomial sums over represented primes.
 
-For a form ax^2 + bxy + cy^2 the k-th moment ratio converges to
+For a form ax^2 + bxy + cy^2 and polynomials f, g of one degree n >= 1, with
+leading homogeneous parts f~ and g~, sum f(x_p, y_p) / sum g(x_p, y_p) over
+the represented primes converges to
 
-    integral_0^beta (sqrt(D) cos t - b sin t)^k dt
-    ---------------------------------------------
-    integral_0^beta (2a)^k sin^k t dt
+    integral_0^beta f~(s(t), u(t)) dt
+    ---------------------------------,  s(t) = sqrt(D) cos t - b sin t,
+    integral_0^beta g~(s(t), u(t)) dt   u(t) = 2a sin t,
 
 with beta = pi/2 when a + 2b = 0 and atan(sqrt(D)/(b + 2a)) otherwise; the
 implementation takes the atan2 branch in (0, pi) so forms with b + 2a <= 0
-get the positive angular width of the boundary ray. Polynomial numerators
-and denominators enter through their leading homogeneous parts evaluated on
-the degree-1 kernels.
+get the positive angular width of the boundary ray. The k-th moment ratio
+sum x^k / sum y^k is the case f = x^k, g = y^k.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import QuadratureError, ZeroDenominatorError
@@ -39,19 +39,22 @@ def beta(form: QuadraticForm) -> float:
     return math.atan2(math.sqrt(form.D), form.b + 2 * form.a)
 
 
-def integrand_s(form: QuadraticForm, k: int, theta: float) -> float:
-    """(sqrt(D) cos(theta) - b sin(theta))^k."""
-    if k < 0:
-        raise ValueError("moment power must be nonnegative")
-    base = math.sqrt(form.D) * math.cos(theta) - form.b * math.sin(theta)
-    return base**k
+def integrand(form: QuadraticForm, poly: BivariatePolynomial) -> Callable[[float], float]:
+    """theta -> poly~(s(theta), u(theta)), poly's leading homogeneous part on
+    the degree-1 kernels s = sqrt(D) cos - b sin and u = 2a sin."""
+    sqd = math.sqrt(form.D)
+    # float coefficients, converted once, give the bytes of Fraction * float
+    terms = [(float(c), i, j) for (i, j), c in leading_homogeneous_part(poly).terms.items()]
 
+    def fn(theta: float) -> float:
+        s = sqd * math.cos(theta) - form.b * math.sin(theta)
+        u = 2 * form.a * math.sin(theta)
+        total = 0
+        for c, i, j in terms:
+            total += c * s**i * u**j
+        return total
 
-def integrand_t(form: QuadraticForm, k: int, theta: float) -> float:
-    """(2a)^k sin(theta)^k."""
-    if k < 0:
-        raise ValueError("moment power must be nonnegative")
-    return (2 * form.a) ** k * math.sin(theta) ** k
+    return fn
 
 
 def integrate(
@@ -108,17 +111,17 @@ def integrate(
 
 
 def limit_ratio_moment(form: QuadraticForm, k: int, tol: float = DEFAULT_TOL) -> float:
-    """Limit of (sum of x-coordinates^k) / (sum of y-coordinates^k)."""
+    """Limit of (sum of x-coordinates^k) / (sum of y-coordinates^k).
+
+    The polynomial limit of x^k / y^k for k >= 1, and 1 at k = 0.
+    """
     if k < 0:
         raise ValueError("moment power must be nonnegative")
     if k == 0:
         return 1.0
-    b = beta(form)
-    num = integrate(lambda t: integrand_s(form, k, t), 0.0, b, tol)
-    den = integrate(lambda t: integrand_t(form, k, t), 0.0, b, tol)
-    # the denominator integrand is nonnegative and positive a.e. on (0, beta)
-    assert den > 0.0
-    return num / den
+    x_k = BivariatePolynomial({(k, 0): 1})
+    y_k = BivariatePolynomial({(0, k): 1})
+    return limit_ratio_poly(form, x_k, y_k, tol)
 
 
 def limit_ratio_poly(
@@ -130,58 +133,21 @@ def limit_ratio_poly(
     """Limit of sum f(x_p, y_p) / sum g(x_p, y_p) for equal-degree polynomials.
 
     Both polynomials are replaced by their leading homogeneous parts and
-    evaluated on the degree-1 kernels; a vanishing denominator integral is an
-    error, never an infinity.
+    evaluated on the degree-1 kernels. A denominator integral at most 1e-10
+    times the integral of |g~| over (0, beta) vanishes, because the terms of
+    g~ cancel there: that is an error, never an infinity, and a sign-definite
+    g~ such as y^k is never refused.
     """
     n = f.degree
     if n < 1 or g.degree < 1:
         raise ValueError("polynomials must have degree >= 1")
     if g.degree != n:
         raise ValueError(f"degree mismatch: deg f = {n}, deg g = {g.degree}")
-    ftil = leading_homogeneous_part(f)
-    gtil = leading_homogeneous_part(g)
     b = beta(form)
-    sqd = math.sqrt(form.D)
-
-    def kernel_ratio(poly):
-        def fn(theta: float) -> float:
-            s = sqd * math.cos(theta) - form.b * math.sin(theta)
-            t = 2 * form.a * math.sin(theta)
-            return float(poly.evaluate(s, t))
-
-        return integrate(fn, 0.0, b, tol)
-
-    num = kernel_ratio(ftil)
-    den = kernel_ratio(gtil)
-    if abs(den) <= 1e-10 * max(1.0, abs(num)):
+    gtil = integrand(form, g)
+    den = integrate(gtil, 0.0, b, tol)
+    if abs(den) <= 1e-10 * integrate(lambda t: abs(gtil(t)), 0.0, b, tol):
         raise ZeroDenominatorError(
             f"denominator integral vanishes ({den:.3e}) for g = {g}"
         )
-    return num / den
-
-
-@dataclass(frozen=True)
-class LimitProblem:
-    """A form together with moment or polynomial integrand descriptors."""
-
-    form: QuadraticForm
-    k: int | None = None
-    f: BivariatePolynomial | None = None
-    g: BivariatePolynomial | None = None
-
-    def __post_init__(self):
-        moment = self.k is not None
-        poly = self.f is not None or self.g is not None
-        if moment == poly:
-            raise ValueError("specify either a moment power or both polynomials")
-        if poly and (self.f is None or self.g is None):
-            raise ValueError("polynomial problems need both f and g")
-
-    @property
-    def beta(self) -> float:
-        return beta(self.form)
-
-    def solve(self, tol: float = DEFAULT_TOL) -> float:
-        if self.k is not None:
-            return limit_ratio_moment(self.form, self.k, tol)
-        return limit_ratio_poly(self.form, self.f, self.g, tol)
+    return integrate(integrand(form, f), 0.0, b, tol) / den

@@ -171,9 +171,6 @@ class CongruenceClass:
     def is_trivial(self) -> bool:
         return self.modulus == 1
 
-    def contains(self, n: int) -> bool:
-        return n % self.modulus == self.residue
-
     def __str__(self) -> str:
         return f"{self.residue} (mod {self.modulus})"
 

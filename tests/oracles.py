@@ -14,7 +14,8 @@ the segmented sieve; `first_primes` and `nth_prime` read the package's
 `prime_segments`. `moment_sum` and `poly_sum` sum Python ints and Fractions
 row by row, against the int64 prefix sums of the series fold, and
 `negative_bias_fraction` counts a whole D1/D2 series, against the running
-tallies of `DStep.fractions`.
+tallies of `DStep.fractions`. `table_rows`, `in_class` and `value_at` are
+the tests' per-row, class-membership and at-x lookups, which no command runs.
 """
 
 from __future__ import annotations
@@ -266,7 +267,7 @@ def poly_sum(
         raise ValueError("zero polynomial rejected")
     table = table.slice_below(x_limit).slice_class(cls)
     total = Fraction(0)
-    for _, x, y in table.rows():
+    for _, x, y in table_rows(table):
         total += poly.evaluate(x, y)
     return total
 
@@ -281,3 +282,18 @@ def negative_bias_fraction(series: CountSeries) -> BiasFractions:
         negative=float(np.count_nonzero(vals < 0)) / n,
         nonpositive=float(np.count_nonzero(vals <= 0)) / n,
     )
+
+
+def table_rows(table: RepTable):
+    """The table's rows as (p, x, y) tuples of Python ints."""
+    return zip(table.p.tolist(), table.x.tolist(), table.y.tolist())
+
+
+def in_class(cls: CongruenceClass, n: int) -> bool:
+    """Whether n lies in the residue class cls."""
+    return n % cls.modulus == cls.residue
+
+
+def value_at(series: CountSeries, x):
+    """The running count including any event at x itself."""
+    return np.concatenate(([0], series.values))[np.searchsorted(series.x_grid, x, "right")]

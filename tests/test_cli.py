@@ -31,7 +31,7 @@ from qfbias.forms import QuadraticForm, ensure_table, representation_table
 from qfbias.primes import DEFAULT_SEGMENT_SIZE, CongruenceClass, sieve_range
 from qfbias.series import bias_series, fold_series
 
-from oracles import _simple_prime_flags
+from oracles import _simple_prime_flags, table_rows
 
 
 @pytest.fixture
@@ -295,6 +295,19 @@ def test_stream_commands_load_no_fractions(tmp_path):
         assert _fresh_python(script, *argv).split()[-2:] == ["0", loaded], argv
 
 
+# every primitive positive-definite form with a <= 6, |b| <= 2a + 3 and c <= 8
+SMALL_FORMS = [
+    f"{a},{b},{c}"
+    for a in range(1, 7) for b in range(-2 * a - 3, 2 * a + 4) for c in range(1, 9)
+    if b * b < 4 * a * c and math.gcd(a, b, c) == 1
+]
+
+
+def _limit_run(*args):
+    result = CliRunner().invoke(main, ["limit", *args])
+    return result.exit_code, result.stdout
+
+
 class TestLimitCommand:
     def test_first_moment_prints_silver_ratio(self, runner):
         result = invoke(runner, "limit", "--form", "1,0,1", "--k", "1")
@@ -319,6 +332,31 @@ class TestLimitCommand:
     def test_flag_conflict_is_usage_error(self, runner):
         result = runner.invoke(main, ["limit", "--form", "1,0,1", "--k", "1", "--f", "x", "--g", "y"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("args, message", [
+        ([], "specify either a moment power or both polynomials"),
+        (["--k", "1", "--f", "x"], "specify either a moment power or both polynomials"),
+        (["--f", "x"], "polynomial problems need both f and g"),
+    ], ids=["neither", "k-and-f", "f-alone"])
+    def test_exactly_one_route_is_usage_error(self, runner, args, message):
+        result = runner.invoke(main, ["limit", "--form", "1,0,1", *args])
+        assert result.exit_code == 2 and result.stdout == ""
+        assert message in result.stderr
+
+    @given(form=st.sampled_from(SMALL_FORMS), k=st.integers(1, 8))
+    @settings(max_examples=80, deadline=None)
+    def test_moment_is_the_polynomial_limit_of_x_k_over_y_k(self, form, k):
+        moment = _limit_run("--form", form, "--k", str(k))
+        assert moment[0] == 0
+        assert moment == _limit_run("--form", form, "--f", f"x^{k}", "--g", f"y^{k}")
+
+    @pytest.mark.parametrize("k", [3, 5, 8])
+    def test_tiny_sign_definite_denominator_is_not_refused(self, k):
+        # beta ~ 0.002 for this form, so the y^k integral is ~1e-23 at k = 8:
+        # small, but y^k > 0 on (0, beta), so it cannot vanish by cancellation
+        moment = _limit_run("--form", "1,1000,250001", "--k", str(k))
+        assert moment[0] == 0
+        assert moment == _limit_run("--form", "1,1000,250001", "--f", f"x^{k}", "--g", f"y^{k}")
 
     def test_zero_denominator_is_computation_error(self, runner):
         result = runner.invoke(
@@ -630,7 +668,7 @@ def dfunc_reference(x_max):
         seen[i][1] += d[i] < 0
         seen[i][2] += d[i] <= 0
 
-    for p, x, y in ensure_table(Q11, x_max).rows():
+    for p, x, y in table_rows(ensure_table(Q11, x_max)):
         if p < x_max and p % 8 in (1, 5):
             odd, even = (x, y) if x % 2 else (y, x)
             i = 0 if p % 8 == 1 else 1

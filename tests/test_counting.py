@@ -25,7 +25,7 @@ from qfbias.forms import QuadraticForm, ensure_table
 from qfbias.primes import DEFAULT_CAPACITY, CongruenceClass, sieve_range
 
 from conftest import trial_division_primes
-from oracles import kronecker, negative_bias_fraction, splitting_type
+from oracles import in_class, kronecker, negative_bias_fraction, splitting_type, value_at
 
 GAUSS = FieldSplitting(-1)
 Q11 = QuadraticForm(1, 0, 1)
@@ -102,14 +102,14 @@ class TestDFunctions:
             assert len(sols) == 1
             a, b = sols[0]
             series = d1 if p % 8 == 1 else d2
-            step = series.value_at(p) - series.evaluate(p)
+            step = value_at(series, p) - series.evaluate(p)
             assert step == (1 if a > 2 * b else -1)
 
     def test_value_at_vs_evaluate(self):
         d1, _ = d_functions(ensure_table(Q11, 100), 100)
         p = d1.x_grid[0]  # 17, the first prime = 1 mod 8 with a pair
         assert d1.evaluate(p) == 0
-        assert d1.value_at(p) == d1.values[0]
+        assert value_at(d1, p) == d1.values[0]
 
 
 class TestBiasFraction:
@@ -227,7 +227,7 @@ class TestPrimeIdealCount:
             elif kind != "inert" and p <= top:
                 norms.append((p, 2 if kind == "split" else 1))
         expected = [
-            sum(k for n, k in norms if n <= x and cls.contains(n)) for x in bounds
+            sum(k for n, k in norms if n <= x and in_class(cls, n)) for x in bounds
         ]
         counts = prime_ideal_count(fs, np.array(bounds), cls)
         assert counts.tolist() == expected
@@ -386,19 +386,24 @@ def _field_and_modulus(draw):
     return fs, draw(moduli)
 
 
+def members(sub):
+    """The elements of H in [0, M), by its membership test."""
+    return {r for r in range(sub.modulus) if sub.contains(r)}
+
+
 class TestNormResidueSubgroup:
     def test_gauss_mod_eight(self):
         sub = norm_residue_subgroup(GAUSS, 8)
-        assert sub.subgroup == (1, 5)
+        assert members(sub) == {1, 5}
         assert sub.index == 2
 
     def test_trivial_modulus(self):
         sub = norm_residue_subgroup(GAUSS, 1)
-        assert sub.subgroup == (0,) and sub.index == 1
+        assert members(sub) == {0} and sub.index == 1
 
     def test_eisenstein_mod_three(self):
         sub = norm_residue_subgroup(FieldSplitting(-3), 3)
-        assert sub.subgroup == (1,)
+        assert members(sub) == {1}
         assert sub.index == 2
 
     def test_rejects_modulus_below_one(self):
@@ -414,7 +419,7 @@ class TestNormResidueSubgroup:
 
         monkeypatch.setattr(counting, "squarefree_part", spy)
         sub = norm_residue_subgroup(GAUSS, 8)
-        assert sub.subgroup == (1, 5) and sub.index == 2 and not sub.contains(3)
+        assert members(sub) == {1, 5} and sub.index == 2 and not sub.contains(3)
         # the subgroup keeps the field's d_K, so nothing is factored again
         assert calls == []
         assert a_coefficient(GAUSS, CongruenceClass(5, 8)) == 2
@@ -426,14 +431,14 @@ class TestNormResidueSubgroup:
         for modulus in range(1, 51):
             scanned, stabilized = scanned_subgroup(fs, modulus)
             assert stabilized
-            assert norm_residue_subgroup(fs, modulus).subgroup == tuple(sorted(scanned))
+            assert members(norm_residue_subgroup(fs, modulus)) == scanned
 
     @given(case=_field_and_modulus())
     @settings(max_examples=200, deadline=None)
     def test_scan_oracle_property(self, case):
         fs, modulus = case
         sub = norm_residue_subgroup(fs, modulus)
-        closed = set(sub.subgroup)
+        closed = members(sub)
         scanned, stabilized = scanned_subgroup(fs, modulus)
         if not stabilized:
             assert scanned <= closed
@@ -448,7 +453,7 @@ class TestNormResidueSubgroup:
     def test_contains_squares_and_small_index(self, delta):
         fs = FieldSplitting(delta)
         for modulus in range(2, 51):
-            sub = set(norm_residue_subgroup(fs, modulus).subgroup)
+            sub = members(norm_residue_subgroup(fs, modulus))
             squares = {
                 r * r % modulus
                 for r in range(modulus)

@@ -19,7 +19,7 @@ from qfbias.equidist import (
 from qfbias.forms import QuadraticForm, RepTable, ensure_table, representation_table
 from qfbias.primes import CongruenceClass, sieve_range
 
-from oracles import canonical_pairs
+from oracles import canonical_pairs, in_class
 
 TWO_PI = 2 * math.pi
 
@@ -178,7 +178,7 @@ class TestSampleAngles:
             w = root_count_for_form(form)
             rows = [
                 (rep.p, rep.x, rep.y)
-                for p in sieve_range(2, 3000).tolist() if cls.contains(p)
+                for p in sieve_range(2, 3000).tolist() if in_class(cls, p)
                 for rep in sorted(canonical_pairs(form, p), key=lambda r: (r.x, r.y))
             ]
             assert len(rows) > count, form

@@ -21,7 +21,7 @@ from qfbias.forms import (
 from qfbias.primes import DEFAULT_CAPACITY, DEFAULT_SEGMENT_SIZE, CongruenceClass, sieve_range
 
 from conftest import trial_division_primes
-from oracles import Representation, canonical_pairs, cornacchia, sqrt_mod
+from oracles import Representation, canonical_pairs, cornacchia, sqrt_mod, table_rows
 
 Q11 = QuadraticForm(1, 0, 1)
 Q111 = QuadraticForm(1, 1, 1)
@@ -217,7 +217,7 @@ class TestRepresentationTable:
         for coeffs in [(1, 0, 1), (1, 0, 2), (1, 0, 3)]:
             form = QuadraticForm(*coeffs)
             table = representation_table(form, primes)
-            rows = list(table.rows())
+            rows = list(table_rows(table))
             want = [
                 (p, r.x, r.y)
                 for p in primes.tolist()
@@ -229,7 +229,7 @@ class TestRepresentationTable:
         primes = sieve_range(2, 2000)
         for coeffs in [(1, 1, 1), (2, 1, 3), (3, 2, 5)]:
             form = QuadraticForm(*coeffs)
-            rows = list(representation_table(form, primes).rows())
+            rows = list(table_rows(representation_table(form, primes)))
             want = [
                 (p, r.x, r.y)
                 for p in primes.tolist()
@@ -271,7 +271,7 @@ class TestLatticeEngine:
     def test_matches_per_prime_oracles_to_3e5(self, coeffs):
         form = QuadraticForm(*coeffs)
         primes = sieve_range(2, 3 * 10**5)
-        rows = list(representation_table(form, primes).rows())
+        rows = list(table_rows(representation_table(form, primes)))
         want = [(p, r.x, r.y) for p in primes.tolist() for r in canonical_pairs(form, p)]
         assert rows == want
 

@@ -4,15 +4,7 @@ import pytest
 
 from qfbias.errors import QuadratureError, ZeroDenominatorError
 from qfbias.forms import QuadraticForm
-from qfbias.limits import (
-    LimitProblem,
-    beta,
-    integrand_s,
-    integrand_t,
-    integrate,
-    limit_ratio_moment,
-    limit_ratio_poly,
-)
+from qfbias.limits import beta, integrand, integrate, limit_ratio_moment, limit_ratio_poly
 from qfbias.polynomials import parse_polynomial
 
 Q11 = QuadraticForm(1, 0, 1)
@@ -62,27 +54,25 @@ class TestBeta:
 
 
 class TestIntegrands:
+    # a polynomial's integrand is its leading part on s = sqrt(D) cos - b sin
+    # and u = 2a sin; x^k and y^k give the moment integrands s^k and u^k
     def test_s_at_zero(self):
-        assert integrand_s(Q11, 1, 0.0) == pytest.approx(2.0)
+        assert integrand(Q11, parse_polynomial("x"))(0.0) == pytest.approx(2.0)
 
     def test_s_power_zero(self):
-        assert integrand_s(Q111, 0, 0.7) == 1.0
+        assert integrand(Q111, parse_polynomial("1"))(0.7) == 1.0
 
     def test_s_hand_value(self):
-        assert integrand_s(Q111, 1, math.pi / 6) == pytest.approx(1.0)
+        assert integrand(Q111, parse_polynomial("x"))(math.pi / 6) == pytest.approx(1.0)
 
     def test_t_at_right_angle(self):
-        assert integrand_t(Q11, 1, math.pi / 2) == pytest.approx(2.0)
+        assert integrand(Q11, parse_polynomial("y"))(math.pi / 2) == pytest.approx(2.0)
 
     def test_t_power_zero(self):
-        assert integrand_t(Q11, 0, 0.3) == 1.0
+        assert integrand(Q11, parse_polynomial("1"))(0.3) == 1.0
 
     def test_t_hand_value(self):
-        assert integrand_t(Q11, 2, math.pi / 4) == pytest.approx(2.0)
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(ValueError):
-            integrand_s(Q11, -1, 0.0)
+        assert integrand(Q11, parse_polynomial("y^2"))(math.pi / 4) == pytest.approx(2.0)
 
 
 class TestIntegrate:
@@ -123,6 +113,10 @@ class TestMomentRatios:
     def test_power_zero_degenerates_to_one(self):
         for form in (Q11, Q111, QuadraticForm(2, -1, 1)):
             assert limit_ratio_moment(form, 0) == 1.0
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError, match="moment power must be nonnegative"):
+            limit_ratio_moment(Q11, -1)
 
     @pytest.mark.parametrize("coeffs", [(1, 0, 1), (1, 0, 5), (1, 0, 6), (1, 0, 14), (2, 0, 7)])
     @pytest.mark.parametrize("k", range(1, 9))
@@ -188,24 +182,3 @@ class TestPolyRatios:
         with pytest.raises(ZeroDenominatorError):
             limit_ratio_poly(Q11, parse_polynomial("x^2"), g)
 
-
-class TestLimitProblem:
-    def test_moment_route(self):
-        assert LimitProblem(form=Q11, k=1).solve() == pytest.approx(1 + SQRT2, abs=1e-10)
-
-    def test_poly_route(self):
-        problem = LimitProblem(
-            form=Q11, f=parse_polynomial("x"), g=parse_polynomial("y")
-        )
-        assert problem.solve() == pytest.approx(1 + SQRT2, abs=1e-10)
-
-    def test_beta_attached(self):
-        assert LimitProblem(form=Q111, k=1).beta == pytest.approx(math.pi / 6)
-
-    def test_requires_exactly_one_route(self):
-        with pytest.raises(ValueError):
-            LimitProblem(form=Q11)
-        with pytest.raises(ValueError):
-            LimitProblem(form=Q11, k=1, f=parse_polynomial("x"), g=parse_polynomial("y"))
-        with pytest.raises(ValueError):
-            LimitProblem(form=Q11, f=parse_polynomial("x"))

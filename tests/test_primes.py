@@ -20,7 +20,7 @@ from qfbias.primes import (
 )
 
 from conftest import trial_division_primes
-from oracles import _simple_prime_flags, first_primes, nth_prime
+from oracles import _simple_prime_flags, first_primes, in_class, nth_prime
 
 
 class TestSieveRange:
@@ -307,6 +307,6 @@ class TestCongruenceClass:
 
     def test_contains(self):
         cls = CongruenceClass(5, 8)
-        assert cls.contains(13) and not cls.contains(17)
-        assert CongruenceClass.trivial().contains(7)
+        assert in_class(cls, 13) and not in_class(cls, 17)
+        assert in_class(CongruenceClass.trivial(), 7)
 

@@ -27,7 +27,9 @@ from qfbias.series import (
     sign_changes,
 )
 
-from oracles import canonical_pairs, first_primes, moment_sum, nth_prime, poly_sum
+from oracles import (
+    canonical_pairs, first_primes, moment_sum, nth_prime, poly_sum, table_rows,
+)
 
 Q11 = QuadraticForm(1, 0, 1)
 C14 = CongruenceClass(1, 4)
@@ -101,7 +103,7 @@ class TestMomentSum:
         everything = moment_sum(table, TRIVIAL, 1, limit)
         # subtract contributions from primes dividing the modulus
         div_a = div_b = 0
-        for p, x, y in table.rows():
+        for p, x, y in table_rows(table):
             if modulus % p == 0:
                 div_a += x
                 div_b += y
@@ -315,7 +317,7 @@ class TestSumGuard:
     @settings(max_examples=60, deadline=None)
     def test_no_row_exceeds_the_bound_the_guard_uses(self, form, limit):
         table = ensure_table(form, limit)
-        assert all(0 <= y < x <= _x_extent(form, p) for p, x, y in table.rows())
+        assert all(0 <= y < x <= _x_extent(form, p) for p, x, y in table_rows(table))
         # the guard bounds every row up to p by the extent at p
         assert int(table.x.max(initial=0)) <= _x_extent(form, limit)
 
