@@ -223,17 +223,19 @@ def _ratio_step(path, ser_cls: series.BiasSeries, ser_all: series.BiasSeries) ->
     return float(r[-1])
 
 
-@contextlib.contextmanager
-def _dfunc_step(path, x_max: int):
-    """Write the D1/D2 CSV of x^2 + y^2 rows below x_max as they arrive.
+def _dfunc_run(path, seed: forms.RepTable, x_max: int) -> counting.DStep:
+    """Write the D1/D2 CSV of the x^2 + y^2 primes below x_max; returns the finished step.
 
-    Yields a `counting.DStep` that writes the rows of every block handed to
-    its `add` (ascending p); leaving the block writes the x_max endpoint.
+    The rows stream block by block from `forms.row_blocks` over seed, so
+    only the primes above the seed's limit are enumerated.
     """
+    blocks = forms.row_blocks(seed, x_max - 1)  # refuses x_max past the capacity before path opens
     with _write_csv(path, "x,D1,D2") as write:
         step = counting.DStep(x_max, write)
-        yield step
+        for block in blocks:
+            step.add(block)
         step.end()
+    return step
 
 
 @main.command("series")
@@ -304,10 +306,7 @@ def cmd_limit(form, k, poly_f, poly_g, tol):
 @handle_errors
 def cmd_dfunc(xmax, output, cache):
     """Counting-function differences for p = a^2 + 4b^2 in classes 1, 5 mod 8."""
-    blocks = forms.row_blocks(_load_seed(QuadraticForm(1, 0, 1), cache), xmax - 1)
-    with _dfunc_step(output, xmax) as step:
-        for block in blocks:
-            step.add(block)
+    step = _dfunc_run(output, _load_seed(QuadraticForm(1, 0, 1), cache), xmax)
     f1, f2 = step.fractions()
     progress(
         f"negative fraction: D1 {f1.negative:.4f} (<=0: {f1.nonpositive:.4f}), "
@@ -447,22 +446,15 @@ def cmd_repro(outdir, figure, scale):
     n11 = max(int(500_000 * scale), 1000)
     x_max = max(int(1_000_000 * scale), 10_000)
     cc = primes.CongruenceClass
-    # fig4 reads the blocks of the x^2 + y^2 fold, then enumerates the primes
-    # past its last Pr(N) up to x_max - 1 itself, one sieve segment at a time
-    fig4 = contextlib.nullcontext()
+    # fig4 is dfunc over a table of the primes below x_max, and that table
+    # seeds the x^2 + y^2 fold, so no prime is enumerated twice
+    seed, step = forms.empty_table(form11), None
     if "4" in want:
-        fig4 = _dfunc_step(outdir / "fig4_dfunctions.csv", x_max)
-    with fig4 as step:
-        folded = 1  # the last prime the fold covered
-        if want & {"1", "3"}:
-            s1, s5, s_all = series.fold_series(
-                forms.empty_table(form11), (cc(1, 8), cc(5, 8), cc.trivial()), n11,
-                visit=step and step.add,
-            )
-            folded = int(s_all.points[-1, 1])
-        if step:
-            for seg in primes.segments(folded + 1, x_max - 1):
-                step.add(forms.representation_table(form11, seg))
+        seed = forms.ensure_table(form11, x_max - 1)
+        step = _dfunc_run(outdir / "fig4_dfunctions.csv", seed, x_max)
+    if want & {"1", "3"}:
+        s1, s5, s_all = series.fold_series(seed, (cc(1, 8), cc(5, 8), cc.trivial()), n11)
+    del seed  # fig2's fold runs without the table
 
     def bias_pair(fig, s1, s2):
         f1, f2 = (

@@ -9,7 +9,7 @@ set of numpy columns, and NaN marks an undefined F or R (an empty CSV field).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -99,29 +99,22 @@ def fold_series(
     classes: Sequence[CongruenceClass],
     n_max: int,
     stride: int = 100,
-    *,
-    visit: Callable[[RepTable], None] | None = None,
 ) -> list[BiasSeries]:
-    """The bias series of every class, from one pass that holds no table.
+    """The bias series of every class, from one pass that builds no table.
 
     Each series equals `bias_series` on a table of the seed's form to the
     last Pr(N). One streamed pass over the primes to that bound takes the
     Pr(N) from its segments, and adds each segment's rows to running x and y
     sums of every class. The rows come from `forms.segment_rows`: the seed's
-    where it covers them, enumerated above its limit. Give an empty seed
-    (`forms.empty_table`) when there is no table to start from.
-
-    So that the same pass feeds another accumulator, visit, when given,
-    receives every block of rows in turn; the last block ends at the last
-    Pr(N).
+    where it covers them, so none of its primes is enumerated again, and
+    enumerated above its limit. Give an empty seed (`forms.empty_table`)
+    when there is no table to start from.
     """
     pr, sums = [], [[] for _ in classes]
     carry = np.zeros((len(classes), 2), dtype=np.int64)  # each class's (sum_a, sum_b)
     counts = [0] * len(classes)
     for primes, at in _grid_pass(n_max, stride):
         block = segment_rows(seed, primes)
-        if visit is not None:
-            visit(block)
         pr.append(at)
         for i, cls in enumerate(classes):
             rows = block.slice_class(cls)

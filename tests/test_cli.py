@@ -1068,34 +1068,62 @@ class TestReproCommand:
              (CongruenceClass(1, 8), CongruenceClass(5, 8), CongruenceClass.trivial())),
             (QuadraticForm(1, 1, 1), (CongruenceClass(1, 12), CongruenceClass(7, 12))),
         ]
-        # fig4 reads the first fold's blocks below 1e4, so none is enumerated twice
+        # fig4's table below 1e4 seeds the first fold, so none is enumerated twice
         assert (QuadraticForm(1, 0, 1), 9973) in enumerated
         assert_one_pass_each(folds, enumerated)
 
-    def test_fig4_enumerates_past_pr_n(self, runner, tmp_path, passes, monkeypatch):
-        # at this scale Pr(1000) = 7919 but fig4 counts the primes below 1e4:
-        # the fold stops at 7919, and fig4 enumerates the primes after it
-        folds, enumerated = passes
-        fold_spy, ends = series_module.fold_series, []
+    @staticmethod
+    def run_marking_folds(runner, monkeypatch, enumerated, outdir, scale):
+        """Run repro; returns each fold's (first, last) index into enumerated."""
+        fold_spy, marks = series_module.fold_series, []
 
-        def fold_then_mark(*args, **kwargs):
+        def fold_marked(*args, **kwargs):
+            first = len(enumerated)
             try:
                 return fold_spy(*args, **kwargs)
             finally:
-                ends.append(len(enumerated))
+                marks.append((first, len(enumerated)))
 
-        monkeypatch.setattr("qfbias.series.fold_series", fold_then_mark)
-        invoke(runner, "repro", "--outdir", str(tmp_path / "r"), "--scale", "0.002")
-        q11 = QuadraticForm(1, 0, 1)
-        assert {form for form, _ in enumerated[: ends[0]]} == {q11}
-        assert [p for _, p in enumerated[: ends[0]]] == sieve_range(2, 7919).tolist()
-        # fig4 runs before fig2's fold, so its rows come next, each prime once
-        after = [p for form, p in enumerated[ends[0] :] if form == q11]
-        assert after == sieve_range(7920, 9999).tolist()
-        assert_one_pass_each(folds, enumerated)
+        monkeypatch.setattr("qfbias.series.fold_series", fold_marked)
+        invoke(runner, "repro", "--outdir", str(outdir), "--scale", scale)
+        return marks
+
+    def assert_fig4_is_dfunc(self, runner, tmp_path, outdir):
         out = tmp_path / "d.csv"
         invoke(runner, "dfunc", "--xmax", "10000", "-o", str(out))
-        assert (tmp_path / "r" / "fig4_dfunctions.csv").read_bytes() == out.read_bytes()
+        assert (outdir / "fig4_dfunctions.csv").read_bytes() == out.read_bytes()
+
+    def test_fig4_enumerates_past_pr_n(self, runner, tmp_path, passes, monkeypatch):
+        # at this scale Pr(1000) = 7919 but fig4 counts the primes below 1e4:
+        # fig4's table enumerates [2, 9999] first, and the fold reads its rows
+        folds, enumerated = passes
+        outdir = tmp_path / "r"
+        [(first, last), _] = self.run_marking_folds(runner, monkeypatch, enumerated, outdir,
+                                                    "0.002")
+        q11 = QuadraticForm(1, 0, 1)
+        assert enumerated[:first] == [(q11, p) for p in sieve_range(2, 9999).tolist()]
+        assert last == first
+        # fig2's fold enumerates only its own form
+        assert {form for form, _ in enumerated[last:]} == {QuadraticForm(1, 1, 1)}
+        assert_one_pass_each(folds, enumerated)
+        self.assert_fig4_is_dfunc(runner, tmp_path, outdir)
+
+    def test_fold_enumerates_past_fig4_table(self, runner, tmp_path, passes, monkeypatch):
+        # at this scale fig4's table ends at 9999 < Pr(5000) = 48611: the fold
+        # reads the table's rows and enumerates only the primes above it
+        folds, enumerated = passes
+        outdir = tmp_path / "r"
+        [(first, last), _] = self.run_marking_folds(runner, monkeypatch, enumerated, outdir,
+                                                    "0.01")
+        q11 = QuadraticForm(1, 0, 1)
+        assert enumerated[:first] == [(q11, p) for p in sieve_range(2, 9999).tolist()]
+        assert enumerated[first:last] == [(q11, p) for p in sieve_range(10000, 48611).tolist()]
+        assert_one_pass_each(folds, enumerated)
+        out = tmp_path / "s.csv"
+        invoke(runner, "series", "--form", "1,0,1", "--mod", "8", "--res", "1",
+               "--nmax", "5000", "-o", str(out))
+        assert (outdir / "fig1_class1mod8.csv").read_bytes() == out.read_bytes()
+        self.assert_fig4_is_dfunc(runner, tmp_path, outdir)
 
 
 THREADED_COMMANDS = {
