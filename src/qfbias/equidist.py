@@ -65,8 +65,14 @@ def weyl_sum(samples, n: int, interval: float = TWO_PI) -> float:
 
 
 def _phases(vals: np.ndarray, n: int, interval: float) -> np.ndarray:
-    """exp(2*pi*i*n*v/interval) per element; shared by weyl_sum and the sweep."""
-    return np.exp(2j * math.pi * n * vals / interval)
+    """exp(2*pi*i*n*v/interval) per element; shared by weyl_sum and the sweep.
+
+    The steps of that expression, in its order, write into one complex128
+    array, so the values are its bits without two temporaries of that size.
+    """
+    z = np.multiply(2j * math.pi * n, vals)
+    np.divide(z, interval, out=z)
+    return np.exp(z, out=z)
 
 
 def ks_statistic(samples, interval: float = TWO_PI) -> float:

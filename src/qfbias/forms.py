@@ -271,7 +271,8 @@ def segment_rows(seed: RepTable, primes: np.ndarray) -> RepTable:
     The seed's rows serve the primes it covers and only the primes above
     its limit are enumerated (`representation_table`), so a prime the seed
     holds is never enumerated again. The block covers the segment's last
-    prime. `row_blocks` and the series fold read these blocks.
+    prime. Only the series fold reads these blocks: its segments start at 2,
+    so one may straddle the seed's limit.
     """
     lo, hi = np.searchsorted(seed.p, (primes[0] - 1, primes[-1]), side="right").tolist()
     held = (seed.p[lo:hi], seed.x[lo:hi], seed.y[lo:hi])
@@ -288,10 +289,10 @@ def row_blocks(seed: RepTable, limit: int) -> Iterator[RepTable]:
     """The rows of every prime <= limit, as blocks in ascending p.
 
     The seed's rows come first, cut at the sieve-segment edges, then the
-    blocks `segment_rows` enumerates above the seed's limit, one sieve
-    segment each, so a consumer holds one block at a time. The stream is
-    lazy, but its `primes.segments` stream is made at the call, so a limit
-    past the sieve capacity is refused there, before any sieving.
+    rows `representation_table` enumerates above the seed's limit, one
+    sieve segment each, so a consumer holds one block at a time. The stream
+    is lazy, but its `primes.segments` stream is made at the call, so a
+    limit past the sieve capacity is refused there, before any sieving.
     """
     tops = [b for _, b in _windows(2, min(limit, seed.limit))]
     ends = np.searchsorted(seed.p, tops, side="right").tolist()
@@ -299,7 +300,7 @@ def row_blocks(seed: RepTable, limit: int) -> Iterator[RepTable]:
         RepTable(seed.form, seed.p[i:j], seed.x[i:j], seed.y[i:j], top)
         for i, j, top in zip([0, *ends], ends, tops)
     )
-    grown = (segment_rows(seed, seg) for seg in segments(seed.limit + 1, limit))
+    grown = (representation_table(seed.form, seg) for seg in segments(seed.limit + 1, limit))
     return itertools.chain(held, grown)
 
 

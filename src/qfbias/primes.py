@@ -11,11 +11,13 @@ sieve; the plain sieve of Eratosthenes that checks it is a test reference.
 
 `segments(lo, hi)` is the one window loop every prime consumer reads: it
 hands over the primes of each window as its own array, so no caller holds
-the primes of a whole range. `sieve_range` joins the windows for callers
-that want one array. Numbers are plain Python / numpy int64. Both refuse
-an interval past DEFAULT_CAPACITY when they are called (`check_capacity`),
-so no consumer repeats the check and a huge request fails before anything
-is sieved rather than thrashing the machine.
+the primes of a whole range; a consumer that wants the first N primes (the
+series fold) reads it to `nth_prime_bound(N)` and cuts it at the N-th prime
+itself. `sieve_range` joins the windows for callers that want one array.
+Numbers are plain Python / numpy int64. Both refuse an interval past
+DEFAULT_CAPACITY when they are called (`check_capacity`), so no consumer
+repeats the check and a huge request fails before anything is sieved
+rather than thrashing the machine.
 """
 
 from __future__ import annotations
@@ -182,29 +184,3 @@ def nth_prime_bound(n: int) -> int:
     ln = math.log(n)
     return int(n * (ln + math.log(ln))) + 1
 
-
-def prime_segments(n: int) -> Iterator[np.ndarray]:
-    """The first n primes, as the nonempty arrays of one `segments` pass.
-
-    The pass stops at the n-th prime, truncating the last array there, and
-    holds one window at a time. Its sieve runs to `nth_prime_bound(n)`; like
-    `segments`, the call itself raises ValueError for n < 1 and
-    SieveCapacityError when that bound is past the capacity, before any
-    sieving.
-    """
-    if n < 1:
-        raise ValueError("prime index must be >= 1")
-    bound = nth_prime_bound(n)
-    return _first(n, segments(2, bound), bound)
-
-
-def _first(n: int, stream: Iterator[np.ndarray], bound: int) -> Iterator[np.ndarray]:
-    """The arrays of stream up to its n-th prime, the last one cut there."""
-    left = n
-    for seg in stream:
-        yield seg[:left]
-        left -= min(seg.size, left)
-        if left == 0:
-            return
-    # nth_prime_bound is an upper bound, so unreachable
-    raise ArithmeticError(f"fewer than {n} primes below {bound}")

@@ -4,18 +4,20 @@ Coordinate sums are exact int64 prefix sums; only the final quotients are
 floats. Series indexed by prime count sample at stride multiples, matching
 the plotted points of the experiments this package reproduces. A series is a
 set of numpy columns, and NaN marks an undefined F or R (an empty CSV field).
+`fold_series` cuts the `primes.segments` stream at the last Pr(N) itself;
+`bias_series`, its reference, reads the Pr(N) off one `sieve_range` array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import SieveCapacityError
 from .forms import QuadraticForm, RepTable, _x_extent, segment_rows
-from .primes import CongruenceClass, prime_segments
+from .primes import CongruenceClass, nth_prime_bound, segments, sieve_range
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,18 +52,13 @@ def _prefix_sums(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return cum[idx]
 
 
-def _grid_pass(n_max: int, stride: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """One streamed pass over the primes to Pr(N) at the last grid point
-    N = stride, 2*stride, ... <= n_max: each segment with the Pr(N) it holds."""
+def _last_index(n_max: int, stride: int) -> int:
+    """The prime index N of the last grid point stride, 2*stride, ... <= n_max."""
     if stride < 1:
         raise ValueError("stride must be >= 1")
     if n_max < stride:
         raise ValueError("n_max must be at least the stride")
-    seen = 0
-    for primes in prime_segments(n_max - n_max % stride):
-        # a copy, so that keeping the points does not keep the segment
-        yield primes, primes[(stride - 1 - seen) % stride :: stride].copy()
-        seen += primes.size
+    return n_max - n_max % stride
 
 
 def _check_sums(form: QuadraticForm, rows: int, p: int) -> None:
@@ -78,11 +75,13 @@ def bias_series(
 
     The N-th point accumulates the table's canonical pairs over primes
     p <= Pr(N) lying in the class. Points with an empty y-sum keep F
-    undefined. The Pr(N) come from one streamed pass that holds one segment
-    of primes at a time. ValueError if the table does not cover the last
-    Pr(N); `fold_series` needs no such table.
+    undefined. The Pr(N) are read off one `sieve_range` array, not the
+    segment stream that `fold_series` cuts, so each checks the other.
+    ValueError if the table does not cover the last Pr(N); `fold_series`
+    needs no such table.
     """
-    pr = np.concatenate([at for _, at in _grid_pass(n_max, stride)])
+    n = _last_index(n_max, stride)
+    pr = sieve_range(2, nth_prime_bound(n))[stride - 1 : n : stride]
     pr_last = int(pr[-1])
     rows = table.slice_below(pr_last).slice_class(cls)
     _check_sums(table.form, rows.p.size, pr_last)
@@ -103,19 +102,24 @@ def fold_series(
     """The bias series of every class, from one pass that builds no table.
 
     Each series equals `bias_series` on a table of the seed's form to the
-    last Pr(N). One streamed pass over the primes to that bound takes the
-    Pr(N) from its segments, and adds each segment's rows to running x and y
-    sums of every class. The rows come from `forms.segment_rows`: the seed's
-    where it covers them, so none of its primes is enumerated again, and
-    enumerated above its limit. Give an empty seed (`forms.empty_table`)
-    when there is no table to start from.
+    last Pr(N). One pass over `primes.segments(2, nth_prime_bound(N))`, cut
+    at the N-th prime, takes the Pr(N) from its segments and adds each
+    segment's rows to running x and y sums of every class. The rows come
+    from `forms.segment_rows`: the seed's where it covers them, so none of
+    its primes is enumerated again, and enumerated above its limit. Give an
+    empty seed (`forms.empty_table`) when there is no table to start from.
     """
     pr, sums = [], [[] for _ in classes]
     carry = np.zeros((len(classes), 2), dtype=np.int64)  # each class's (sum_a, sum_b)
     counts = [0] * len(classes)
-    for primes, at in _grid_pass(n_max, stride):
-        block = segment_rows(seed, primes)
+    n, seen = _last_index(n_max, stride), 0
+    for primes in segments(2, nth_prime_bound(n)):
+        primes = primes[: n - seen]  # the last segment is cut at the N-th prime
+        # a copy, so that keeping the points does not keep the segment
+        at = primes[(stride - 1 - seen) % stride :: stride].copy()
         pr.append(at)
+        seen += primes.size
+        block = segment_rows(seed, primes)
         for i, cls in enumerate(classes):
             rows = block.slice_class(cls)
             counts[i] += rows.p.size
@@ -127,6 +131,8 @@ def fold_series(
             )
             sums[i].append(part[:-1])
             carry[i] = part[-1]
+        if seen == n:
+            break
     head = (np.arange(stride, n_max + 1, stride), np.concatenate(pr))
     return [
         BiasSeries(form=seed.form, cls=cls, stride=stride,

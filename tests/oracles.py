@@ -10,8 +10,9 @@ with the lattice enumeration, `qfbias.arith.kronecker_array` or the
 sieve-wide counts they check.
 
 `_simple_prime_flags`, the plain sieve of Eratosthenes, is the reference for
-the segmented sieve; `first_primes` and `nth_prime` read the package's
-`prime_segments`. `moment_sum` and `poly_sum` sum Python ints and Fractions
+the segmented sieve, and `first_primes` and `nth_prime` read it too, so the
+series fold's cut of `primes.segments` at Pr(N) is checked against a sieve
+it does not share. `moment_sum` and `poly_sum` sum Python ints and Fractions
 row by row, against the int64 prefix sums of the series fold, and
 `negative_bias_fraction` counts a whole D1/D2 series, against the running
 tallies of `DStep.fractions`. `table_rows`, `in_class` and `value_at` are
@@ -35,7 +36,7 @@ from qfbias.forms import (
     canonical_filter,
 )
 from qfbias.polynomials import BivariatePolynomial
-from qfbias.primes import CongruenceClass, prime_segments
+from qfbias.primes import CongruenceClass, check_capacity, nth_prime_bound
 
 SPLIT = "split"
 INERT = "inert"
@@ -216,15 +217,21 @@ def _simple_prime_flags(n: int) -> np.ndarray:
 
 
 def first_primes(n: int) -> np.ndarray:
-    """The first n primes, ascending, as int64."""
-    return np.concatenate(list(prime_segments(n)))
+    """The first n primes, ascending, as int64, from the plain sieve.
+
+    It sieves to `nth_prime_bound(n)` and refuses what the package's sieve
+    refuses, before allocating any flags.
+    """
+    if n < 1:
+        raise ValueError("prime index must be >= 1")
+    bound = nth_prime_bound(n)
+    check_capacity(bound)
+    return np.flatnonzero(_simple_prime_flags(bound))[:n].astype(np.int64)
 
 
 def nth_prime(n: int) -> int:
     """The n-th prime, 1-indexed (n=1 gives 2)."""
-    for seg in prime_segments(n):
-        pass
-    return int(seg[-1])
+    return int(first_primes(n)[-1])
 
 
 MAX_MOMENT_POWER = 8

@@ -405,6 +405,41 @@ class TestWindowedEngine:
         assert forms._isqrt(s).tolist() == [math.isqrt(int(v)) for v in s]
 
 
+class TestRowBlocks:
+    @given(
+        coeffs=st.sampled_from(ORACLE_FORMS),
+        seed_limit=st.integers(min_value=2, max_value=3000),
+        extra=st.one_of(st.just(0), st.integers(min_value=1, max_value=3000)),
+        segment_size=st.integers(min_value=1, max_value=4000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_over_a_seed_equal_one_table(self, coeffs, seed_limit, extra, segment_size):
+        # extra = 0 streams the seed alone; above it every prime is enumerated once
+        form = QuadraticForm(*coeffs)
+        seed, limit = ensure_table(form, seed_limit), seed_limit + extra
+        enumerated = []
+
+        def spy(f, ps):
+            enumerated.extend(ps.tolist())
+            return representation_table(f, ps)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(primes, "DEFAULT_SEGMENT_SIZE", segment_size)
+            mp.setattr(forms, "representation_table", spy)
+            blocks = list(forms.row_blocks(seed, limit))
+        # ascending in p, and no prime's rows split between two blocks
+        p = np.concatenate([b.p for b in blocks])
+        assert np.all(p[:-1] <= p[1:])
+        full = [b for b in blocks if len(b)]
+        assert all(u.p[-1] < v.p[0] for u, v in zip(full, full[1:]))
+        primes_to_limit = sieve_range(2, limit)
+        assert enumerated == primes_to_limit[primes_to_limit > seed_limit].tolist()
+        want = representation_table(form, primes_to_limit)
+        for col in ("p", "x", "y"):
+            assert np.array_equal(np.concatenate([getattr(b, col) for b in blocks]),
+                                  getattr(want, col))
+
+
 def _lexsort_rows(form: QuadraticForm, primes: np.ndarray):
     """Reference for `_window_rows`: every canonical point of the bounding box
     whose value is one of the primes, ordered with np.lexsort by (p, x, y)."""

@@ -14,13 +14,15 @@ from qfbias.primes import (
     DEFAULT_SEGMENT_SIZE,
     CongruenceClass,
     nth_prime_bound,
-    prime_segments,
     segments,
     sieve_range,
 )
+from qfbias.series import fold_series
 
 from conftest import trial_division_primes
 from oracles import _simple_prime_flags, first_primes, in_class, nth_prime
+
+Q11 = QuadraticForm(1, 0, 1)
 
 
 class TestSieveRange:
@@ -231,15 +233,22 @@ class TestNthPrime:
             assert primes.tolist() == oracle[:n]
 
 
+def _prn(n: int) -> np.ndarray:
+    """The PrN column of the fold over every prime to the n-th, stride 1."""
+    [ser] = fold_series(empty_table(Q11), [CongruenceClass.trivial()], n, stride=1)
+    return ser.points[:, 1]
+
+
 class TestPrimeSegments:
+    """The series fold's cut of `segments` at the N-th prime."""
+
     @given(n=st.integers(min_value=1, max_value=3000), segment_size=st.integers(1, 30_000))
     @settings(max_examples=60, deadline=None)
     def test_concatenation_is_the_first_n_primes(self, n, segment_size):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(primes_module, "DEFAULT_SEGMENT_SIZE", segment_size)
-            segs = list(prime_segments(n))
-        assert all(seg.size for seg in segs)
-        assert np.array_equal(np.concatenate(segs), first_primes(n))
+            got = _prn(n)
+        assert np.array_equal(got, first_primes(n))
 
     def test_one_streamed_pass_stops_at_the_nth_prime(self, monkeypatch):
         spans = []
@@ -249,42 +258,41 @@ class TestPrimeSegments:
             return sieve_range(lo, hi, *args, **kwargs)
 
         monkeypatch.setattr(primes_module, "sieve_range", spy)
-        segs = list(prime_segments(300_000))
+        got = _prn(300_000)
         assert spans and all(hi - lo < DEFAULT_SEGMENT_SIZE for lo, hi in spans)
         assert spans[0][0] == 2 and all(hi + 1 == lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
         assert spans[-1][1] <= nth_prime_bound(300_000)
-        assert sum(seg.size for seg in segs) == 300_000 and int(segs[-1][-1]) == nth_prime(300_000)
+        assert got.size == 300_000 and int(got[-1]) == nth_prime(300_000)
         # the last segment reaches past the 300000th prime only in its sieve
         assert spans[-1][0] <= nth_prime(300_000) <= spans[-1][1]
 
     def test_capacity_error_before_sieving(self, monkeypatch):
         monkeypatch.setattr(primes_module, "sieve_range", lambda *a, **k: pytest.fail("sieved"))
         with pytest.raises(SieveCapacityError, match="capacity"):
-            prime_segments(200_000_000)
+            _prn(200_000_000)
 
     def test_bad_input_refused_at_the_call(self, monkeypatch):
-        # like `segments`, the call itself refuses: no `next` is needed
         monkeypatch.setattr(primes_module, "_sieve_window", lambda lo, hi: pytest.fail("sieved"))
-        with pytest.raises(ValueError, match="prime index must be >= 1"):
-            prime_segments(0)
+        for n_max, stride in ((0, 1), (9, 10)):
+            with pytest.raises(ValueError, match="n_max must be at least the stride"):
+                fold_series(empty_table(Q11), [CongruenceClass.trivial()], n_max, stride)
         with pytest.raises(SieveCapacityError, match="exceeds capacity"):
-            prime_segments(10**10)
+            _prn(10**10)
 
 
 PAST = DEFAULT_CAPACITY + 1
-Q11 = QuadraticForm(1, 0, 1)
 
 
 # every consumer of the sieve at one past the capacity, each refused at the call
 @pytest.mark.parametrize("call", [
     lambda: sieve_range(2, PAST),
     lambda: segments(PAST, PAST),
-    lambda: prime_segments(PAST),
+    lambda: fold_series(empty_table(Q11), [CongruenceClass.trivial()], PAST, stride=1),
     lambda: row_blocks(empty_table(Q11), PAST),
     lambda: ensure_table(Q11, PAST),
     lambda: prime_ideal_count(FieldSplitting(-1), PAST),
     lambda: representation_table(Q11, np.array([PAST])),
-], ids=["sieve_range", "segments", "prime_segments", "row_blocks", "ensure_table",
+], ids=["sieve_range", "segments", "fold_series", "row_blocks", "ensure_table",
         "prime_ideal_count", "representation_table"])
 def test_capacity_refused_before_sieving(monkeypatch, call):
     monkeypatch.setattr(primes_module, "_sieve_window", lambda lo, hi: pytest.fail("sieved"))
