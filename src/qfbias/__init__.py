@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "counting": (
-        "BiasFractions", "CountSeries", "DensityReport", "FieldSplitting", "NormResidueSubgroup",
+        "BiasFractions", "DensityReport", "FieldSplitting", "NormResidueSubgroup",
         "a_coefficient", "d_functions", "density_check", "norm_residue_subgroup",
         "prime_ideal_count",
     ),

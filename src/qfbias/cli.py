@@ -391,7 +391,7 @@ def cmd_equidist(form, mod, res, limit, max_count, w, conjugates, output,
     raws, thetas, left = [], [], max_count
     with _write_csv(output, "p,x,y,raw_arg,theta") as write:
         for block in blocks:
-            rows, raw, theta = equidist.sample_angles(block, cls, None, left, w)
+            rows, raw, theta = equidist.sample_angles(block, cls, left, w)
             write(rows.p, rows.x, rows.y, raw, theta)
             raws.append(raw)
             thetas.append(theta)

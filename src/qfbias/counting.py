@@ -5,7 +5,8 @@ squarefree discriminant input delta < 0:
 
   * running differences D1/D2 comparing the odd and even parts of p = a^2 +
     (2b)^2 over the two residue classes 1, 5 (mod 8), with the shares of
-    their grid points below and at zero tallied as they stream (`DStep`);
+    their grid points below and at zero tallied as they stream (`DStep`,
+    whose x, D1, D2 columns over one whole table `d_functions` returns);
   * prime-ideal counts by norm and norm residue, with splitting decided by
     the Kronecker character of the field discriminant, added up one sieve
     window (`primes.segments`) at a time at every bound at once;
@@ -56,27 +57,6 @@ class FieldSplitting:
 # ---------------------------------------------------------------------------
 # counting differences
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CountSeries:
-    """A running integer count sampled at its event grid, as int64 arrays.
-
-    Grid entries hold the value after the event at that point; evaluate(x)
-    returns the count over events strictly below x, at a scalar or an array
-    of points.
-    """
-
-    x_grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x_grid", np.asarray(self.x_grid, dtype=np.int64))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.int64))
-
-    def evaluate(self, x):
-        # events strictly below x; the final grid entry is a plain endpoint
-        return np.concatenate(([0], self.values))[np.searchsorted(self.x_grid, x)]
 
 
 class BiasFractions(NamedTuple):
@@ -147,25 +127,19 @@ class DStep:
         )
 
 
-def d_functions(table: RepTable, x_max: int) -> tuple[CountSeries, CountSeries]:
-    """Running differences of odd-vs-even dominance for p = a^2 + (2b)^2.
+def d_functions(table: RepTable, x_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns x, D1, D2 that `DStep` emits over a whole x^2 + y^2 table.
 
-    The whole-table form of `DStep`: each series carries one grid point per
-    contributing prime plus the x_max endpoint. The pairs come from an
-    x^2 + y^2 table covering x_max - 1; ValueError for a table of another
-    form or one that falls short.
+    Three int64 arrays holding the rows of the `dfunc` CSV: one per prime
+    p < x_max with p = 1, 5 (mod 8), then the x_max endpoint. The table
+    covers x_max - 1; ValueError for a table of another form or one that
+    falls short.
     """
     blocks = []
     step = DStep(x_max, lambda *columns: blocks.append(columns))
     step.add(table.slice_below(x_max - 1))
     step.end()
-    x, d1, d2 = (np.concatenate(c) for c in zip(*blocks))
-    out = []
-    for residue, d in ((1, d1), (5, d2)):
-        keep = x % 8 == residue
-        keep[-1] = True  # the endpoint
-        out.append(CountSeries(x_grid=x[keep], values=d[keep]))
-    return out[0], out[1]
+    return tuple(np.concatenate(c) for c in zip(*blocks))
 
 
 # ---------------------------------------------------------------------------

@@ -142,21 +142,17 @@ def angle_arrays(table: RepTable, w: int) -> tuple[np.ndarray, np.ndarray]:
 def sample_angles(
     table: RepTable,
     cls: CongruenceClass | None = None,
-    x_limit: int | None = None,
     max_count: int | None = None,
     w: int | None = None,
 ) -> tuple[RepTable, np.ndarray, np.ndarray]:
     """A table's canonical representations of primes in a class, with angles.
 
-    Returns (rows, raw, theta): the table's rows with p <= x_limit (all rows
-    when x_limit is None) in the class, capped at the first max_count by
-    prime, and their angle_arrays. w defaults to the field's root count.
-    ValueError if the table does not cover x_limit.
+    Returns (rows, raw, theta): the table's rows in the class, capped at the
+    first max_count by prime, and their angle_arrays. w defaults to the
+    field's root count.
     """
     if w is None:
         w = root_count_for_form(table.form)
-    if x_limit is not None:
-        table = table.slice_below(x_limit)
     if cls is not None:
         table = table.slice_class(cls)
     if max_count is not None:

@@ -243,8 +243,9 @@ def representation_table(form: QuadraticForm, primes: np.ndarray) -> RepTable:
     into windows spanning at most WINDOW values, and each window enumerates
     its stretch of the lattice against its own prime flags (`_window_rows`),
     so memory follows the window, not the range. Primes missing from the
-    array get no rows, so class-masked arrays and extension windows work as
-    they are. The table's coverage limit is the array's last prime.
+    array get no rows, and the table's coverage limit is the array's last
+    prime. So a table of a class-masked array claims primes it never saw,
+    and must not seed `series.fold_series` or `row_blocks`.
 
     Raises SieveCapacityError for a prime past the sieve capacity
     (`primes.check_capacity`), and TableBoundError when an int64
@@ -268,31 +269,26 @@ def representation_table(form: QuadraticForm, primes: np.ndarray) -> RepTable:
 def segment_rows(seed: RepTable, primes: np.ndarray) -> RepTable:
     """Rows of one segment: primes, every prime of a range in ascending order.
 
-    The seed's rows serve the primes it covers and only the primes above
-    its limit are enumerated (`representation_table`), so a prime the seed
-    holds is never enumerated again. The block covers the segment's last
-    prime. Only the series fold reads these blocks: its segments start at 2,
-    so one may straddle the seed's limit.
+    A segment the seed covers is a view of the seed's rows, and any other is
+    enumerated whole (`representation_table`); the block covers the
+    segment's last prime. Every stream cuts its segments at the seed's
+    limit, so no prime the seed holds is enumerated again.
     """
-    lo, hi = np.searchsorted(seed.p, (primes[0] - 1, primes[-1]), side="right").tolist()
-    held = (seed.p[lo:hi], seed.x[lo:hi], seed.y[lo:hi])
-    cut = int(np.searchsorted(primes, seed.limit, side="right"))
-    if cut == primes.size:
-        return RepTable(seed.form, *held, int(primes[-1]))
-    new = representation_table(seed.form, primes[cut:])
-    if lo == hi:
-        return new
-    return _stack(seed.form, [held, (new.p, new.x, new.y)], new.limit)
+    top = int(primes[-1])
+    if top > seed.limit:
+        return representation_table(seed.form, primes)
+    lo, hi = np.searchsorted(seed.p, (primes[0] - 1, top), side="right").tolist()
+    return RepTable(seed.form, seed.p[lo:hi], seed.x[lo:hi], seed.y[lo:hi], top)
 
 
 def row_blocks(seed: RepTable, limit: int) -> Iterator[RepTable]:
     """The rows of every prime <= limit, as blocks in ascending p.
 
-    The seed's rows come first, cut at the sieve-segment edges, then the
-    rows `representation_table` enumerates above the seed's limit, one
-    sieve segment each, so a consumer holds one block at a time. The stream
-    is lazy, but its `primes.segments` stream is made at the call, so a
-    limit past the sieve capacity is refused there, before any sieving.
+    The seed's rows come first, cut at the sieve-segment edges, then one
+    `segment_rows` block per sieve segment above the seed's limit, so a
+    consumer holds one block at a time. The stream is lazy, but its
+    `primes.segments` stream is made at the call, so a limit past the sieve
+    capacity is refused there, before any sieving.
     """
     tops = [b for _, b in _windows(2, min(limit, seed.limit))]
     ends = np.searchsorted(seed.p, tops, side="right").tolist()
@@ -300,23 +296,14 @@ def row_blocks(seed: RepTable, limit: int) -> Iterator[RepTable]:
         RepTable(seed.form, seed.p[i:j], seed.x[i:j], seed.y[i:j], top)
         for i, j, top in zip([0, *ends], ends, tops)
     )
-    grown = (representation_table(seed.form, seg) for seg in segments(seed.limit + 1, limit))
+    grown = (segment_rows(seed, seg) for seg in segments(seed.limit + 1, limit))
     return itertools.chain(held, grown)
 
 
-def ensure_table(form: QuadraticForm, limit: int, table: RepTable | None = None) -> RepTable:
-    """A table of form covering every prime <= limit: table grown if short, else built.
+def ensure_table(form: QuadraticForm, limit: int) -> RepTable:
+    """A table of form covering every prime <= limit, built by stacking `row_blocks`.
 
-    The one routine that builds or grows a table: it stacks `row_blocks`.
-    Only the primes above the table's coverage are processed, one sieve
-    segment at a time, so no prime array of the whole range is ever held;
-    every prime <= limit is covered, so asking for limit again sieves
-    nothing.
+    The primes are processed one sieve segment at a time, so no prime array
+    of the whole range is ever held.
     """
-    if table is None:
-        table = empty_table(form)
-    elif table.form != form:
-        raise ValueError("representation table computed for a different form")
-    if limit <= table.limit:
-        return table
-    return _stack(form, [(b.p, b.x, b.y) for b in row_blocks(table, limit)], limit)
+    return _stack(form, [(b.p, b.x, b.y) for b in row_blocks(empty_table(form), limit)], limit)

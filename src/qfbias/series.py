@@ -10,6 +10,7 @@ set of numpy columns, and NaN marks an undefined F or R (an empty CSV field).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,9 +38,11 @@ class BiasSeries:
     def F(self) -> np.ndarray:
         """sum_a / sum_b at every point as float64, NaN where sum_b = 0."""
         sum_a, sum_b = self.points[:, 2], self.points[:, 3]
-        # every sum stays below pi(4e9) * sqrt(4e9) ~ 1.2e13 < 2**53 inside the
-        # sieve capacity, so both convert to float64 exactly and the quotient
-        # is the correctly rounded value of Python's int / int
+        # while both sums stay below 2**53 they convert to float64 exactly and
+        # the quotient is the correctly rounded value of Python's int / int. A
+        # reduced form has x <= 2 * sqrt(p / 3a) + 1, so its sums stay below
+        # 1.4e13 inside the sieve capacity; a non-reduced form's x reaches
+        # `forms._x_extent`, and `_check_sums` guards only 2**62
         out = np.full(sum_a.size, np.nan)
         np.divide(sum_a, sum_b, out=out, where=sum_b != 0)
         return out
@@ -102,18 +105,22 @@ def fold_series(
     """The bias series of every class, from one pass that builds no table.
 
     Each series equals `bias_series` on a table of the seed's form to the
-    last Pr(N). One pass over `primes.segments(2, nth_prime_bound(N))`, cut
-    at the N-th prime, takes the Pr(N) from its segments and adds each
-    segment's rows to running x and y sums of every class. The rows come
-    from `forms.segment_rows`: the seed's where it covers them, so none of
-    its primes is enumerated again, and enumerated above its limit. Give an
-    empty seed (`forms.empty_table`) when there is no table to start from.
+    last Pr(N). One pass over the primes to `nth_prime_bound(N)`, cut at the
+    N-th prime, takes the Pr(N) from its segments and adds each segment's
+    rows to running x and y sums of every class. The pass reads
+    `primes.segments` to the seed's limit and then above it, so a segment
+    is either covered by the seed, whose rows `forms.segment_rows` takes,
+    or enumerated whole; none of the seed's primes is enumerated again.
+    Give an empty seed (`forms.empty_table`) when there is no table to
+    start from.
     """
     pr, sums = [], [[] for _ in classes]
     carry = np.zeros((len(classes), 2), dtype=np.int64)  # each class's (sum_a, sum_b)
     counts = [0] * len(classes)
     n, seen = _last_index(n_max, stride), 0
-    for primes in segments(2, nth_prime_bound(n)):
+    top = nth_prime_bound(n)
+    stream = itertools.chain(segments(2, min(top, seed.limit)), segments(seed.limit + 1, top))
+    for primes in stream:
         primes = primes[: n - seen]  # the last segment is cut at the N-th prime
         # a copy, so that keeping the points does not keep the segment
         at = primes[(stride - 1 - seen) % stride :: stride].copy()

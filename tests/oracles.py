@@ -14,20 +14,24 @@ the segmented sieve, and `first_primes` and `nth_prime` read it too, so the
 series fold's cut of `primes.segments` at Pr(N) is checked against a sieve
 it does not share. `moment_sum` and `poly_sum` sum Python ints and Fractions
 row by row, against the int64 prefix sums of the series fold, and
-`negative_bias_fraction` counts a whole D1/D2 series, against the running
+`d_race_rows` steps the D1/D2 race one prime at a time, each prime's
+a^2 + 4b^2 found by its own loop over b, against `DStep` and the `dfunc`
+CSV; `class_series` splits D1/D2 columns into one `CountSeries` per class,
+and `negative_bias_fraction` counts a whole series, against the running
 tallies of `DStep.fractions`. `table_rows`, `in_class` and `value_at` are
 the tests' per-row, class-membership and at-x lookups, which no command runs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from qfbias.counting import BiasFractions, CountSeries, FieldSplitting
+from qfbias.counting import BiasFractions, FieldSplitting
 from qfbias.forms import (
     DEFAULT_ORACLE_BOUND,
     QuadraticForm,
@@ -277,6 +281,71 @@ def poly_sum(
     for _, x, y in table_rows(table):
         total += poly.evaluate(x, y)
     return total
+
+
+@dataclass(frozen=True)
+class CountSeries:
+    """A running integer count sampled at its event grid, as int64 arrays.
+
+    Grid entries hold the value after the event at that point; evaluate(x)
+    returns the count over events strictly below x, at a scalar or an array
+    of points.
+    """
+
+    x_grid: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "x_grid", np.asarray(self.x_grid, dtype=np.int64))
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.int64))
+
+    def evaluate(self, x):
+        # events strictly below x; the final grid entry is a plain endpoint
+        return np.concatenate(([0], self.values))[np.searchsorted(self.x_grid, x)]
+
+
+def class_series(x, d1, d2) -> tuple[CountSeries, CountSeries]:
+    """D1 and D2 columns as one CountSeries each: the rows of the class's
+    primes, 1 and 5 (mod 8), then the endpoint row."""
+    x = np.asarray(x)
+    out = []
+    for residue, d in ((1, d1), (5, d2)):
+        keep = x % 8 == residue
+        keep[-1] = True
+        out.append(CountSeries(x_grid=x[keep], values=np.asarray(d)[keep]))
+    return out[0], out[1]
+
+
+@functools.cache
+def _race_step(p: int) -> int:
+    """+1 if a > 2b, else -1, for the one p = a^2 + 4b^2 with a, b >= 1."""
+    pairs = []
+    for b in range(1, math.isqrt(p // 4) + 1):
+        a = math.isqrt(p - 4 * b * b)
+        if a * a + 4 * b * b == p:
+            pairs.append((a, b))
+    # a prime p = 1 (mod 4) is a sum of two squares in one way, and one of
+    # them is even; a is odd because p is
+    [(a, b)] = pairs
+    return 1 if a > 2 * b else -1
+
+
+def d_race_rows(x_max: int) -> list[tuple[int, int, int]]:
+    """Rows (x, D1, D2) of the D1/D2 race below x_max, in Python ints.
+
+    One row per prime p < x_max with p = 1 (mod 8) (D1 steps) or 5 (mod 8)
+    (D2 steps), from the plain sieve, then the x_max endpoint: the rows of
+    the `dfunc` CSV.
+    """
+    d = [0, 0]
+    rows = []
+    for p in np.flatnonzero(_simple_prime_flags(max(x_max - 1, 1))).tolist():
+        if p % 8 in (1, 5):
+            i = 0 if p % 8 == 1 else 1
+            d[i] += _race_step(p)
+            rows.append((p, *d))
+    rows.append((x_max, *d))
+    return rows
 
 
 def negative_bias_fraction(series: CountSeries) -> BiasFractions:

@@ -33,7 +33,14 @@ from qfbias.primes import CongruenceClass, sieve_range
 from qfbias.series import bias_series, sign_changes
 
 from conftest import trial_division_primes
-from oracles import canonical_pairs, moment_sum, negative_bias_fraction, table_rows
+from oracles import (
+    canonical_pairs,
+    class_series,
+    d_race_rows,
+    moment_sum,
+    negative_bias_fraction,
+    table_rows,
+)
 
 SILVER = 1.0 + math.sqrt(2.0)
 Q11 = QuadraticForm(1, 0, 1)
@@ -130,14 +137,15 @@ def test_criterion_06_sign_changes(rep_table_full):
 
 
 def test_criterion_07_counting_differences(rep_table_full):
-    d1, d2 = d_functions(rep_table_full, 6)
-    assert d2.evaluate(6) == -1
-    d1, d2 = d_functions(rep_table_full, 14)
-    assert d2.evaluate(14) == 0
-    d1, d2 = d_functions(rep_table_full, 18)
-    assert d1.evaluate(18) == -1
+    # the endpoint rows D2(6) = -1, D2(14) = 0 and D1(18) = -1, from the
+    # per-prime oracle and from DStep's columns
+    for row in ((6, 0, -1), (14, 0, 0), (18, -1, 0)):
+        assert d_race_rows(row[0])[-1] == row
+        assert tuple(c[-1] for c in d_functions(rep_table_full, row[0])) == row
+    columns = d_functions(rep_table_full, 10**5)
+    assert list(zip(*(c.tolist() for c in columns))) == d_race_rows(10**5)
 
-    d1, d2 = d_functions(rep_table_full, 10**6)
+    d1, d2 = class_series(*d_functions(rep_table_full, 10**6))
     f1 = negative_bias_fraction(d1)
     f2 = negative_bias_fraction(d2)
     note = ""

@@ -21,7 +21,7 @@ ACCUMULATORS = {
     "moment_sum": lambda t, b: moment_sum(t, C14, 1, b),
     "poly_sum": lambda t, b: poly_sum(t, C14, X, b),
     "d_functions": lambda t, b: d_functions(t, b + 1),  # counts p < x_max
-    "sample_angles": lambda t, b: sample_angles(t, C14, x_limit=b),
+    "sample_angles": lambda t, b: sample_angles(t.slice_below(b), C14),
 }
 
 
@@ -62,4 +62,4 @@ def test_accumulators_never_build_a_table(rep_table_full, monkeypatch):
         run(rep_table_full, bound)
     bias_series(rep_table_full, C14, 500_000, stride=100)
     with pytest.raises(AssertionError, match="built"):
-        ensure_table(Q11, rep_table_full.limit + 100, rep_table_full)
+        list(forms.row_blocks(rep_table_full, rep_table_full.limit + 100))

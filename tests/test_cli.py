@@ -1,5 +1,4 @@
 
-import bisect
 import gc
 import math
 import os
@@ -17,7 +16,7 @@ from qfbias import __version__
 from qfbias import primes as primes_module
 from qfbias import series as series_module
 from qfbias.cache import read_cache, write_cache
-from qfbias.cli import _fmt, main
+from qfbias.cli import _dfunc_run, _fmt, main
 from qfbias.counting import d_functions
 from qfbias.equidist import (
     angle_arrays,
@@ -27,11 +26,16 @@ from qfbias.equidist import (
     sector_counts,
     weyl_sum,
 )
-from qfbias.forms import QuadraticForm, ensure_table, representation_table
+from qfbias.forms import QuadraticForm, empty_table, ensure_table, representation_table
 from qfbias.primes import DEFAULT_SEGMENT_SIZE, CongruenceClass, sieve_range
 from qfbias.series import bias_series, fold_series
 
-from oracles import _simple_prime_flags, table_rows
+from oracles import (
+    _simple_prime_flags,
+    class_series,
+    d_race_rows,
+    negative_bias_fraction,
+)
 
 
 @pytest.fixture
@@ -623,19 +627,12 @@ class TestDfuncCommand:
     def test_csv_equals_per_row_value_at(self, runner, tmp_path, xmax):
         out = tmp_path / "d.csv"
         invoke(runner, "dfunc", "--xmax", str(xmax), "-o", str(out))
-        # reference: a per-row bisect over Python lists, independent of value_at
-        table = ensure_table(QuadraticForm(1, 0, 1), xmax)
-        series = [(s.x_grid.tolist(), s.values.tolist()) for s in d_functions(table, xmax)]
-
-        def value_at(grid, values, g):
-            idx = bisect.bisect_right(grid, g)
-            return values[idx - 1] if idx else 0
-
-        merged = sorted(set(series[0][0]) | set(series[1][0]))
-        rows = "".join(
-            f"{g},{value_at(*series[0], g)},{value_at(*series[1], g)}\n" for g in merged
-        )
-        assert out.read_text() == "x,D1,D2\n" + rows
+        rows = d_race_rows(xmax)
+        assert out.read_text() == dfunc_csv(rows)
+        # d_functions returns the CSV's rows as DStep's int64 columns
+        columns = d_functions(ensure_table(QuadraticForm(1, 0, 1), xmax), xmax)
+        assert [c.dtype for c in columns] == [np.int64] * 3
+        assert list(zip(*(c.tolist() for c in columns))) == rows
 
 
 Q11 = QuadraticForm(1, 0, 1)
@@ -659,32 +656,33 @@ def dfunc_bounds(draw):
     return size, min(x_max, top)
 
 
+def dfunc_csv(rows) -> str:
+    """The dfunc CSV text of (x, D1, D2) rows."""
+    return "x,D1,D2\n" + "".join(f"{x},{d1},{d2}\n" for x, d1, d2 in rows)
+
+
 def dfunc_reference(x_max):
-    """CSV text, stdout and fraction line of dfunc, one table row at a time."""
-    d, seen, lines = [0, 0], [[0, 0, 0], [0, 0, 0]], ["x,D1,D2\n"]
-
-    def tally(i):
-        seen[i][0] += 1
-        seen[i][1] += d[i] < 0
-        seen[i][2] += d[i] <= 0
-
-    for p, x, y in table_rows(ensure_table(Q11, x_max)):
-        if p < x_max and p % 8 in (1, 5):
-            odd, even = (x, y) if x % 2 else (y, x)
-            i = 0 if p % 8 == 1 else 1
-            d[i] += 1 if odd > even else -1
-            tally(i)
-            lines.append(f"{p},{d[0]},{d[1]}\n")
-    tally(0)
-    tally(1)
-    lines.append(f"{x_max},{d[0]},{d[1]}\n")
-    (n1, neg1, nonpos1), (n2, neg2, nonpos2) = seen
-    fractions = (f"negative fraction: D1 {neg1 / n1:.4f} (<=0: {nonpos1 / n1:.4f}), "
-                 f"D2 {neg2 / n2:.4f} (<=0: {nonpos2 / n2:.4f})")
-    return "".join(lines), f"{d[0]} {d[1]}\n", fractions
+    """CSV text, stdout and fraction line of dfunc, from the per-prime oracle."""
+    rows = d_race_rows(x_max)
+    f1, f2 = map(negative_bias_fraction, class_series(*zip(*rows)))
+    fractions = (f"negative fraction: D1 {f1.negative:.4f} (<=0: {f1.nonpositive:.4f}), "
+                 f"D2 {f2.negative:.4f} (<=0: {f2.nonpositive:.4f})")
+    return dfunc_csv(rows), "{} {}\n".format(*rows[-1][1:]), fractions
 
 
 class TestDfuncStream:
+    @given(x_max=st.integers(2, 20_000), size=st.integers(1, 5000))
+    @settings(max_examples=40, deadline=None)
+    def test_run_and_fractions_equal_the_per_prime_oracle(self, tmp_path_factory, x_max, size):
+        x_max = min(x_max, 200 * size)  # at most 200 segments
+        path = tmp_path_factory.mktemp("dfunc") / "d.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(primes_module, "DEFAULT_SEGMENT_SIZE", size)
+            step = _dfunc_run(path, empty_table(Q11), x_max)
+        rows = d_race_rows(x_max)
+        assert path.read_text() == dfunc_csv(rows)
+        assert step.fractions() == tuple(map(negative_bias_fraction, class_series(*zip(*rows))))
+
     @given(bounds=dfunc_bounds(), cache_limit=st.none() | st.integers(2, 200_000))
     @settings(max_examples=40, deadline=None)
     def test_streamed_csv_equals_per_row_reference(self, tmp_path_factory, bounds,
@@ -892,7 +890,7 @@ class TestEquidistCommand:
                    "--conjugates", "-o", str(out)])
         qf = QuadraticForm(*map(int, form.split(",")))
         table, raw, theta = sample_angles(ensure_table(qf, 3000), CongruenceClass(res, mod),
-                                          3000, count)
+                                          count)
         if len(table) == 0:
             assert result.exit_code == 3 and not out.exists()
             return
@@ -931,7 +929,7 @@ class TestEquidistCommand:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(primes_module, "DEFAULT_SEGMENT_SIZE", size)
             result = CliRunner().invoke(main, args)
-        rows, raw, theta = sample_angles(table, CongruenceClass(res, mod), limit, count)
+        rows, raw, theta = sample_angles(table, CongruenceClass(res, mod), count)
         if len(rows) == 0:
             # neither the CSV nor its temporary file is left behind
             assert result.exit_code == 3
@@ -959,7 +957,7 @@ class TestEquidistCommand:
         assert result.exit_code == 2
         assert not (tmp_path / "a.csv").exists()
         with pytest.raises(ValueError, match="nonnegative"):
-            sample_angles(ensure_table(QuadraticForm(1, 0, 1), 1000), x_limit=1000, max_count=-5)
+            sample_angles(ensure_table(QuadraticForm(1, 0, 1), 1000), max_count=-5)
 
     def test_winding_below_one_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["equidist", "--form", "1,0,1", "--limit", "1000",
@@ -967,7 +965,7 @@ class TestEquidistCommand:
         assert result.exit_code == 2
         assert not (tmp_path / "a.csv").exists()
         with pytest.raises(ValueError, match="positive"):
-            sample_angles(ensure_table(QuadraticForm(1, 0, 1), 1000), x_limit=1000, w=0)
+            sample_angles(ensure_table(QuadraticForm(1, 0, 1), 1000), w=0)
 
     @pytest.mark.parametrize("option", ["--sectors", "--stats-stride"])
     def test_negative_option_is_usage_error(self, runner, tmp_path, option):

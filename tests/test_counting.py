@@ -11,7 +11,6 @@ from qfbias import counting
 from qfbias import primes as primes_module
 from qfbias.arith import euler_phi, kronecker_array, squarefree_part
 from qfbias.counting import (
-    CountSeries,
     FieldSplitting,
     a_coefficient,
     d_functions,
@@ -25,7 +24,16 @@ from qfbias.forms import QuadraticForm, ensure_table
 from qfbias.primes import DEFAULT_CAPACITY, CongruenceClass, sieve_range
 
 from conftest import trial_division_primes
-from oracles import in_class, kronecker, negative_bias_fraction, splitting_type, value_at
+from oracles import (
+    CountSeries,
+    class_series,
+    d_race_rows,
+    in_class,
+    kronecker,
+    negative_bias_fraction,
+    splitting_type,
+    value_at,
+)
 
 GAUSS = FieldSplitting(-1)
 Q11 = QuadraticForm(1, 0, 1)
@@ -67,46 +75,33 @@ class TestFieldSplitting:
 
 class TestDFunctions:
     def test_hand_prefixes(self):
-        d1, d2 = d_functions(ensure_table(Q11, 20), 20)
+        d1, d2 = class_series(*d_functions(ensure_table(Q11, 20), 20))
         assert d2.evaluate(6) == -1
         assert d2.evaluate(14) == 0
         assert d1.evaluate(18) == -1
 
     def test_steps_are_unit_sized_and_disjoint(self):
-        d1, d2 = d_functions(ensure_table(Q11, 10_000), 10_000)
+        d1, d2 = class_series(*d_functions(ensure_table(Q11, 10_000), 10_000))
         for series in (d1, d2):
             vals = np.asarray(series.values[:-1])  # final entry is the endpoint
             assert np.all(np.abs(np.diff(vals)) == 1)
         assert set(d1.x_grid[:-1]).isdisjoint(d2.x_grid[:-1])
 
     def test_every_qualifying_prime_is_an_event(self):
-        d1, d2 = d_functions(ensure_table(Q11, 2000), 2000)
+        columns = d_functions(ensure_table(Q11, 2000), 2000)
+        assert [c.dtype for c in columns] == [np.int64] * 3
+        d1, d2 = class_series(*columns)
         primes = sieve_range(2, 1999).tolist()
         np.testing.assert_array_equal(d1.x_grid[:-1], [p for p in primes if p % 8 == 1])
         np.testing.assert_array_equal(d2.x_grid[:-1], [p for p in primes if p % 8 == 5])
-        for series in (d1, d2):
-            assert series.x_grid.dtype == series.values.dtype == np.int64
 
     def test_decomposition_matches_brute_force(self):
-        # independent check of the odd/even split: enumerate a^2 + 4b^2 = p
-        d1, d2 = d_functions(ensure_table(Q11, 500), 500)
-        for p in trial_division_primes(2, 500):
-            if p % 8 not in (1, 5):
-                continue
-            sols = [
-                (a, b)
-                for a in range(1, math.isqrt(p) + 1)
-                for b in range(1, math.isqrt(p) + 1)
-                if a * a + 4 * b * b == p
-            ]
-            assert len(sols) == 1
-            a, b = sols[0]
-            series = d1 if p % 8 == 1 else d2
-            step = value_at(series, p) - series.evaluate(p)
-            assert step == (1 if a > 2 * b else -1)
+        # the per-prime oracle finds each p = a^2 + 4b^2 by its own loop over b
+        columns = d_functions(ensure_table(Q11, 500), 500)
+        assert list(zip(*(c.tolist() for c in columns))) == d_race_rows(500)
 
     def test_value_at_vs_evaluate(self):
-        d1, _ = d_functions(ensure_table(Q11, 100), 100)
+        d1, _ = class_series(*d_functions(ensure_table(Q11, 100), 100))
         p = d1.x_grid[0]  # 17, the first prime = 1 mod 8 with a pair
         assert d1.evaluate(p) == 0
         assert value_at(d1, p) == d1.values[0]

@@ -183,8 +183,7 @@ class TestSampleAngles:
             ]
             assert len(rows) > count, form
             rows = rows[:count]
-            table, raw, theta = sample_angles(ensure_table(form, 3000), cls, x_limit=3000,
-                                              max_count=count)
+            table, raw, theta = sample_angles(ensure_table(form, 3000), cls, max_count=count)
             assert list(zip(table.p.tolist(), table.x.tolist(), table.y.tolist())) == rows
             by_hand = [math.atan2(y, x) for _, x, y in rows]
             assert raw.tolist() == by_hand
@@ -192,29 +191,28 @@ class TestSampleAngles:
 
     def test_class_restriction(self):
         form = QuadraticForm(1, 0, 1)
-        table, raw, theta = sample_angles(ensure_table(form, 500), cls=CongruenceClass(5, 8),
-                                          x_limit=500)
+        table, raw, theta = sample_angles(ensure_table(form, 500), cls=CongruenceClass(5, 8))
         assert len(table) > 0 and np.all(table.p % 8 == 5)
         assert raw.size == theta.size == len(table)
 
     def test_max_count_truncates(self):
         form = QuadraticForm(1, 0, 1)
-        table, raw, theta = sample_angles(ensure_table(form, 2000), x_limit=2000, max_count=10)
+        table, raw, theta = sample_angles(ensure_table(form, 2000), max_count=10)
         assert len(table) == raw.size == theta.size == 10
 
     def test_mirrored_appends_conjugates(self):
         form = QuadraticForm(1, 0, 1)
-        _, _, theta = sample_angles(ensure_table(form, 100), x_limit=100)
+        _, _, theta = sample_angles(ensure_table(form, 100))
         both = mirrored(theta)
         assert both.size == 2 * theta.size
         assert both[: theta.size].tolist() == theta.tolist()
         assert both[theta.size:].tolist() == [(-t) % TWO_PI for t in theta.tolist()]
 
     def test_reuses_table(self):
-        # without x_limit every row of the table is read, as if sliced to its limit
+        # every row of the table is read, as if sliced to its limit
         form = QuadraticForm(1, 0, 1)
         table = representation_table(form, sieve_range(2, 300))
-        got, want = sample_angles(table), sample_angles(ensure_table(form, 1000), x_limit=300)
+        got, want = sample_angles(table), sample_angles(ensure_table(form, 1000).slice_below(300))
         assert got[0].p.tolist() == want[0].p.tolist()
         for a, b in zip(got[1:], want[1:]):
             assert a.tolist() == b.tolist()

@@ -74,10 +74,12 @@ class TestQuadraticForm:
 
 @pytest.mark.parametrize("module, names", [
     ("qfbias", ("Representation", "sqrt_mod", "cornacchia", "canonical_pairs", "splitting_type",
-                "nth_prime", "MomentSums", "moment_sum", "poly_sum", "negative_bias_fraction")),
+                "nth_prime", "MomentSums", "moment_sum", "poly_sum", "negative_bias_fraction",
+                "CountSeries")),
     ("qfbias.forms",
      ("Representation", "sqrt_mod", "cornacchia", "_fast_pairs", "canonical_pairs")),
-    ("qfbias.counting", ("splitting_type", "SPLIT", "INERT", "RAMIFIED", "negative_bias_fraction")),
+    ("qfbias.counting", ("splitting_type", "SPLIT", "INERT", "RAMIFIED", "negative_bias_fraction",
+                         "CountSeries")),
     ("qfbias.primes", ("_simple_prime_flags", "first_primes", "nth_prime")),
     ("qfbias.series", ("MAX_MOMENT_POWER", "MomentSums", "moment_sum", "poly_sum")),
 ])
@@ -237,14 +239,6 @@ class TestRepresentationTable:
             ]
             assert rows == want
 
-    def test_extend_matches_direct(self):
-        direct = representation_table(Q11, sieve_range(2, 2000))
-        grown = ensure_table(Q11, 2000, representation_table(Q11, sieve_range(2, 500)))
-        assert np.array_equal(direct.p, grown.p)
-        assert np.array_equal(direct.x, grown.x)
-        assert np.array_equal(direct.y, grown.y)
-        assert grown.limit == 2000
-
     def test_slicing(self):
         table = representation_table(Q11, sieve_range(2, 200))
         below = table.slice_below(100)
@@ -254,11 +248,6 @@ class TestRepresentationTable:
             table.slice_below(200)
         cls = table.slice_class(CongruenceClass(5, 8))
         assert all(p % 8 == 5 for p in cls.p.tolist())
-
-    def test_ensure_table_rejects_other_form(self):
-        table = representation_table(Q11, sieve_range(2, 100))
-        with pytest.raises(ValueError):
-            ensure_table(Q111, 100, table)
 
 
 @functools.lru_cache(maxsize=None)
@@ -295,21 +284,6 @@ class TestLatticeEngine:
         assert np.array_equal(table.y, full.y[keep])
         assert table.limit == (int(subset[-1]) if subset.size else 0)
 
-    @given(
-        coeffs=st.sampled_from(ORACLE_FORMS),
-        split=st.integers(min_value=2, max_value=PROPERTY_BOUND),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_extend_from_any_split_matches_direct(self, coeffs, split):
-        full = _full_table(coeffs)
-        grown = ensure_table(
-            full.form, PROPERTY_BOUND, representation_table(full.form, sieve_range(2, split))
-        )
-        assert np.array_equal(grown.p, full.p)
-        assert np.array_equal(grown.x, full.x)
-        assert np.array_equal(grown.y, full.y)
-        assert grown.limit == PROPERTY_BOUND
-
     def test_huge_coefficient_with_small_primes_is_empty(self):
         table = representation_table(QuadraticForm(1, 0, 2**60), sieve_range(2, 100))
         assert len(table) == 0 and table.limit == 97
@@ -322,9 +296,10 @@ class TestLatticeEngine:
         seed = representation_table(Q11, sieve_range(2, 100))
         calls = []
         monkeypatch.setattr("qfbias.primes.sieve_range", lambda lo, hi, **kw: calls.append(hi))
-        for table in (None, seed):
+        for build in (lambda: ensure_table(Q11, DEFAULT_CAPACITY + 1),
+                      lambda: forms.row_blocks(seed, DEFAULT_CAPACITY + 1)):
             with pytest.raises(SieveCapacityError, match="capacity"):
-                ensure_table(Q11, DEFAULT_CAPACITY + 1, table)
+                build()
         assert calls == []
 
     def test_fresh_table_covers_its_limit(self, monkeypatch):
@@ -332,7 +307,9 @@ class TestLatticeEngine:
         assert table.limit == 100 and table.max_prime == 97
         monkeypatch.setattr("qfbias.primes.sieve_range",
                             lambda lo, hi, **kw: pytest.fail(f"sieved [{lo}, {hi}]"))
-        assert ensure_table(Q11, 100, table) is table
+        # streaming the table to its own limit reads its rows and sieves nothing
+        [block] = forms.row_blocks(table, 100)
+        assert block.p.tolist() == table.p.tolist() and block.limit == 100
 
     def test_int64_overflow_is_refused(self):
         # for a = 2^60, a*x^2 fits but the row ends need 4a*hi
