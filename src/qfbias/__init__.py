@@ -23,7 +23,7 @@ _EXPORTS = {
         "prime_ideal_count",
     ),
     "equidist": ("ks_statistic", "sample_angles", "sector_counts", "weyl_sum"),
-    "forms": ("RepTable", "empty_table", "ensure_table", "representation_table"),
+    "forms": ("RepTable", "empty_table", "representation_table"),
     "limits": ("beta", "integrate", "limit_ratio_moment", "limit_ratio_poly"),
     "polynomials": (
         "BivariatePolynomial", "PolynomialSyntaxError", "leading_homogeneous_part",

@@ -4,7 +4,9 @@ Layout: 4 magic bytes, then a header of three signed 64-bit form coefficients
 and an unsigned 64-bit record count, then count records of (p: u64, x: i64,
 y: i64) sorted by p. The format carries no coverage bound, so readers treat
 the largest stored prime as the trusted coverage limit. Nor does it carry a
-checksum: the reader checks every record instead (`_check_rows`).
+checksum: the reader checks every record instead (`_check_rows`). The writer
+takes the rows as a stream of blocks and writes the count last, so only the
+reader ever holds a whole table.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import os
 import struct
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -23,29 +26,34 @@ MAGIC = b"QFR1"
 _HEADER = struct.Struct("<qqqQ")
 
 _RECORD_DTYPE = np.dtype([("p", "<u8"), ("x", "<i8"), ("y", "<i8")])
-_BLOCK = 1 << 16  # records per write: 1.5 MiB
 
 
-def write_cache(path, table: RepTable) -> None:
-    """Write a representation table in the QFR1 layout.
+def write_cache(path, form: QuadraticForm, blocks: Iterable[RepTable]) -> int:
+    """Write the rows of blocks, ascending in p, as a QFR1 cache of form;
+    returns the record count.
 
-    Records are packed and written _BLOCK at a time, so writing never holds
-    a second copy of the table. The file is written whole or not at all
-    (`atomic.replacing`): a write that fails leaves any previous cache at
-    path whole.
+    The header goes out with a count of 0, then each block's records as one
+    packed array, and then the header again with the real count; so the
+    writer holds one block at a time. The file is written whole or not at
+    all (`atomic.replacing`): a write that fails leaves any previous cache
+    at path whole. A path that exists and is not a regular file after its
+    links (a FIFO, a device) is refused with ValueError before it is opened:
+    a FIFO's open blocks, and neither can seek back to the count.
     """
-    form = table.form
-    n = len(table)
-    block = np.empty(min(n, _BLOCK), dtype=_RECORD_DTYPE)
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise ValueError(f"cache target {path} is not a regular file")
+    count = 0
     with replacing(path) as fh:
         fh.write(MAGIC)
-        fh.write(_HEADER.pack(form.a, form.b, form.c, n))
-        for lo in range(0, n, _BLOCK):
-            rec = block[: min(_BLOCK, n - lo)]
-            rec["p"] = table.p[lo : lo + _BLOCK]
-            rec["x"] = table.x[lo : lo + _BLOCK]
-            rec["y"] = table.y[lo : lo + _BLOCK]
+        fh.write(_HEADER.pack(form.a, form.b, form.c, 0))
+        for block in blocks:
+            rec = np.empty(len(block), dtype=_RECORD_DTYPE)
+            rec["p"], rec["x"], rec["y"] = block.p, block.x, block.y
             fh.write(rec.tobytes())
+            count += len(block)
+        fh.seek(len(MAGIC))
+        fh.write(_HEADER.pack(form.a, form.b, form.c, count))
+    return count
 
 
 def read_cache(path, expected_form: QuadraticForm | None = None) -> RepTable:

@@ -180,14 +180,15 @@ def cmd_sieve(limit, lo, hi, out):
 def cmd_represent(form, limit, cache_out):
     """Compute canonical representations up to a bound and cache them."""
     t0 = time.perf_counter()
-    table = forms.ensure_table(form, limit)
-    dt = time.perf_counter() - t0
+    # refuses a limit past the capacity or a form past the int64 guard before the cache opens
+    blocks = forms.row_blocks(forms.empty_table(form), limit)
     path = _resolve_cache(cache_out)
     path.parent.mkdir(parents=True, exist_ok=True)
-    cache.write_cache(path, table)
-    rate = len(table) / dt if dt > 0 else float("inf")
-    progress(f"{len(table)} records in {dt:.1f}s ({rate:,.0f} records/s) -> {path}")
-    click.echo(str(len(table)))
+    count = cache.write_cache(path, form, blocks)
+    dt = time.perf_counter() - t0
+    rate = count / dt if dt > 0 else float("inf")
+    progress(f"{count} records in {dt:.1f}s ({rate:,.0f} records/s) -> {path}")
+    click.echo(str(count))
 
 
 @contextlib.contextmanager
@@ -450,7 +451,7 @@ def cmd_repro(outdir, figure, scale):
     # seeds the x^2 + y^2 fold, so no prime is enumerated twice
     seed, step = forms.empty_table(form11), None
     if "4" in want:
-        seed = forms.ensure_table(form11, x_max - 1)
+        seed = forms.representation_table(form11, primes.sieve_range(2, x_max - 1))
         step = _dfunc_run(outdir / "fig4_dfunctions.csv", seed, x_max)
     if want & {"1", "3"}:
         s1, s5, s_all = series.fold_series(seed, (cc(1, 8), cc(5, 8), cc.trivial()), n11)

@@ -6,10 +6,14 @@ value window at a time, all rows of a window at once, in exact int64
 arithmetic, and kept when the value is one of those primes. The kept points
 are compressed through one index array and sorted by p alone; only a window
 where a prime has several canonical pairs is re-sorted by (p, x, y).
-One per-prime route stays as the reference the tables are checked against:
-an exhaustive ellipse walk (`brute_force_representations`) that solves the
-quadratic in y, kept with `canonical_filter` because the benchmark's output
-checks import both from here. The other oracles live in tests/oracles.py.
+`representation_table` builds the rows of a given prime array, and the
+commands stream them as `row_blocks`, one sieve segment at a time: a whole
+table is held only when read from a cache, or as repro's fig4 seed, which
+is one segment. One per-prime route stays as the reference the tables are
+checked against: an exhaustive ellipse walk (`brute_force_representations`)
+that solves the quadratic in y, kept with `canonical_filter` because the
+benchmark's output checks import both from here. The other oracles live in
+tests/oracles.py.
 
 The canonical filter keeps pairs with x > y, x > 0, y >= 0; for x^2 + y^2
 this picks the unique representation with x > y > 0 of each p = 1 (mod 4).
@@ -139,10 +143,10 @@ class RepTable:
         )
 
 
-def empty_table(form: QuadraticForm, limit: int = 0) -> RepTable:
-    """A table of form without rows, covering primes to limit."""
+def empty_table(form: QuadraticForm) -> RepTable:
+    """A table of form without rows, covering no primes."""
     z = np.empty(0, dtype=np.int64)
-    return RepTable(form, z, z.copy(), z.copy(), limit)
+    return RepTable(form, z, z.copy(), z.copy(), 0)
 
 
 def _isqrt(s: np.ndarray) -> np.ndarray:
@@ -219,23 +223,6 @@ def _window_rows(
     return p, x[rows], y[rows]
 
 
-def _stack(form: QuadraticForm, parts: list, limit: int) -> RepTable:
-    """One table from row blocks in ascending p, emptying the list as it goes.
-
-    Each column is joined and its blocks dropped before the next, so the
-    peak is the blocks plus one column rather than two whole tables.
-    """
-    if not parts:
-        return empty_table(form, limit)
-    columns = [list(col) for col in zip(*parts)]
-    parts.clear()
-    joined = []
-    for col in columns:
-        joined.append(np.concatenate(col))
-        col.clear()
-    return RepTable(form, *joined, limit)
-
-
 def representation_table(form: QuadraticForm, primes: np.ndarray) -> RepTable:
     """Canonical representation rows for every prime in the given array.
 
@@ -263,7 +250,7 @@ def representation_table(form: QuadraticForm, primes: np.ndarray) -> RepTable:
         stop = int(np.searchsorted(primes, primes[start] + WINDOW, side="left"))
         parts.append(_window_rows(form, primes[start:stop]))
         start = stop
-    return _stack(form, parts, hi)
+    return RepTable(form, *map(np.concatenate, zip(*parts)), hi)
 
 
 def segment_rows(seed: RepTable, primes: np.ndarray) -> RepTable:
@@ -287,23 +274,18 @@ def row_blocks(seed: RepTable, limit: int) -> Iterator[RepTable]:
     The seed's rows come first, cut at the sieve-segment edges, then one
     `segment_rows` block per sieve segment above the seed's limit, so a
     consumer holds one block at a time. The stream is lazy, but its
-    `primes.segments` stream is made at the call, so a limit past the sieve
-    capacity is refused there, before any sieving.
+    `primes.segments` stream is made at the call, and a limit past the seed
+    checked against the int64 guard there, so a limit past the sieve
+    capacity or the guard is refused before any sieving.
     """
+    grown = (segment_rows(seed, seg) for seg in segments(seed.limit + 1, limit))
+    if limit > seed.limit:
+        _extents(seed.form, limit)
     tops = [b for _, b in _windows(2, min(limit, seed.limit))]
     ends = np.searchsorted(seed.p, tops, side="right").tolist()
     held = (
         RepTable(seed.form, seed.p[i:j], seed.x[i:j], seed.y[i:j], top)
         for i, j, top in zip([0, *ends], ends, tops)
     )
-    grown = (segment_rows(seed, seg) for seg in segments(seed.limit + 1, limit))
     return itertools.chain(held, grown)
 
-
-def ensure_table(form: QuadraticForm, limit: int) -> RepTable:
-    """A table of form covering every prime <= limit, built by stacking `row_blocks`.
-
-    The primes are processed one sieve segment at a time, so no prime array
-    of the whole range is ever held.
-    """
-    return _stack(form, [(b.p, b.x, b.y) for b in row_blocks(empty_table(form), limit)], limit)

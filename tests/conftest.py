@@ -1,11 +1,17 @@
 import math
 
 import pytest
+from hypothesis import Phase, settings
 
 from qfbias.forms import QuadraticForm, representation_table
 from qfbias.primes import sieve_range
 
 from oracles import nth_prime
+
+# for the properties that run a whole stream per example over a patched
+# segment size: a failure is reported as found, since each shrink step would
+# run the stream again (minutes for one failure)
+UNSHRUNK = settings(deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
 
 
 def trial_division_primes(lo: int, hi: int) -> list[int]:

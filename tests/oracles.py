@@ -20,13 +20,15 @@ CSV; `class_series` splits D1/D2 columns into one `CountSeries` per class,
 and `negative_bias_fraction` counts a whole series, against the running
 tallies of `DStep.fractions`. `table_rows`, `in_class` and `value_at` are
 the tests' per-row, class-membership and at-x lookups, which no command runs.
+`table_to` builds the tests' tables in one `representation_table` call over
+one `sieve_range`, independent of the `row_blocks` stream the commands read.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -38,9 +40,11 @@ from qfbias.forms import (
     RepTable,
     brute_force_representations,
     canonical_filter,
+    empty_table,
+    representation_table,
 )
 from qfbias.polynomials import BivariatePolynomial
-from qfbias.primes import CongruenceClass, check_capacity, nth_prime_bound
+from qfbias.primes import CongruenceClass, check_capacity, nth_prime_bound, sieve_range
 
 SPLIT = "split"
 INERT = "inert"
@@ -358,6 +362,12 @@ def negative_bias_fraction(series: CountSeries) -> BiasFractions:
         negative=float(np.count_nonzero(vals < 0)) / n,
         nonpositive=float(np.count_nonzero(vals <= 0)) / n,
     )
+
+
+def table_to(form: QuadraticForm, limit: int) -> RepTable:
+    """The table of form covering every prime <= limit."""
+    table = representation_table(form, sieve_range(2, limit)) if limit >= 2 else empty_table(form)
+    return replace(table, limit=limit)
 
 
 def table_rows(table: RepTable):

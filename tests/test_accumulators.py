@@ -5,12 +5,12 @@ import pytest
 from qfbias import forms
 from qfbias.counting import d_functions
 from qfbias.equidist import sample_angles
-from qfbias.forms import QuadraticForm, ensure_table
+from qfbias.forms import QuadraticForm
 from qfbias.polynomials import parse_polynomial
 from qfbias.primes import CongruenceClass
 from qfbias.series import bias_series
 
-from oracles import moment_sum, nth_prime, poly_sum
+from oracles import moment_sum, nth_prime, poly_sum, table_to
 
 Q11 = QuadraticForm(1, 0, 1)
 C14 = CongruenceClass(1, 4)
@@ -27,7 +27,7 @@ ACCUMULATORS = {
 
 @pytest.fixture(scope="module")
 def table_to_1000():
-    return ensure_table(Q11, 1000)
+    return table_to(Q11, 1000)
 
 
 @pytest.mark.parametrize("name", sorted(ACCUMULATORS))
@@ -42,14 +42,14 @@ def test_bias_series_table_short_of_the_series_limit_is_refused():
     n_max, stride = 200, 100
     bound = nth_prime(n_max)  # Pr(N) at the last grid point
     assert bound == 1223
-    bias_series(ensure_table(Q11, bound), C14, n_max, stride)
+    bias_series(table_to(Q11, bound), C14, n_max, stride)
     with pytest.raises(ValueError, match=f"covers primes to {bound - 1}, not {bound}"):
-        bias_series(ensure_table(Q11, bound - 1), C14, n_max, stride)
+        bias_series(table_to(Q11, bound - 1), C14, n_max, stride)
 
 
 def test_d_functions_refuses_other_forms():
     with pytest.raises(ValueError, match="x\\^2 \\+ y\\^2"):
-        d_functions(ensure_table(QuadraticForm(1, 1, 1), 100), 100)
+        d_functions(table_to(QuadraticForm(1, 1, 1), 100), 100)
 
 
 def test_accumulators_never_build_a_table(rep_table_full, monkeypatch):

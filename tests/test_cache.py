@@ -1,5 +1,6 @@
 import errno
 import io
+import itertools
 import re
 import struct
 import tracemalloc
@@ -10,8 +11,10 @@ import pytest
 from qfbias import atomic, cache
 from qfbias.cache import MAGIC, read_cache, write_cache
 from qfbias.errors import CacheFormatError
-from qfbias.forms import QuadraticForm, RepTable, ensure_table, representation_table
+from qfbias.forms import QuadraticForm, RepTable, empty_table, representation_table, row_blocks
 from qfbias.primes import sieve_range
+
+from oracles import table_to
 
 Q11 = QuadraticForm(1, 0, 1)
 
@@ -19,7 +22,7 @@ Q11 = QuadraticForm(1, 0, 1)
 def test_round_trip_bit_exact(tmp_path):
     table = representation_table(Q11, sieve_range(2, 5000))
     path = tmp_path / "t.qfr"
-    write_cache(path, table)
+    write_cache(path, table.form, [table])
     back = read_cache(path, expected_form=Q11)
     assert back.form == table.form
     assert np.array_equal(back.p, table.p)
@@ -31,7 +34,7 @@ def test_pinned_byte_layout(tmp_path):
     arr = np.array([5], dtype=np.int64)
     table = RepTable(Q11, arr, np.array([2], dtype=np.int64), np.array([1], dtype=np.int64), 5)
     path = tmp_path / "one.qfr"
-    write_cache(path, table)
+    write_cache(path, table.form, [table])
     expected = (
         MAGIC
         + struct.pack("<qqqQ", 1, 0, 1, 1)
@@ -57,7 +60,7 @@ def test_truncated_payload_rejected(tmp_path):
 def test_form_mismatch_rejected(tmp_path):
     table = representation_table(Q11, sieve_range(2, 100))
     path = tmp_path / "t.qfr"
-    write_cache(path, table)
+    write_cache(path, table.form, [table])
     with pytest.raises(CacheFormatError):
         read_cache(path, expected_form=QuadraticForm(1, 0, 2))
 
@@ -80,7 +83,7 @@ def test_unsorted_records_rejected(tmp_path):
 def test_reader_takes_max_prime_as_limit(tmp_path):
     table = representation_table(Q11, sieve_range(2, 5000))
     path = tmp_path / "t.qfr"
-    write_cache(path, table)
+    write_cache(path, table.form, [table])
     back = read_cache(path)
     assert back.limit == back.max_prime
 
@@ -88,7 +91,7 @@ def test_reader_takes_max_prime_as_limit(tmp_path):
 def test_empty_cache_round_trip(tmp_path):
     table = representation_table(Q11, sieve_range(2, 4))  # only 2, 3: no records
     path = tmp_path / "empty.qfr"
-    write_cache(path, table)
+    write_cache(path, table.form, [table])
     back = read_cache(path, expected_form=Q11)
     assert len(back) == 0
     assert back.limit == 0
@@ -120,7 +123,8 @@ def test_each_check_keeps_its_message(tmp_path, blob, message):
 def _written(tmp_path, coeffs, limit):
     """A clean cache of the form to limit: its path and its bytes."""
     path = tmp_path / "c.qfr"
-    write_cache(path, ensure_table(QuadraticForm(*coeffs), limit))
+    form = QuadraticForm(*coeffs)
+    write_cache(path, form, [table_to(form, limit)])
     return path, bytearray(path.read_bytes())
 
 
@@ -148,16 +152,16 @@ def test_flip_onto_the_other_root_refused(tmp_path):
 @pytest.mark.parametrize("coeffs", [(1, -1, 2), (3, -2, 5), (1, -3, 3)], ids=str)
 def test_clean_b_negative_caches_load(tmp_path, coeffs):
     form = QuadraticForm(*coeffs)
-    table = ensure_table(form, 200_000)
+    table = table_to(form, 200_000)
     path = tmp_path / "c.qfr"
-    write_cache(path, table)
+    write_cache(path, table.form, [table])
     back = read_cache(path, expected_form=form)
     assert np.array_equal(back.x, table.x) and np.array_equal(back.y, table.y)
 
 
 def test_payload_read_once(tmp_path):
     path = tmp_path / "t.qfr"
-    write_cache(path, ensure_table(Q11, 2_000_000))
+    write_cache(path, Q11, [table_to(Q11, 2_000_000)])
     payload = path.stat().st_size - len(MAGIC) - cache._HEADER.size
     tracemalloc.start()
     try:
@@ -184,26 +188,48 @@ class _FullDisk(io.FileIO):
 def test_failed_write_keeps_previous_cache(tmp_path, monkeypatch):
     path = tmp_path / "t.qfr"
     old = representation_table(Q11, sieve_range(2, 500))
-    write_cache(path, old)
+    write_cache(path, Q11, [old])
     assert [p.name for p in tmp_path.iterdir()] == ["t.qfr"]
     before = path.read_bytes()
 
     # the cache is written through `atomic.replacing`, which opens the file
     monkeypatch.setattr(atomic, "open", _FullDisk, raising=False)
     with pytest.raises(OSError):
-        write_cache(path, representation_table(Q11, sieve_range(2, 5000)))
+        write_cache(path, Q11, [representation_table(Q11, sieve_range(2, 5000))])
     assert [p.name for p in tmp_path.iterdir()] == ["t.qfr"]
     assert path.read_bytes() == before
     back = read_cache(path, expected_form=Q11)
     assert np.array_equal(back.p, old.p)
 
 
-def test_block_writes_equal_one_structured_copy(tmp_path, monkeypatch):
+def test_block_writes_equal_one_structured_copy(tmp_path):
     table = representation_table(QuadraticForm(2, 1, 3), sieve_range(2, 5000))
     records = np.empty(len(table), dtype=[("p", "<u8"), ("x", "<i8"), ("y", "<i8")])
     records["p"], records["x"], records["y"] = table.p, table.x, table.y
     want = MAGIC + struct.pack("<qqqQ", 2, 1, 3, len(table)) + records.tobytes()
-    for block in (1, 7, len(table), len(table) + 1):
-        monkeypatch.setattr(cache, "_BLOCK", block)
-        write_cache(tmp_path / "t.qfr", table)
+    n, empty = len(table), table.slice_first(0)
+    for size in (1, 7, n):
+        blocks = [RepTable(table.form, table.p[i : i + size], table.x[i : i + size],
+                           table.y[i : i + size], table.limit) for i in range(0, n, size)]
+        # zero-row blocks first, last and between every two
+        blocks = [empty, *itertools.chain.from_iterable((b, empty) for b in blocks)]
+        assert write_cache(tmp_path / "t.qfr", table.form, iter(blocks)) == n
         assert (tmp_path / "t.qfr").read_bytes() == want
+
+
+def test_streamed_write_peak_stays_flat(tmp_path):
+    # measured 4.8 MiB to 2e6 and 5.1 MiB to 2e7 (one sieve segment and its
+    # rows live at a time), where the table grows from 1.7 to 14.5 MiB
+    path = tmp_path / "t.qfr"
+    write_cache(path, Q11, row_blocks(empty_table(Q11), 1000))  # warm module-level state first
+    peaks = {}
+    for limit in (2_000_000, 20_000_000):
+        tracemalloc.start()
+        try:
+            write_cache(path, Q11, row_blocks(empty_table(Q11), limit))
+            peaks[limit] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(read_cache(path)) == 635170  # the x^2 + y^2 primes to 2e7
+    assert peaks[20_000_000] < 6 * 2**20
+    assert peaks[20_000_000] < 1.2 * peaks[2_000_000]

@@ -26,15 +26,17 @@ from qfbias.equidist import (
     sector_counts,
     weyl_sum,
 )
-from qfbias.forms import QuadraticForm, empty_table, ensure_table, representation_table
+from qfbias.forms import QuadraticForm, empty_table, representation_table
 from qfbias.primes import DEFAULT_SEGMENT_SIZE, CongruenceClass, sieve_range
 from qfbias.series import bias_series, fold_series
 
+from conftest import UNSHRUNK
 from oracles import (
     _simple_prime_flags,
     class_series,
     d_race_rows,
     negative_bias_fraction,
+    table_to,
 )
 
 
@@ -448,6 +450,12 @@ class TestSieveCommand:
         assert result.exit_code == 2
 
 
+# primitive positive-definite forms, b < 0 included
+PRIMITIVE_FORMS = st.tuples(st.integers(1, 6), st.integers(-9, 9), st.integers(1, 9)).filter(
+    lambda f: f[1] ** 2 < 4 * f[0] * f[2] and math.gcd(*f) == 1
+).map(lambda f: QuadraticForm(*f))
+
+
 class TestRepresentCommand:
     def test_record_count_to_100(self, runner, tmp_path):
         cache = tmp_path / "c.qfr"
@@ -489,11 +497,42 @@ class TestRepresentCommand:
         invoke(runner, *common, "--cache", str(c2), "--threads", "2")
         assert c1.read_bytes() == c2.read_bytes()
 
-    def test_int64_range_is_computation_error(self, runner, tmp_path):
-        result = runner.invoke(main, ["represent", "--form", f"{2**62},1,1", "--limit", "100",
-                                      "--cache", str(tmp_path / "c.qfr")])
-        assert result.exit_code == 3
-        assert not (tmp_path / "c.qfr").exists()
+    def test_int64_range_is_computation_error(self, runner, tmp_path, sieve_spy):
+        # refused before the cache opens: no cache and no temporary file, and
+        # an older cache behind a link, which is written in place, stays whole
+        old = tmp_path / "old.qfr"
+        old.write_bytes(b"older cache")
+        (tmp_path / "link.qfr").symlink_to(old)
+        for name in ("c.qfr", "link.qfr"):
+            result = runner.invoke(main, ["represent", "--form", f"{2**62},1,1", "--limit", "100",
+                                          "--cache", str(tmp_path / name)])
+            assert result.exit_code == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.qfr", "old.qfr"]
+        assert old.read_bytes() == b"older cache"
+        assert sieve_spy == []
+
+    def test_non_regular_target_is_usage_error(self, runner, sieve_spy):
+        # the count is written after the records, so the target must seek
+        result = runner.invoke(main, ["represent", "--form", "1,0,1", "--limit", "100000",
+                                      "--cache", "/dev/null"])
+        assert result.exit_code == 2
+        assert "/dev/null is not a regular file" in result.stderr
+        assert sieve_spy == []
+
+    @given(form=PRIMITIVE_FORMS, limit=st.integers(2, 30_000), size=st.integers(1, 3000))
+    @settings(UNSHRUNK, max_examples=40)
+    def test_cache_equals_the_oracle_table_written_whole(self, tmp_path_factory, form, limit,
+                                                        size):
+        limit = min(limit, 200 * size)  # at most 200 segments
+        tmp = tmp_path_factory.mktemp("represent")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(primes_module, "DEFAULT_SEGMENT_SIZE", size)
+            result = invoke(CliRunner(), "represent", "--form", f"{form.a},{form.b},{form.c}",
+                            "--limit", str(limit), "--cache", str(tmp / "c.qfr"))
+        table = table_to(form, limit)
+        assert write_cache(tmp / "want.qfr", form, [table]) == len(table)
+        assert result.stdout == f"{len(table)}\n"
+        assert (tmp / "c.qfr").read_bytes() == (tmp / "want.qfr").read_bytes()
 
 
 class TestSeriesCommand:
@@ -630,7 +669,7 @@ class TestDfuncCommand:
         rows = d_race_rows(xmax)
         assert out.read_text() == dfunc_csv(rows)
         # d_functions returns the CSV's rows as DStep's int64 columns
-        columns = d_functions(ensure_table(QuadraticForm(1, 0, 1), xmax), xmax)
+        columns = d_functions(table_to(QuadraticForm(1, 0, 1), xmax), xmax)
         assert [c.dtype for c in columns] == [np.int64] * 3
         assert list(zip(*(c.tolist() for c in columns))) == rows
 
@@ -672,7 +711,7 @@ def dfunc_reference(x_max):
 
 class TestDfuncStream:
     @given(x_max=st.integers(2, 20_000), size=st.integers(1, 5000))
-    @settings(max_examples=40, deadline=None)
+    @settings(UNSHRUNK, max_examples=40)
     def test_run_and_fractions_equal_the_per_prime_oracle(self, tmp_path_factory, x_max, size):
         x_max = min(x_max, 200 * size)  # at most 200 segments
         path = tmp_path_factory.mktemp("dfunc") / "d.csv"
@@ -684,7 +723,7 @@ class TestDfuncStream:
         assert step.fractions() == tuple(map(negative_bias_fraction, class_series(*zip(*rows))))
 
     @given(bounds=dfunc_bounds(), cache_limit=st.none() | st.integers(2, 200_000))
-    @settings(max_examples=40, deadline=None)
+    @settings(UNSHRUNK, max_examples=40)
     def test_streamed_csv_equals_per_row_reference(self, tmp_path_factory, bounds,
                                                    cache_limit):
         size, x_max = bounds
@@ -692,7 +731,7 @@ class TestDfuncStream:
         args = ["dfunc", "--xmax", str(x_max), "-o", str(tmp / "d.csv")]
         if cache_limit is not None:
             # the cache's rows are cut at segment edges, and the rest enumerated
-            write_cache(tmp / "c.qfr", ensure_table(Q11, cache_limit))
+            write_cache(tmp / "c.qfr", Q11, [table_to(Q11, cache_limit)])
             args += ["--cache", str(tmp / "c.qfr")]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(primes_module, "DEFAULT_SEGMENT_SIZE", size)
@@ -715,7 +754,7 @@ class TestDfuncStream:
 
     def test_covering_cache_sieves_nothing(self, runner, tmp_path, monkeypatch):
         cache = tmp_path / "c.qfr"
-        write_cache(cache, ensure_table(Q11, 50_000))
+        write_cache(cache, Q11, [table_to(Q11, 50_000)])
         # a cache covers its largest prime; dfunc reads the primes below x_max
         xmax = str(read_cache(cache).limit + 1)
         fresh, cached = tmp_path / "fresh.csv", tmp_path / "cached.csv"
@@ -889,7 +928,7 @@ class TestEquidistCommand:
                    "--limit", "3000", "--count", str(count), "--sectors", str(k),
                    "--conjugates", "-o", str(out)])
         qf = QuadraticForm(*map(int, form.split(",")))
-        table, raw, theta = sample_angles(ensure_table(qf, 3000), CongruenceClass(res, mod),
+        table, raw, theta = sample_angles(table_to(qf, 3000), CongruenceClass(res, mod),
                                           count)
         if len(table) == 0:
             assert result.exit_code == 3 and not out.exists()
@@ -906,7 +945,7 @@ class TestEquidistCommand:
            limit=st.integers(2, 30_000), mod=st.sampled_from([1, 4, 8, 12]),
            count=st.none() | st.integers(0, 2000),
            cache_limit=st.none() | st.integers(2, 30_000), data=st.data())
-    @settings(max_examples=40, deadline=None)
+    @settings(UNSHRUNK, max_examples=40)
     def test_streamed_csv_equals_sample_angles(self, tmp_path_factory, form, size, limit, mod,
                                                count, cache_limit, data):
         res = data.draw(st.sampled_from([r for r in range(mod) if math.gcd(r, mod) == 1]))
@@ -917,9 +956,9 @@ class TestEquidistCommand:
         args = ["equidist", "--form", form, "--mod", str(mod), "--res", str(res), "-o", str(out)]
         if count is not None:
             args += ["--count", str(count)]
-        table = ensure_table(qf, limit)
+        table = table_to(qf, limit)
         if cache_limit is not None:
-            write_cache(tmp / "c.qfr", ensure_table(qf, cache_limit))
+            write_cache(tmp / "c.qfr", qf, [table_to(qf, cache_limit)])
             args += ["--cache", str(tmp / "c.qfr")]
             if data.draw(st.booleans()):  # without --limit the cache's coverage is the bound
                 table = read_cache(tmp / "c.qfr")
@@ -947,7 +986,7 @@ class TestEquidistCommand:
         result = invoke(runner, "equidist", "--form", "1,0,1", "--limit", "100000000",
                         "--count", "70000", "-o", str(out))
         assert len(sieve_spy) == 2
-        rows, raw, _ = sample_angles(ensure_table(Q11, 2_000_000), max_count=70_000)
+        rows, raw, _ = sample_angles(table_to(Q11, 2_000_000), max_count=70_000)
         assert len(out.read_bytes().splitlines()) == 1 + 70_000
         assert result.stdout == _fmt(ks_statistic(raw, math.pi / 4)) + "\n"
 
@@ -957,7 +996,7 @@ class TestEquidistCommand:
         assert result.exit_code == 2
         assert not (tmp_path / "a.csv").exists()
         with pytest.raises(ValueError, match="nonnegative"):
-            sample_angles(ensure_table(QuadraticForm(1, 0, 1), 1000), max_count=-5)
+            sample_angles(table_to(QuadraticForm(1, 0, 1), 1000), max_count=-5)
 
     def test_winding_below_one_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["equidist", "--form", "1,0,1", "--limit", "1000",
@@ -965,7 +1004,7 @@ class TestEquidistCommand:
         assert result.exit_code == 2
         assert not (tmp_path / "a.csv").exists()
         with pytest.raises(ValueError, match="positive"):
-            sample_angles(ensure_table(QuadraticForm(1, 0, 1), 1000), w=0)
+            sample_angles(table_to(QuadraticForm(1, 0, 1), 1000), w=0)
 
     @pytest.mark.parametrize("option", ["--sectors", "--stats-stride"])
     def test_negative_option_is_usage_error(self, runner, tmp_path, option):

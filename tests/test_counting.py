@@ -20,7 +20,7 @@ from qfbias.counting import (
     prime_ideal_count,
 )
 from qfbias.errors import ConsistencyError, SieveCapacityError
-from qfbias.forms import QuadraticForm, ensure_table
+from qfbias.forms import QuadraticForm
 from qfbias.primes import DEFAULT_CAPACITY, CongruenceClass, sieve_range
 
 from conftest import trial_division_primes
@@ -32,6 +32,7 @@ from oracles import (
     kronecker,
     negative_bias_fraction,
     splitting_type,
+    table_to,
     value_at,
 )
 
@@ -75,20 +76,20 @@ class TestFieldSplitting:
 
 class TestDFunctions:
     def test_hand_prefixes(self):
-        d1, d2 = class_series(*d_functions(ensure_table(Q11, 20), 20))
+        d1, d2 = class_series(*d_functions(table_to(Q11, 20), 20))
         assert d2.evaluate(6) == -1
         assert d2.evaluate(14) == 0
         assert d1.evaluate(18) == -1
 
     def test_steps_are_unit_sized_and_disjoint(self):
-        d1, d2 = class_series(*d_functions(ensure_table(Q11, 10_000), 10_000))
+        d1, d2 = class_series(*d_functions(table_to(Q11, 10_000), 10_000))
         for series in (d1, d2):
             vals = np.asarray(series.values[:-1])  # final entry is the endpoint
             assert np.all(np.abs(np.diff(vals)) == 1)
         assert set(d1.x_grid[:-1]).isdisjoint(d2.x_grid[:-1])
 
     def test_every_qualifying_prime_is_an_event(self):
-        columns = d_functions(ensure_table(Q11, 2000), 2000)
+        columns = d_functions(table_to(Q11, 2000), 2000)
         assert [c.dtype for c in columns] == [np.int64] * 3
         d1, d2 = class_series(*columns)
         primes = sieve_range(2, 1999).tolist()
@@ -97,11 +98,11 @@ class TestDFunctions:
 
     def test_decomposition_matches_brute_force(self):
         # the per-prime oracle finds each p = a^2 + 4b^2 by its own loop over b
-        columns = d_functions(ensure_table(Q11, 500), 500)
+        columns = d_functions(table_to(Q11, 500), 500)
         assert list(zip(*(c.tolist() for c in columns))) == d_race_rows(500)
 
     def test_value_at_vs_evaluate(self):
-        d1, _ = class_series(*d_functions(ensure_table(Q11, 100), 100))
+        d1, _ = class_series(*d_functions(table_to(Q11, 100), 100))
         p = d1.x_grid[0]  # 17, the first prime = 1 mod 8 with a pair
         assert d1.evaluate(p) == 0
         assert value_at(d1, p) == d1.values[0]

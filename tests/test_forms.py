@@ -15,13 +15,12 @@ from qfbias.forms import (
     QuadraticForm,
     brute_force_representations,
     canonical_filter,
-    ensure_table,
     representation_table,
 )
 from qfbias.primes import DEFAULT_CAPACITY, DEFAULT_SEGMENT_SIZE, CongruenceClass, sieve_range
 
 from conftest import trial_division_primes
-from oracles import Representation, canonical_pairs, cornacchia, sqrt_mod, table_rows
+from oracles import Representation, canonical_pairs, cornacchia, sqrt_mod, table_rows, table_to
 
 Q11 = QuadraticForm(1, 0, 1)
 Q111 = QuadraticForm(1, 1, 1)
@@ -75,9 +74,10 @@ class TestQuadraticForm:
 @pytest.mark.parametrize("module, names", [
     ("qfbias", ("Representation", "sqrt_mod", "cornacchia", "canonical_pairs", "splitting_type",
                 "nth_prime", "MomentSums", "moment_sum", "poly_sum", "negative_bias_fraction",
-                "CountSeries")),
+                "CountSeries", "ensure_table")),
     ("qfbias.forms",
-     ("Representation", "sqrt_mod", "cornacchia", "_fast_pairs", "canonical_pairs")),
+     ("Representation", "sqrt_mod", "cornacchia", "_fast_pairs", "canonical_pairs",
+      "ensure_table")),
     ("qfbias.counting", ("splitting_type", "SPLIT", "INERT", "RAMIFIED", "negative_bias_fraction",
                          "CountSeries")),
     ("qfbias.primes", ("_simple_prime_flags", "first_primes", "nth_prime")),
@@ -296,14 +296,14 @@ class TestLatticeEngine:
         seed = representation_table(Q11, sieve_range(2, 100))
         calls = []
         monkeypatch.setattr("qfbias.primes.sieve_range", lambda lo, hi, **kw: calls.append(hi))
-        for build in (lambda: ensure_table(Q11, DEFAULT_CAPACITY + 1),
+        for build in (lambda: forms.row_blocks(forms.empty_table(Q11), DEFAULT_CAPACITY + 1),
                       lambda: forms.row_blocks(seed, DEFAULT_CAPACITY + 1)):
             with pytest.raises(SieveCapacityError, match="capacity"):
                 build()
         assert calls == []
 
     def test_fresh_table_covers_its_limit(self, monkeypatch):
-        table = ensure_table(Q11, 100)
+        table = table_to(Q11, 100)
         assert table.limit == 100 and table.max_prime == 97
         monkeypatch.setattr("qfbias.primes.sieve_range",
                             lambda lo, hi, **kw: pytest.fail(f"sieved [{lo}, {hi}]"))
@@ -316,6 +316,12 @@ class TestLatticeEngine:
         for a in (2**62, 2**60):
             with pytest.raises(TableBoundError, match="int64"):
                 representation_table(QuadraticForm(a, 1, 1), sieve_range(2, 100))
+
+
+def _streamed(form, limit):
+    """The (p, x, y) columns of `row_blocks` from an empty seed to limit, joined."""
+    blocks = list(forms.row_blocks(forms.empty_table(form), limit))
+    return [np.concatenate([getattr(b, col) for b in blocks]) for col in ("p", "x", "y")]
 
 
 class TestWindowedEngine:
@@ -334,15 +340,13 @@ class TestWindowedEngine:
         subset = sieve_range(2, bound)[skip:]
         with mock.patch.object(forms, "WINDOW", window):
             table = representation_table(want.form, subset)
-            grown = ensure_table(want.form, bound)
+            streamed = _streamed(want.form, bound)
         keep = want.p >= (subset[0] if subset.size else bound + 1)
-        for got, rows in ((table, keep), (grown, slice(None))):
-            assert np.array_equal(got.p, want.p[rows])
-            assert np.array_equal(got.x, want.x[rows])
-            assert np.array_equal(got.y, want.y[rows])
-        assert grown.limit == bound
+        for got, rows in (((table.p, table.x, table.y), keep), (streamed, slice(None))):
+            for col, want_col in zip(got, (want.p, want.x, want.y)):
+                assert np.array_equal(col, want_col[rows])
 
-    def test_ensure_table_sieves_one_segment_at_a_time(self, monkeypatch):
+    def test_row_blocks_sieve_one_segment_at_a_time(self, monkeypatch):
         spans = []
 
         def spy(lo, hi, *args, **kwargs):
@@ -351,24 +355,24 @@ class TestWindowedEngine:
 
         limit = 3 * DEFAULT_SEGMENT_SIZE + 5
         monkeypatch.setattr(primes, "sieve_range", spy)
-        table = ensure_table(Q11, limit)
+        streamed = _streamed(Q11, limit)
         assert spans[0][0] == 2 and spans[-1][1] == limit
         assert all(hi - lo < DEFAULT_SEGMENT_SIZE for lo, hi in spans)
         assert len(spans) == 4
         direct = representation_table(Q11, sieve_range(2, limit))
-        assert np.array_equal(table.p, direct.p)
-        assert np.array_equal(table.x, direct.x)
-        assert np.array_equal(table.y, direct.y)
+        for col, want in zip(streamed, (direct.p, direct.x, direct.y)):
+            assert np.array_equal(col, want)
 
     def test_traced_peak_of_a_2e6_table(self):
-        # measured 4.2 MiB for a 1.7 MiB table (74416 rows); the engine that
-        # flagged and enumerated the whole range at once peaked at 9.1 MiB
-        ensure_table(Q11, 1000)  # warm module-level state first
+        # measured 4.7 MiB, the sieve's included, for a 1.7 MiB table (74416
+        # rows); the engine that flagged and enumerated the whole range at
+        # once peaked at 9.1 MiB
+        representation_table(Q11, sieve_range(2, 1000))  # warm module-level state first
         started = not tracemalloc.is_tracing()
         tracemalloc.start()
         tracemalloc.reset_peak()
         try:
-            table = ensure_table(Q11, 2_000_000)
+            table = representation_table(Q11, sieve_range(2, 2_000_000))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             if started:
@@ -393,7 +397,7 @@ class TestRowBlocks:
     def test_blocks_over_a_seed_equal_one_table(self, coeffs, seed_limit, extra, segment_size):
         # extra = 0 streams the seed alone; above it every prime is enumerated once
         form = QuadraticForm(*coeffs)
-        seed, limit = ensure_table(form, seed_limit), seed_limit + extra
+        seed, limit = table_to(form, seed_limit), seed_limit + extra
         enumerated = []
 
         def spy(f, ps):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qfbias import primes as primes_module
 from qfbias.counting import FieldSplitting, prime_ideal_count
 from qfbias.errors import SieveCapacityError
-from qfbias.forms import QuadraticForm, empty_table, ensure_table, representation_table, row_blocks
+from qfbias.forms import QuadraticForm, empty_table, representation_table, row_blocks
 from qfbias.primes import (
     DEFAULT_CAPACITY,
     DEFAULT_SEGMENT_SIZE,
@@ -289,11 +289,10 @@ PAST = DEFAULT_CAPACITY + 1
     lambda: segments(PAST, PAST),
     lambda: fold_series(empty_table(Q11), [CongruenceClass.trivial()], PAST, stride=1),
     lambda: row_blocks(empty_table(Q11), PAST),
-    lambda: ensure_table(Q11, PAST),
     lambda: prime_ideal_count(FieldSplitting(-1), PAST),
     lambda: representation_table(Q11, np.array([PAST])),
-], ids=["sieve_range", "segments", "fold_series", "row_blocks", "ensure_table",
-        "prime_ideal_count", "representation_table"])
+], ids=["sieve_range", "segments", "fold_series", "row_blocks", "prime_ideal_count",
+        "representation_table"])
 def test_capacity_refused_before_sieving(monkeypatch, call):
     monkeypatch.setattr(primes_module, "_sieve_window", lambda lo, hi: pytest.fail("sieved"))
     with pytest.raises(SieveCapacityError, match=rf"^sieve to \d+ exceeds capacity {DEFAULT_CAPACITY}$"):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qfbias.errors import SieveCapacityError
 from qfbias import primes as primes_module
 from qfbias import forms as forms_module
-from qfbias.forms import QuadraticForm, _x_extent, empty_table, ensure_table, representation_table
+from qfbias.forms import QuadraticForm, _x_extent, empty_table, representation_table
 from qfbias.polynomials import BivariatePolynomial, parse_polynomial
 from qfbias.primes import (
     DEFAULT_SEGMENT_SIZE,
@@ -27,8 +27,9 @@ from qfbias.series import (
     sign_changes,
 )
 
+from conftest import UNSHRUNK
 from oracles import (
-    canonical_pairs, first_primes, moment_sum, nth_prime, poly_sum, table_rows,
+    canonical_pairs, first_primes, moment_sum, nth_prime, poly_sum, table_rows, table_to,
 )
 
 Q11 = QuadraticForm(1, 0, 1)
@@ -38,25 +39,25 @@ TRIVIAL = CongruenceClass.trivial()
 
 def _series(form, cls, n_max, stride=100):
     """bias_series on a table built to the series' own bound, Pr of its last point."""
-    return bias_series(ensure_table(form, nth_prime(n_max - n_max % stride)), cls, n_max, stride)
+    return bias_series(table_to(form, nth_prime(n_max - n_max % stride)), cls, n_max, stride)
 
 
 class TestMomentSum:
     def test_first_moment_to_29(self):
-        ms = moment_sum(ensure_table(Q11, 29), C14, 1, 29)
+        ms = moment_sum(table_to(Q11, 29), C14, 1, 29)
         assert (ms.sum_a, ms.sum_b, ms.count) == (14, 6, 4)
 
     def test_no_qualifying_primes(self):
-        ms = moment_sum(ensure_table(Q11, 2), C14, 3, 2)
+        ms = moment_sum(table_to(Q11, 2), C14, 3, 2)
         assert (ms.sum_a, ms.sum_b, ms.count) == (0, 0, 0)
 
     def test_five_mod_eight_to_13(self):
-        ms = moment_sum(ensure_table(Q11, 13), CongruenceClass(5, 8), 1, 13)
+        ms = moment_sum(table_to(Q11, 13), CongruenceClass(5, 8), 1, 13)
         assert (ms.sum_a, ms.sum_b) == (5, 3)
 
     def test_power_guard(self):
         with pytest.raises(ValueError):
-            moment_sum(ensure_table(Q11, 100), C14, 9, 100)
+            moment_sum(table_to(Q11, 100), C14, 9, 100)
 
     def test_each_canonical_pair_counts_once(self):
         # a skewed (non-reduced) form can represent one prime by several
@@ -64,12 +65,12 @@ class TestMomentSum:
         skew = QuadraticForm(1, -6, 10)
         pairs = [(r.x, r.y) for r in canonical_pairs(skew, 5)]
         assert pairs == [(5, 1), (5, 2), (7, 2)]
-        ms = moment_sum(ensure_table(skew, 5), TRIVIAL, 1, 5)
+        ms = moment_sum(table_to(skew, 5), TRIVIAL, 1, 5)
         assert ms.count == len(canonical_pairs(skew, 2)) + 3
         assert ms.sum_a >= 5 + 5 + 7
 
     def test_exactness_of_high_powers(self):
-        ms = moment_sum(ensure_table(Q11, 1000), C14, 8, 1000)
+        ms = moment_sum(table_to(Q11, 1000), C14, 8, 1000)
         direct = 0
         for p in sieve_range(2, 1000).tolist():
             for rep in canonical_pairs(Q11, p):
@@ -81,7 +82,7 @@ class TestMomentSum:
     @settings(max_examples=25, deadline=None)
     def test_monotone_prefix(self, x1, x2):
         lo, hi = sorted((x1, x2))
-        table = ensure_table(Q11, hi)
+        table = table_to(Q11, hi)
         small = moment_sum(table, C14, 1, lo)
         large = moment_sum(table, C14, 1, hi)
         assert small.sum_a <= large.sum_a
@@ -92,7 +93,7 @@ class TestMomentSum:
         import math
 
         limit = 20_000
-        table = ensure_table(Q11, limit)
+        table = table_to(Q11, limit)
         total_a = total_b = 0
         for m in range(modulus):
             if math.gcd(m, modulus) != 1:
@@ -140,7 +141,7 @@ class TestBiasSeries:
 
     def test_series_on_one_grid_share_one_streamed_pass(self, monkeypatch):
         n_max = 200_000
-        seed = ensure_table(Q11, 1_000_000)  # covers the first segment only
+        seed = table_to(Q11, 1_000_000)  # covers the first segment only
         spans, enumerated = [], []
 
         def sieve_spy(lo, hi, *args, **kwargs):
@@ -164,12 +165,12 @@ class TestBiasSeries:
         # only the primes above the seed, each once, up to Pr(n_max)
         assert enumerated == want[want > seed.limit].tolist()
         monkeypatch.undo()
-        table = ensure_table(Q11, int(want[-1]))
+        table = table_to(Q11, int(want[-1]))
         for ser in series:
             np.testing.assert_array_equal(ser.points, bias_series(table, ser.cls, n_max).points)
 
     def test_capacity_error_before_sieving(self, monkeypatch):
-        table = ensure_table(Q11, 100)
+        table = table_to(Q11, 100)
         calls = []
         monkeypatch.setattr("qfbias.primes.sieve_range", lambda lo, hi, **kw: calls.append(hi))
         with pytest.raises(SieveCapacityError, match="capacity"):
@@ -179,7 +180,7 @@ class TestBiasSeries:
         assert calls == []
 
     def test_stride_validation(self):
-        table = ensure_table(Q11, 1000)
+        table = table_to(Q11, 1000)
         with pytest.raises(ValueError, match="stride"):
             bias_series(table, C14, 10, stride=0)
         with pytest.raises(ValueError, match="stride"):
@@ -252,11 +253,11 @@ FOLD_CASES = {
 class TestFoldSeries:
     @given(form=st.sampled_from(list(FOLD_CASES)), n_max=st.integers(1, 1500),
            stride=st.integers(1, 1500), data=st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(UNSHRUNK, max_examples=60)
     def test_equals_bias_series_on_a_full_table(self, form, n_max, stride, data):
         stride = min(stride, n_max)
         pr_last = nth_prime(n_max - n_max % stride)
-        seed = ensure_table(form, data.draw(st.integers(0, pr_last - 1), label="seed limit"))
+        seed = table_to(form, data.draw(st.integers(0, pr_last - 1), label="seed limit"))
         segment_size = data.draw(
             st.one_of(st.integers(1, 64), st.integers(1, pr_last)), label="segment size"
         )
@@ -265,7 +266,7 @@ class TestFoldSeries:
             # the fold's pass in segments of this size
             mp.setattr(primes_module, "DEFAULT_SEGMENT_SIZE", segment_size)
             folded = fold_series(seed, classes, n_max, stride)
-        table = ensure_table(form, pr_last)
+        table = table_to(form, pr_last)
         assert len(folded) == len(classes)
         for cls, ser in zip(classes, folded):
             want = bias_series(table, cls, n_max, stride)
@@ -316,7 +317,7 @@ class TestSumGuard:
     @given(form=st.one_of(st.sampled_from(NON_REDUCED), _non_reduced), limit=st.integers(2, 20_000))
     @settings(max_examples=60, deadline=None)
     def test_no_row_exceeds_the_bound_the_guard_uses(self, form, limit):
-        table = ensure_table(form, limit)
+        table = table_to(form, limit)
         assert all(0 <= y < x <= _x_extent(form, p) for p, x, y in table_rows(table))
         # the guard bounds every row up to p by the extent at p
         assert int(table.x.max(initial=0)) <= _x_extent(form, limit)
@@ -364,20 +365,20 @@ class TestRatioSeries:
 
 class TestPolySum:
     def test_linear_matches_moment(self):
-        assert poly_sum(ensure_table(Q11, 29), C14, parse_polynomial("x"), 29) == 14
+        assert poly_sum(table_to(Q11, 29), C14, parse_polynomial("x"), 29) == 14
 
     def test_form_value_recovers_prime_sum(self):
         # f(x, y) = x^2 + y^2 evaluates to p on every canonical pair
-        total = poly_sum(ensure_table(Q11, 29), C14, parse_polynomial("x^2 + y^2"), 29)
+        total = poly_sum(table_to(Q11, 29), C14, parse_polynomial("x^2 + y^2"), 29)
         assert total == 5 + 13 + 17 + 29
 
     def test_rational_coefficients_exact(self):
-        total = poly_sum(ensure_table(Q11, 29), C14, parse_polynomial("1/3 x"), 29)
+        total = poly_sum(table_to(Q11, 29), C14, parse_polynomial("1/3 x"), 29)
         assert total == Fraction(14, 3)
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
-            poly_sum(ensure_table(Q11, 29), C14, BivariatePolynomial({}), 29)
+            poly_sum(table_to(Q11, 29), C14, BivariatePolynomial({}), 29)
 
 
 def _synthetic(fs, grid=None):
