@@ -12,24 +12,26 @@ from pathlib import Path
 def replacing(path):
     """Yield a binary file whose bytes replace path when the block ends.
 
-    The bytes go to a temporary file in the same directory, which then
-    replaces path in one rename: a block that raises leaves any previous
-    file at path whole and removes the temporary file. A path that is a
-    link, a device or a pipe (such as /dev/stdout) is written in place, as
-    a rename would replace the link or device itself.
+    The bytes go to a temporary file beside the file path names, after its
+    links are followed, which then replaces that file in one rename: a block
+    that raises leaves any previous file there whole and removes the
+    temporary file, and a link stays a link. A path that names a device or a
+    pipe (such as /dev/stdout) is written in place, as no rename can replace
+    what it reaches.
     """
     path = Path(path)
-    if path.is_symlink() or (path.exists() and not path.is_file()):
+    if path.exists() and not path.is_file():
         with open(path, "wb") as fh:
             yield fh
         return
-    # "x" refuses to reuse a name; an unlucky clash fails before touching path
-    tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    target = Path(os.path.realpath(path))
+    # "x" refuses to reuse a name; an unlucky clash fails before touching target
+    tmp = target.with_name(f".{target.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
     fh = open(tmp, "xb")
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

@@ -79,15 +79,21 @@ def ks_statistic(samples, interval: float = TWO_PI) -> float:
     """Sup distance between the empirical CDF and the uniform CDF on [0, L)."""
     if interval <= 0:
         raise ValueError("interval length must be positive")
-    vals = np.sort(np.asarray(samples, dtype=np.float64)) / interval
+    vals = np.sort(np.asarray(samples, dtype=np.float64))
+    vals /= interval
     n = vals.size
     if n == 0:
         raise ValueError("empty sample list")
     if vals[0] < 0.0 or vals[-1] >= 1.0:
         raise ValueError("samples must lie in [0, interval)")
-    steps = np.arange(n, dtype=np.float64)
-    below = float(np.max(vals - steps / n))
-    above = float(np.max((steps + 1.0) / n - vals))
+    # one work array beside the sorted copy, each step written in place
+    cdf = np.arange(n, dtype=np.float64)
+    cdf /= n
+    below = float(np.max(np.subtract(vals, cdf, out=cdf)))
+    del cdf  # so that the next one is made after this one is freed
+    cdf = np.arange(1.0, n + 1.0)
+    cdf /= n
+    above = float(np.max(np.subtract(cdf, vals, out=cdf)))
     return max(below, above)
 
 

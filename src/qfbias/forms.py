@@ -2,10 +2,13 @@
 
 Bulk tables come from one lattice enumeration: every canonical point (x, y)
 whose value Q(x, y) lies in the range of the given primes is visited one
-value window at a time, all rows of a window at once, in exact int64
-arithmetic, and kept when the value is one of those primes. The kept points
-are compressed through one index array and sorted by p alone; only a window
-where a prime has several canonical pairs is re-sorted by (p, x, y).
+value window at a time, all rows of a window at once, and kept when the
+value is one of those primes. Each row's ends come from exact int64 square
+roots, the points themselves from exact uint32 arithmetic modulo 2**32 on
+their offsets Q - lo into the window, and a window spans more values the
+more rows it visits (`_window_span`). The kept points are compressed
+through one index array and sorted by p alone; only a window where a prime
+has several canonical pairs is re-sorted by (p, x, y).
 `representation_table` builds the rows of a given prime array, and the
 commands stream them as `row_blocks`, one sieve segment at a time: a whole
 table is held only when read from a cache, or as repro's fig4 seed, which
@@ -35,8 +38,9 @@ from .primes import CongruenceClass, _windows, check_capacity, segments
 from .qform import QuadraticForm
 
 DEFAULT_ORACLE_BOUND = 10**6
-# values per lattice window: its prime flags take WINDOW bytes and its
-# candidate points (~0.2 * WINDOW for x^2 + y^2) a few int64 arrays each
+# fewest values per lattice window (`_window_span`): its prime flags take a
+# byte per value and its candidate points (~0.2 per value for x^2 + y^2) a
+# few uint32 lanes each
 WINDOW = 1 << 18
 
 
@@ -54,6 +58,36 @@ def _extents(form: QuadraticForm, hi: int) -> tuple[int, int]:
     if max(a * x_max**2, abs(b) * x_max * y_max, c * y_max**2, 4 * a * hi) >= 1 << 62:
         raise TableBoundError(f"form ({form}) to {hi} exceeds the int64 range")
     return x_max, y_max
+
+
+def _y_top(form: QuadraticForm, hi: int) -> int:
+    """The last row y >= 0 that can hold a canonical point with Q <= hi.
+
+    Rows end where D*y^2 reaches 4a*hi, or x > y leaves the ellipse. When
+    2a + b >= 0, Q grows with x on x > y >= 0, so a row's values exceed
+    Q(y, y) = (a + b + c)*y^2, and the sector ends sooner.
+    """
+    a, b, c = form.a, form.b, form.c
+    top = min(math.isqrt(4 * a * hi // form.D), _x_extent(form, hi) - 1)
+    if 2 * a + b >= 0:
+        top = min(top, math.isqrt(hi // (a + b + c)))
+    return top
+
+
+def _window_span(form: QuadraticForm, hi: int) -> int:
+    """Values per lattice window for primes up to hi.
+
+    Each window visits every row up to `_y_top`, so high windows spend more
+    on their rows than on their points. The span doubles from WINDOW until
+    it holds 32 values per row, at most 8 * WINDOW (2**21 values); of 32,
+    64 and 128 values per row, 32 ran `represent --limit 1e9` fastest. A
+    stream hands over one sieve segment (2**20 numbers) per call, so its
+    windows stop there.
+    """
+    span, rows = WINDOW, _y_top(form, hi) + 1
+    while span < 32 * rows and span < 8 * WINDOW:
+        span *= 2
+    return span
 
 
 def brute_force_representations(
@@ -161,24 +195,22 @@ def _isqrt(s: np.ndarray) -> np.ndarray:
     return r
 
 
-def _window_rows(
-    form: QuadraticForm, primes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Canonical (p, x, y) rows, sorted, for ascending primes in one window.
+def _row_stretches(
+    form: QuadraticForm, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(y, x_lo, step, n): row y's candidates for values in [lo, hi] are
+    x = x_lo + step*k, k < n, one entry per stretch, all int64. Its
+    temporaries are freed before `_window_rows` makes the candidates.
 
-    The window is [lo, hi] with lo and hi its first and last prime. Every
-    row y >= 0 contributes the x > y stretch of the annulus lo <= Q(x, y) <=
-    hi; its ends follow exactly from 4a*Q = (2ax + by)^2 + D*y^2, for all
-    rows at once. Since Q = x*(a + b*y) + c*y (mod 2), rows with a + b*y odd
-    need only the x of one parity, and rows where Q is always even are
-    skipped, unless the window holds 2. The hits are taken by one index
-    array and ordered by p; only a window where a prime has several pairs
-    orders them by (x, y) with np.lexsort. The caller has checked that
-    every intermediate fits int64.
+    Every row 0 <= y <= `_y_top` contributes the x > y stretch of the
+    annulus lo <= Q(x, y) <= hi; its ends follow exactly from 4a*Q =
+    (2ax + by)^2 + D*y^2, for all rows at once. Since Q = x*(a + b*y) + c*y
+    (mod 2), rows with a + b*y odd need only the x of one parity, and rows
+    where Q is always even are skipped, unless the window holds 2. The
+    caller has checked that every intermediate fits int64 (`_extents`).
     """
-    lo, hi = int(primes[0]), int(primes[-1])
     a, b, c, D = form.a, form.b, form.c, form.D
-    y_top = min(math.isqrt(4 * a * hi // D), _x_extent(form, hi) - 1)
+    y_top = _y_top(form, hi)
     if y_top == 0:
         b = c = D = 0  # they only multiply y = 0 here, and may not fit int64
     y = np.arange(y_top + 1, dtype=np.int64)
@@ -203,33 +235,61 @@ def _window_rows(
         x_lo += np.where(odd_coef, (1 + c * y - x_lo) & 1, 0)  # the x parity giving odd Q
         step[odd_coef] = 2
         x_hi = np.where(keep, x_hi, x_lo - 1)
-    n = np.maximum((x_hi - x_lo) // step + 1, 0)
-    # one ragged enumeration of every row's stretch
-    x = np.arange(int(n.sum()), dtype=np.int64)
-    x -= np.repeat(np.cumsum(n) - n, n)
-    x *= np.repeat(step, n)
-    x += np.repeat(x_lo, n)
-    y = np.repeat(y, n)
-    q = (a * x + b * y) * x + c * y * y
+    return y, x_lo, step, np.maximum((x_hi - x_lo) // step + 1, 0)
+
+
+def _window_rows(
+    form: QuadraticForm, primes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical (p, x, y) rows, sorted, for ascending primes in one window.
+
+    The window is [lo, hi] with lo and hi its first and last prime, and its
+    candidates are the `_row_stretches`, enumerated as one ragged array in
+    uint32 lanes: the candidate at overall index i of a row whose n points
+    start at index s is x = x_lo + step*(i - s), and Q - lo adds b*y and
+    c*y^2 - lo per row, all with the coefficients taken mod 2**32. That
+    arithmetic is exact mod 2**32, and every candidate's Q - lo lies in
+    [0, hi - lo], so each offset comes out exact, however large hi or an
+    intermediate (ax + by for b < 0) gets; a window of at most 2**21
+    values has far fewer than 2**32 candidates. The hits are taken by one
+    index array and ordered by p; only a window where a prime has several
+    pairs orders them by (x, y) with np.lexsort. Only the hits widen back
+    to int64, their x and y read from their rows.
+    """
+    lo, hi = int(primes[0]), int(primes[-1])
+    y, x_lo, step, n = _row_stretches(form, lo, hi)
+    lane = np.uint32
+    A, B, C, L = (lane(v % 2**32) for v in (form.a, form.b, form.c, lo))
+    base = x_lo - step * (np.cumsum(n) - n)  # x = base + step*i
+    x = np.arange(int(n.sum()), dtype=lane)
+    x *= np.repeat(step.astype(lane), n)
+    x += np.repeat(base.astype(lane), n)
+    y_lane = y.astype(lane)
+    q = (x * A + np.repeat(y_lane * B, n)) * x + np.repeat(y_lane * y_lane * C - L, n)
+    del x  # freed before the gather below; the hits' x follow from their rows
     flags = np.zeros(hi - lo + 1, dtype=bool)
     flags[primes - lo] = True
-    rows = np.flatnonzero(flags[q - lo])
-    rows = rows[np.argsort(q[rows])]
-    p = q[rows]
+    hits = np.flatnonzero(flags.take(q))  # twice as fast as flags[q] on uint32
+    hits = hits[np.argsort(q[hits])]
+    row = np.repeat(np.arange(n.size, dtype=lane), n)[hits]
+    p = q[hits].astype(np.int64) + lo
+    x = base[row] + step[row] * hits
+    y = y[row]
     if np.any(p[1:] == p[:-1]):
         # a prime with several canonical pairs (some b < 0 forms): by (x, y) too
-        rows = rows[np.lexsort((y[rows], x[rows], p))]
-        p = q[rows]
-    return p, x[rows], y[rows]
+        order = np.lexsort((y, x, p))
+        p, x, y = p[order], x[order], y[order]
+    return p, x, y
 
 
 def representation_table(form: QuadraticForm, primes: np.ndarray) -> RepTable:
     """Canonical representation rows for every prime in the given array.
 
     One lattice enumeration serves every form. The ascending primes are cut
-    into windows spanning at most WINDOW values, and each window enumerates
-    its stretch of the lattice against its own prime flags (`_window_rows`),
-    so memory follows the window, not the range. Primes missing from the
+    into windows spanning at most `_window_span(form, hi)` values, and each
+    window enumerates its stretch of the lattice against its own prime
+    flags (`_window_rows`), so memory follows the window (at most 2**21
+    values), not the range. Primes missing from the
     array get no rows, and the table's coverage limit is the array's last
     prime. So a table of a class-masked array claims primes it never saw,
     and must not seed `series.fold_series` or `row_blocks`.
@@ -244,10 +304,11 @@ def representation_table(form: QuadraticForm, primes: np.ndarray) -> RepTable:
     hi = int(primes[-1])
     check_capacity(hi)
     _extents(form, hi)
+    span = _window_span(form, hi)
     parts = []
     start = 0
     while start < primes.size:
-        stop = int(np.searchsorted(primes, primes[start] + WINDOW, side="left"))
+        stop = int(np.searchsorted(primes, primes[start] + span, side="left"))
         parts.append(_window_rows(form, primes[start:stop]))
         start = stop
     return RepTable(form, *map(np.concatenate, zip(*parts)), hi)

@@ -202,6 +202,27 @@ def test_failed_write_keeps_previous_cache(tmp_path, monkeypatch):
     assert np.array_equal(back.p, old.p)
 
 
+def test_failed_write_through_a_link_keeps_its_target(tmp_path, monkeypatch):
+    old, link = tmp_path / "old.qfr", tmp_path / "link.qfr"
+    write_cache(old, Q11, [representation_table(Q11, sieve_range(2, 500))])
+    before = old.read_bytes()
+    link.symlink_to(old)
+    with monkeypatch.context() as mp:
+        mp.setattr(atomic, "open", _FullDisk, raising=False)
+        with pytest.raises(OSError):
+            write_cache(link, Q11, [representation_table(Q11, sieve_range(2, 5000))])
+    # the older cache is whole, the link is a link, and no temporary is left
+    assert old.read_bytes() == before
+    assert link.is_symlink() and link.readlink() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.qfr", "old.qfr"]
+    # a write that succeeds replaces the link's target, not the link
+    table = representation_table(Q11, sieve_range(2, 5000))
+    write_cache(link, Q11, [table])
+    assert link.is_symlink() and link.readlink() == old
+    assert np.array_equal(read_cache(old).p, table.p)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.qfr", "old.qfr"]
+
+
 def test_block_writes_equal_one_structured_copy(tmp_path):
     table = representation_table(QuadraticForm(2, 1, 3), sieve_range(2, 5000))
     records = np.empty(len(table), dtype=[("p", "<u8"), ("x", "<i8"), ("y", "<i8")])

@@ -499,7 +499,7 @@ class TestRepresentCommand:
 
     def test_int64_range_is_computation_error(self, runner, tmp_path, sieve_spy):
         # refused before the cache opens: no cache and no temporary file, and
-        # an older cache behind a link, which is written in place, stays whole
+        # an older cache behind a link stays whole
         old = tmp_path / "old.qfr"
         old.write_bytes(b"older cache")
         (tmp_path / "link.qfr").symlink_to(old)

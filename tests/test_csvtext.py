@@ -194,7 +194,7 @@ class TestBlocks:
             assert path.read_bytes() == existing
 
     def test_link_is_written_through(self, tmp_path):
-        # renaming over a link such as /dev/stdout would replace the link itself
+        # the rename replaces the file the link names, and the link stays
         target, link = tmp_path / "target.csv", tmp_path / "link.csv"
         target.write_bytes(b"old\n")
         link.symlink_to(target)

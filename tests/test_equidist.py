@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,28 @@ class TestKsStatistic:
     @settings(max_examples=60)
     def test_bounded(self, vals):
         assert 0.0 <= ks_statistic(vals) <= 1.0
+
+    @given(angle_lists, st.sampled_from([TWO_PI, 7.0, 100.0]))
+    @settings(max_examples=60)
+    def test_bits_of_the_whole_array_expressions(self, vals, interval):
+        cdf = np.sort(np.asarray(vals, dtype=np.float64)) / interval
+        steps = np.arange(cdf.size, dtype=np.float64)
+        want = max(float(np.max(cdf - steps / cdf.size)),
+                   float(np.max((steps + 1.0) / cdf.size - cdf)))
+        assert ks_statistic(vals, interval) == want
+
+    def test_holds_two_copies_of_its_samples(self):
+        # a sorted copy and one work array; the whole-array expressions held
+        # about four copies at once
+        vals = np.random.default_rng(7).random(1_000_000) * (2 * math.pi)
+        ks_statistic(vals[:10])
+        tracemalloc.start()
+        try:
+            ks_statistic(vals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * vals.nbytes
 
 
 class TestSectorCounts:

@@ -380,6 +380,44 @@ class TestWindowedEngine:
         assert len(table) == 74416
         assert peak < 6 * 2**20
 
+    @pytest.mark.parametrize("coeffs, rows, bound", [((1, 0, 1), 95015, 12),
+                                                     ((2, -5, 4), 116775, 16)],
+                             ids=["1,0,1", "2,-5,4"])
+    def test_traced_peak_at_the_top_of_the_capacity(self, coeffs, rows, bound):
+        # a 2^22-value span in two windows of 2^21 values: (1,0,1) reaches
+        # that span by its row rule and (2,-5,4), with no sector edge, by the
+        # cap. Measured 10.1 and 13.8 MiB, with 2.2 and 2.7 MiB tables; one
+        # 2^22 window peaked at 16.1 and 19.2 MiB, and (1,0,1) in int64
+        # lanes at 21.0 MiB
+        form = QuadraticForm(*coeffs)
+        primes = sieve_range(DEFAULT_CAPACITY - 2**22, DEFAULT_CAPACITY)
+        assert forms._window_span(form, DEFAULT_CAPACITY) == 2**21
+        representation_table(form, primes[:10])  # warm module-level state first
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            table = representation_table(form, primes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert len(table) == rows
+        assert peak < bound * 2**20
+
+    @pytest.mark.parametrize("coeffs", [(1, 0, 1), (1, 1, 1), (2, -5, 4)],
+                             ids=lambda c: "%d,%d,%d" % c)
+    def test_sized_windows_equal_2_18_windows_at_1e9(self, coeffs):
+        form = QuadraticForm(*coeffs)
+        primes = sieve_range(10**9, 10**9 + 2**22)
+        assert forms._window_span(form, int(primes[-1])) > forms.WINDOW
+        sized = representation_table(form, primes)
+        with mock.patch.object(forms, "_window_span", lambda form, hi: 1 << 18):
+            fixed = representation_table(form, primes)
+        assert len(sized) > 10_000
+        for col in ("p", "x", "y"):
+            assert np.array_equal(getattr(sized, col), getattr(fixed, col))
+
     def test_row_ends_are_exact_square_roots(self):
         k = (1 << 31) - 1  # k^2 + 2k < 2^62: the largest squares the engine meets
         s = np.array([0, 1, 2, 3, 4, 99, 100, 101, k * k - 1, k * k, k * k + 2 * k])
@@ -421,6 +459,12 @@ class TestRowBlocks:
                                   getattr(want, col))
 
 
+@functools.lru_cache(maxsize=None)
+def _primes_past_capacity(lo):
+    """The primes of [lo, lo + 2000], which the sieve refuses above its capacity."""
+    return trial_division_primes(lo, lo + 2000)
+
+
 def _lexsort_rows(form: QuadraticForm, primes: np.ndarray):
     """Reference for `_window_rows`: every canonical point of the bounding box
     whose value is one of the primes, ordered with np.lexsort by (p, x, y)."""
@@ -453,6 +497,61 @@ class TestWindowKernel:
         want = _lexsort_rows(form, primes)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+    @given(
+        a=st.integers(min_value=1, max_value=4),
+        b=st.integers(min_value=-9, max_value=9),
+        c=st.integers(min_value=1, max_value=9),
+        span=st.integers(min_value=0, max_value=4000),
+        where=st.sampled_from(["anywhere", "2^31", "top"]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_uint32_lanes_equal_per_prime_oracle(self, a, b, c, span, where, data):
+        # windows at any height, across 2^31, where int32 arithmetic would
+        # turn negative, and within 2^22 of the capacity; at most 8 primes of
+        # each, as the oracle walks each ellipse in Python
+        assume(b * b < 4 * a * c and math.gcd(math.gcd(a, b), c) == 1)
+        form = QuadraticForm(a, b, c)
+        if where == "2^31":
+            lo = data.draw(st.integers(2**31 - span, 2**31), label="lo")
+        else:
+            first = 2 if where == "anywhere" else DEFAULT_CAPACITY - 2**22
+            lo = data.draw(st.integers(first, DEFAULT_CAPACITY - span), label="lo")
+        primes = sieve_range(lo, lo + span)
+        assume(primes.size > 0)
+        primes = primes[:: -(-primes.size // 8)]
+        p, x, y = forms._window_rows(form, primes)
+        want = [(r.p, r.x, r.y) for q in primes.tolist()
+                for r in canonical_pairs(form, q, oracle_bound=DEFAULT_CAPACITY)]
+        assert list(zip(p.tolist(), x.tolist(), y.tolist())) == want
+
+    @pytest.mark.parametrize("coeffs", [(1, 0, 1), (1, 1, 1), (2, 1, 3), (1, -1, 2), (1, -2, 2)],
+                             ids=lambda c: "%d,%d,%d" % c)
+    def test_rows_end_at_the_sector_edge(self, coeffs):
+        # for 2a + b >= 0 a row's least value on x > y is Q(y + 1, y), so
+        # the rows stop within one of the last row holding a value <= hi:
+        # 22,360 rows for x^2 + y^2 at 1e9 where the ellipse reaches 31,622
+        form = QuadraticForm(*coeffs)
+        for hi in (10, 10**6, 10**9, DEFAULT_CAPACITY):
+            top = forms._y_top(form, hi)
+            last = top
+            while last > 0 and form.evaluate(last + 1, last) > hi:
+                last -= 1
+            assert last <= top <= last + 1, (hi, top, last)
+
+    @pytest.mark.parametrize("c", [1, 2, 5])
+    @pytest.mark.parametrize("lo", [2**32 - 1000, 2**34])
+    def test_uint32_lanes_hold_past_2_32(self, c, lo):
+        # the lanes are exact mod 2^32 and each offset Q - lo is below the
+        # window's span, so no height needs a wider lane; the remainder chain
+        # of x^2 + c*y^2 checks every prime here quickly
+        form = QuadraticForm(1, 0, c)
+        primes = np.array(_primes_past_capacity(lo), dtype=np.int64)
+        p, x, y = forms._window_rows(form, primes)
+        want = [(r.p, r.x, r.y) for q in primes.tolist() for r in canonical_pairs(form, q)]
+        assert list(zip(p.tolist(), x.tolist(), y.tolist())) == want
+        assert len(want) >= 10
 
     @pytest.mark.parametrize("coeffs", [(1, 0, 1), (1, 0, 2), (2, 0, 3), (1, 1, 1),
                                         (2, 1, 3), (1, 1, 3), (5, 4, 7), (1, -1, 2),
