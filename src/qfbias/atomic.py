@@ -16,8 +16,10 @@ def replacing(path):
     links are followed, which then replaces that file in one rename: a block
     that raises leaves any previous file there whole and removes the
     temporary file, and a link stays a link. A path that names a device or a
-    pipe (such as /dev/stdout) is written in place, as no rename can replace
-    what it reaches.
+    pipe is written in place, as no rename can replace what it reaches. So
+    /dev/stdout is written in place only while stdout is a pipe or a
+    terminal: bound to a regular file, it is a link to that file, which the
+    rename replaces.
     """
     path = Path(path)
     if path.exists() and not path.is_file():

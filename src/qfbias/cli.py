@@ -191,6 +191,15 @@ def cmd_represent(form, limit, cache_out):
     click.echo(str(count))
 
 
+def _is_stdout(path) -> bool:
+    """Whether path names the file this process's stdout is bound to; a
+    stdout without a descriptor is no file."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):
+        return False
+
+
 @contextlib.contextmanager
 def _write_csv(path, header: str | None):
     """Write a CSV block by block: the header line, if any, then the rows of
@@ -200,9 +209,15 @@ def _write_csv(path, header: str | None):
     empty field for NaN (undefined); see `csvtext.csv_blocks`. The file
     appears whole when the block ends (`atomic.replacing`): a stream that
     fails part-way leaves no partial file and any previous file at path
-    whole.
+    whole. A path naming stdout's own file (`-o /dev/stdout > f`) is written
+    through stdout, so the result printed after the CSV lands behind it.
     """
-    with replacing(path) as fh:
+    if _is_stdout(path):
+        sys.stdout.flush()
+        out = contextlib.nullcontext(sys.stdout.buffer)
+    else:
+        out = replacing(path)
+    with out as fh:
         if header is not None:
             fh.write(header.encode() + b"\n")
         yield lambda *columns: fh.writelines(csvtext.csv_blocks(columns))
@@ -224,19 +239,16 @@ def _ratio_step(path, ser_cls: series.BiasSeries, ser_all: series.BiasSeries) ->
     return float(r[-1])
 
 
-def _dfunc_run(path, seed: forms.RepTable, x_max: int) -> counting.DStep:
-    """Write the D1/D2 CSV of the x^2 + y^2 primes below x_max; returns the finished step.
+def _dfunc_run(path, seed: forms.RepTable, x_max: int):
+    """Write the D1/D2 CSV of the x^2 + y^2 primes below x_max; returns
+    `counting.d_race`'s final (D1, D2) and BiasFractions.
 
     The rows stream block by block from `forms.row_blocks` over seed, so
     only the primes above the seed's limit are enumerated.
     """
     blocks = forms.row_blocks(seed, x_max - 1)  # refuses x_max past the capacity before path opens
     with _write_csv(path, "x,D1,D2") as write:
-        step = counting.DStep(x_max, write)
-        for block in blocks:
-            step.add(block)
-        step.end()
-    return step
+        return counting.d_race(blocks, x_max, write)
 
 
 @main.command("series")
@@ -307,13 +319,12 @@ def cmd_limit(form, k, poly_f, poly_g, tol):
 @handle_errors
 def cmd_dfunc(xmax, output, cache):
     """Counting-function differences for p = a^2 + 4b^2 in classes 1, 5 mod 8."""
-    step = _dfunc_run(output, _load_seed(QuadraticForm(1, 0, 1), cache), xmax)
-    f1, f2 = step.fractions()
+    (d1, d2), (f1, f2) = _dfunc_run(output, _load_seed(QuadraticForm(1, 0, 1), cache), xmax)
     progress(
         f"negative fraction: D1 {f1.negative:.4f} (<=0: {f1.nonpositive:.4f}), "
         f"D2 {f2.negative:.4f} (<=0: {f2.nonpositive:.4f})"
     )
-    click.echo(f"{step.final[0]} {step.final[1]}")
+    click.echo(f"{d1} {d2}")
 
 
 @main.command("acoeff")
@@ -360,7 +371,7 @@ def cmd_density(delta, mod, res, x_max, output):
 @mod_option
 @res_option
 @click.option("--limit", type=int, default=None, help="prime bound for samples")
-@click.option("--count", "max_count", type=click.IntRange(min=0), default=None,
+@click.option("--count", "max_count", type=click.IntRange(min=1), default=None,
               help="sample count cap")
 @click.option("--w", type=click.IntRange(min=1), default=None,
               help="winding (roots of unity); default by field")
@@ -449,10 +460,10 @@ def cmd_repro(outdir, figure, scale):
     cc = primes.CongruenceClass
     # fig4 is dfunc over a table of the primes below x_max, and that table
     # seeds the x^2 + y^2 fold, so no prime is enumerated twice
-    seed, step = forms.empty_table(form11), None
+    seed, fractions = forms.empty_table(form11), None
     if "4" in want:
         seed = forms.representation_table(form11, primes.sieve_range(2, x_max - 1))
-        step = _dfunc_run(outdir / "fig4_dfunctions.csv", seed, x_max)
+        _, fractions = _dfunc_run(outdir / "fig4_dfunctions.csv", seed, x_max)
     if want & {"1", "3"}:
         s1, s5, s_all = series.fold_series(seed, (cc(1, 8), cc(5, 8), cc.trivial()), n11)
     del seed  # fig2's fold runs without the table
@@ -479,8 +490,8 @@ def cmd_repro(outdir, figure, scale):
         for ser in (s1, s5):
             final = _ratio_step(outdir / f"fig3_ratio{ser.cls.residue}mod8.csv", ser, s_all)
             progress(f"fig3: final R[{ser.cls}]={_fmt_opt(final)}")
-    if step:
-        f1, f2 = step.fractions()
+    if fractions:
+        f1, f2 = fractions
         progress(f"fig4: negative fractions D1 {f1.negative:.4f}, D2 {f2.negative:.4f}")
     click.echo(str(outdir))
 

@@ -5,8 +5,9 @@ squarefree discriminant input delta < 0:
 
   * running differences D1/D2 comparing the odd and even parts of p = a^2 +
     (2b)^2 over the two residue classes 1, 5 (mod 8), with the shares of
-    their grid points below and at zero tallied as they stream (`DStep`,
-    whose x, D1, D2 columns over one whole table `d_functions` returns);
+    their grid points below and at zero tallied as they stream (`d_race`, a
+    function of its row stream, whose x, D1, D2 columns over one whole table
+    `d_functions` returns);
   * prime-ideal counts by norm and norm residue, with splitting decided by
     the Kronecker character of the field discriminant, added up one sieve
     window (`primes.segments`) at a time at every bound at once;
@@ -20,7 +21,6 @@ Kronecker evaluation, and only at the residues they need.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -66,33 +66,32 @@ class BiasFractions(NamedTuple):
     nonpositive: float
 
 
-class DStep:
-    """The D1/D2 race over rows of x^2 + y^2, fed one block at a time.
+def d_race(blocks, x_max: int, write) -> tuple[np.ndarray, tuple[BiasFractions, BiasFractions]]:
+    """The D1/D2 race over a stream of x^2 + y^2 row blocks in ascending p.
 
     For each prime p < x_max with p = 1 (mod 8) (D1) or p = 5 (mod 8) (D2),
     write p = a^2 + 4 b^2 with a odd and positive; the count steps +1 when
-    |a| > |2b| and -1 when |a| < |2b| (equality cannot occur). `add` takes
-    the next block of rows in ascending p and hands emit one block of the
-    union grid: columns x, D1, D2 at every such prime of the block, each
-    value counting the events at or below x. `end` emits the x_max endpoint
-    row. Only the two running counts and the sign tallies of
-    `fractions` are kept between blocks.
+    |a| > |2b| and -1 when |a| < |2b| (equality cannot occur). Each block
+    goes to write(x, D1, D2) as one block of the union grid: every such
+    prime of the block, each value counting the events at or below x; the
+    x_max endpoint row follows the last block. Returns the final int64
+    (D1, D2) and the BiasFractions of D1 and D2 over the points written.
     """
+    if x_max < 2:
+        raise ValueError("x_max must be >= 2")
+    final = np.zeros(2, dtype=np.int64)  # D1, D2 after the last event
+    # grid points, negative values and nonpositive values of each series
+    tally = np.zeros((3, 2), dtype=np.int64)
 
-    def __init__(self, x_max: int, emit):
-        if x_max < 2:
-            raise ValueError("x_max must be >= 2")
-        self.x_max = x_max
-        self.emit = emit
-        self.final = np.zeros(2, dtype=np.int64)  # D1, D2 after the last event
-        # grid points, negative values and nonpositive values of each series
-        self._tally = np.zeros((3, 2), dtype=np.int64)
+    def count(i: int, values: np.ndarray) -> None:
+        tally[:, i] += (values.size, np.count_nonzero(values < 0),
+                        np.count_nonzero(values <= 0))
 
-    def add(self, block: RepTable) -> None:
+    for block in blocks:
         if block.form != _SUM_OF_SQUARES:
             raise ValueError(f"D1/D2 read a table of x^2 + y^2, not of ({block.form})")
         # the definition counts p < x strictly
-        n = int(np.searchsorted(block.p, self.x_max - 1, side="right"))
+        n = int(np.searchsorted(block.p, x_max - 1, side="right"))
         residue = block.p[:n] % 8
         rows = np.flatnonzero((residue == 1) | (residue == 5))
         x, y, residue = block.x[rows], block.y[rows], residue[rows]
@@ -102,33 +101,22 @@ class DStep:
         for i, r in enumerate((1, 5)):
             mine = residue == r
             np.cumsum(np.where(mine, steps, 0), out=d[i])
-            d[i] += self.final[i]
-            self._count(i, d[i][mine])
+            d[i] += final[i]
+            count(i, d[i][mine])
         if rows.size:
-            self.final = d[:, -1].copy()
-        self.emit(block.p[rows], d[0], d[1])
-
-    def end(self) -> None:
-        """Emit the x_max endpoint row, which holds the final counts."""
-        for i in range(2):
-            self._count(i, self.final[i : i + 1])
-        self.emit(np.array([self.x_max]), self.final[:1], self.final[1:])
-
-    def _count(self, i: int, values: np.ndarray) -> None:
-        self._tally[:, i] += (values.size, np.count_nonzero(values < 0),
-                              np.count_nonzero(values <= 0))
-
-    def fractions(self) -> tuple[BiasFractions, BiasFractions]:
-        """The BiasFractions of D1 and D2 over the points emitted so far."""
-        n, negative, nonpositive = self._tally.tolist()
-        return tuple(
-            BiasFractions(float(negative[i]) / n[i], float(nonpositive[i]) / n[i])
-            for i in range(2)
-        )
+            final = d[:, -1].copy()
+        write(block.p[rows], d[0], d[1])
+    for i in range(2):
+        count(i, final[i : i + 1])
+    write(np.array([x_max]), final[:1], final[1:])
+    n, negative, nonpositive = tally.tolist()
+    return final, tuple(
+        BiasFractions(float(negative[i]) / n[i], float(nonpositive[i]) / n[i]) for i in range(2)
+    )
 
 
 def d_functions(table: RepTable, x_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The columns x, D1, D2 that `DStep` emits over a whole x^2 + y^2 table.
+    """The columns x, D1, D2 that `d_race` writes over a whole x^2 + y^2 table.
 
     Three int64 arrays holding the rows of the `dfunc` CSV: one per prime
     p < x_max with p = 1, 5 (mod 8), then the x_max endpoint. The table
@@ -136,9 +124,7 @@ def d_functions(table: RepTable, x_max: int) -> tuple[np.ndarray, np.ndarray, np
     falls short.
     """
     blocks = []
-    step = DStep(x_max, lambda *columns: blocks.append(columns))
-    step.add(table.slice_below(x_max - 1))
-    step.end()
+    d_race([table.slice_below(x_max - 1)], x_max, lambda *columns: blocks.append(columns))
     return tuple(np.concatenate(c) for c in zip(*blocks))
 
 
@@ -147,15 +133,12 @@ def d_functions(table: RepTable, x_max: int) -> tuple[np.ndarray, np.ndarray, np
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=8)
 def _chi_table(d: int, size: int) -> np.ndarray:
-    """Kronecker character values of d at the residues 0 <= r < size, as
-    int8 (read-only, built once per d and size)."""
+    """Kronecker character values of d at the residues 0 <= r < size, as int8."""
     chi = np.empty(size, dtype=np.int8)
     for lo in range(0, size, _CHI_BLOCK):  # blocks bound the builder's temporaries
         hi = min(lo + _CHI_BLOCK, size)
         chi[lo:hi] = kronecker_array(d, np.arange(lo, hi))
-    chi.flags.writeable = False
     return chi
 
 
@@ -170,8 +153,9 @@ def prime_ideal_count(
     int64 array of the counts at each. One `segments` pass to the largest
     bound adds every window's counts at all the bounds, so only one window
     of primes is held; the stream refuses a bound past the sieve capacity
-    when it is made, before any sieving or character table. That int8 table
-    holds chi_K at min(|d_K|, max x + 1) residues, as p mod |d_K| <= p.
+    when it is made, before any sieving or character table. That int8 table,
+    built once per call, holds chi_K at min(|d_K|, max x + 1) residues, as
+    p mod |d_K| <= p.
     """
     xs = np.asarray(x)
     top = int(xs.max(initial=1))

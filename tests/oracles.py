@@ -15,10 +15,10 @@ series fold's cut of `primes.segments` at Pr(N) is checked against a sieve
 it does not share. `moment_sum` and `poly_sum` sum Python ints and Fractions
 row by row, against the int64 prefix sums of the series fold, and
 `d_race_rows` steps the D1/D2 race one prime at a time, each prime's
-a^2 + 4b^2 found by its own loop over b, against `DStep` and the `dfunc`
-CSV; `class_series` splits D1/D2 columns into one `CountSeries` per class,
-and `negative_bias_fraction` counts a whole series, against the running
-tallies of `DStep.fractions`. `table_rows`, `in_class` and `value_at` are
+a^2 + 4b^2 found by its own loop over b, against `counting.d_race` and the
+`dfunc` CSV; `class_series` splits D1/D2 columns into one `CountSeries` per
+class, and `negative_bias_fraction` counts a whole series, against the
+fractions that `d_race` tallies as it streams. `table_rows`, `in_class` and `value_at` are
 the tests' per-row, class-membership and at-x lookups, which no command runs.
 `table_to` builds the tests' tables in one `representation_table` call over
 one `sieve_range`, independent of the `row_blocks` stream the commands read.

@@ -138,7 +138,7 @@ def test_criterion_06_sign_changes(rep_table_full):
 
 def test_criterion_07_counting_differences(rep_table_full):
     # the endpoint rows D2(6) = -1, D2(14) = 0 and D1(18) = -1, from the
-    # per-prime oracle and from DStep's columns
+    # per-prime oracle and from d_race's columns
     for row in ((6, 0, -1), (14, 0, 0), (18, -1, 0)):
         assert d_race_rows(row[0])[-1] == row
         assert tuple(c[-1] for c in d_functions(rep_table_full, row[0])) == row

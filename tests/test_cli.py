@@ -144,7 +144,7 @@ def _fresh_run(code, *argv, openblas_threads=None, **kwargs):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                          capture_output=True, **kwargs)
+                          **{"capture_output": True, **kwargs})
 
 
 def _fresh_python(code, *argv, openblas_threads=None):
@@ -282,6 +282,22 @@ main(sys.argv[2:], prog_name="qfbias")
                      ["sieve", "--limit", "5000000000"]):
             runner.invoke(main, args)
         assert gc.get_freeze_count() == 0 and gc.isenabled()
+
+
+@pytest.mark.parametrize("argv, printed", [
+    (["series", "--form", "1,0,1", "--nmax", "1000", "--stride", "500", "-o"], b"2.381073446328\n"),
+    (["sieve", "--limit", "100", "--out"], b"25\n"),
+])
+def test_csv_to_its_own_stdout_keeps_the_printed_result(runner, tmp_path, argv, printed):
+    # `-o /dev/stdout > f` writes the CSV then the result into f, as a pipe does
+    plain = invoke(runner, *argv, str(tmp_path / "plain.csv"))
+    want = (tmp_path / "plain.csv").read_bytes() + plain.stdout_bytes
+    assert plain.stdout_bytes == printed
+    code = "import sys\nfrom qfbias.cli import main\nmain(sys.argv[1:], prog_name='qfbias')\n"
+    with open(tmp_path / "f", "wb") as fh:
+        _fresh_run(code, *argv, "/dev/stdout", capture_output=False, stdout=fh, check=True)
+    assert (tmp_path / "f").read_bytes() == want
+    assert _fresh_run(code, *argv, "/dev/stdout", check=True).stdout == want
 
 
 def test_stream_commands_load_no_fractions(tmp_path):
@@ -668,7 +684,7 @@ class TestDfuncCommand:
         invoke(runner, "dfunc", "--xmax", str(xmax), "-o", str(out))
         rows = d_race_rows(xmax)
         assert out.read_text() == dfunc_csv(rows)
-        # d_functions returns the CSV's rows as DStep's int64 columns
+        # d_functions returns the CSV's rows as d_race's int64 columns
         columns = d_functions(table_to(QuadraticForm(1, 0, 1), xmax), xmax)
         assert [c.dtype for c in columns] == [np.int64] * 3
         assert list(zip(*(c.tolist() for c in columns))) == rows
@@ -717,10 +733,11 @@ class TestDfuncStream:
         path = tmp_path_factory.mktemp("dfunc") / "d.csv"
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(primes_module, "DEFAULT_SEGMENT_SIZE", size)
-            step = _dfunc_run(path, empty_table(Q11), x_max)
+            final, fractions = _dfunc_run(path, empty_table(Q11), x_max)
         rows = d_race_rows(x_max)
         assert path.read_text() == dfunc_csv(rows)
-        assert step.fractions() == tuple(map(negative_bias_fraction, class_series(*zip(*rows))))
+        assert tuple(final.tolist()) == rows[-1][1:]
+        assert fractions == tuple(map(negative_bias_fraction, class_series(*zip(*rows))))
 
     @given(bounds=dfunc_bounds(), cache_limit=st.none() | st.integers(2, 200_000))
     @settings(UNSHRUNK, max_examples=40)
@@ -928,6 +945,9 @@ class TestEquidistCommand:
                    "--limit", "3000", "--count", str(count), "--sectors", str(k),
                    "--conjugates", "-o", str(out)])
         qf = QuadraticForm(*map(int, form.split(",")))
+        if count == 0:  # a usage error: no sample could be written
+            assert result.exit_code == 2 and not out.exists()
+            return
         table, raw, theta = sample_angles(table_to(qf, 3000), CongruenceClass(res, mod),
                                           count)
         if len(table) == 0:
@@ -970,8 +990,9 @@ class TestEquidistCommand:
             result = CliRunner().invoke(main, args)
         rows, raw, theta = sample_angles(table, CongruenceClass(res, mod), count)
         if len(rows) == 0:
-            # neither the CSV nor its temporary file is left behind
-            assert result.exit_code == 3
+            # neither the CSV nor its temporary file is left behind; --count 0
+            # is refused as a usage error before any cache is read
+            assert result.exit_code == (2 if count == 0 else 3)
             assert [p.name for p in tmp.iterdir()] == ["c.qfr"] * (cache_limit is not None)
             return
         assert result.exit_code == 0
@@ -997,6 +1018,19 @@ class TestEquidistCommand:
         assert not (tmp_path / "a.csv").exists()
         with pytest.raises(ValueError, match="nonnegative"):
             sample_angles(table_to(QuadraticForm(1, 0, 1), 1000), max_count=-5)
+
+    def test_zero_count_is_usage_error(self, runner, tmp_path, monkeypatch):
+        # it could never write a sample, so it is refused before any cache is read
+        monkeypatch.setattr("qfbias.cache.read_cache", lambda *a, **k: pytest.fail("read"))
+        cache = tmp_path / "c.qfr"
+        write_cache(cache, Q11, [table_to(Q11, 1000)])
+        result = runner.invoke(main, ["equidist", "--form", "1,0,1", "--limit", "1000",
+                                      "--count", "0", "--cache", str(cache),
+                                      "-o", str(tmp_path / "a.csv")])
+        assert result.exit_code == 2
+        assert "--count" in result.stderr
+        assert not (tmp_path / "a.csv").exists()
+        assert sample_angles(table_to(Q11, 1000), max_count=0)[0].p.size == 0
 
     def test_winding_below_one_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["equidist", "--form", "1,0,1", "--limit", "1000",

@@ -14,13 +14,14 @@ from qfbias.counting import (
     FieldSplitting,
     a_coefficient,
     d_functions,
+    d_race,
     density_check,
     log_integral,
     norm_residue_subgroup,
     prime_ideal_count,
 )
 from qfbias.errors import ConsistencyError, SieveCapacityError
-from qfbias.forms import QuadraticForm
+from qfbias.forms import QuadraticForm, RepTable
 from qfbias.primes import DEFAULT_CAPACITY, CongruenceClass, sieve_range
 
 from conftest import trial_division_primes
@@ -100,6 +101,31 @@ class TestDFunctions:
         # the per-prime oracle finds each p = a^2 + 4b^2 by its own loop over b
         columns = d_functions(table_to(Q11, 500), 500)
         assert list(zip(*(c.tolist() for c in columns))) == d_race_rows(500)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), x_max=st.integers(2, 30_000))
+    def test_d_race_over_any_cut_of_the_rows(self, data, x_max):
+        # today's streams cut only at sieve-segment edges; repeated cuts give empty blocks
+        table = table_to(Q11, x_max - 1)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(table)), max_size=12)))
+        blocks = [
+            RepTable(Q11, table.p[i:j], table.x[i:j], table.y[i:j], table.limit)
+            for i, j in zip([0, *cuts], [*cuts, len(table)])
+        ]
+        written = []
+        final, fractions = d_race(iter(blocks), x_max, lambda *c: written.append(c))
+        assert len(written) == len(blocks) + 1  # one write per block, then the endpoint
+        columns = [np.concatenate(c) for c in zip(*written)]
+        for got, want in zip(columns, d_functions(table, x_max)):
+            np.testing.assert_array_equal(got, want)
+        rows = d_race_rows(x_max)
+        assert tuple(final.tolist()) == rows[-1][1:]
+        assert fractions == tuple(map(negative_bias_fraction, class_series(*zip(*rows))))
+        # a block of another form, anywhere in the stream, is refused
+        other = table_to(QuadraticForm(1, 1, 1), 100)
+        at = data.draw(st.integers(0, len(blocks)))
+        with pytest.raises(ValueError, match="x\\^2 \\+ y\\^2"):
+            d_race(iter([*blocks[:at], other, *blocks[at:]]), x_max, lambda *c: None)
 
     def test_value_at_vs_evaluate(self):
         d1, _ = class_series(*d_functions(table_to(Q11, 100), 100))
@@ -245,7 +271,7 @@ class TestPrimeIdealCount:
     def test_memory_holds_one_window_not_the_range(self):
         fs, cls = GAUSS, CongruenceClass(1, 8)
         xs = [10**k for k in range(2, 8)]
-        prime_ideal_count(fs, xs[:2], cls)  # imports, chi table and memoised base primes
+        prime_ideal_count(fs, xs[:2], cls)  # imports and memoised base primes
         tracemalloc.start()
         try:
             counts = prime_ideal_count(fs, xs, cls)
@@ -258,7 +284,7 @@ class TestPrimeIdealCount:
         # kind, peaked at 15.5 MiB
         assert peak < 4 * 2**20
 
-    def test_chi_table_built_once_and_read_only(self, monkeypatch):
+    def test_chi_table_built_once_per_count(self, monkeypatch):
         calls = []
 
         def spy(d, n):
@@ -267,19 +293,18 @@ class TestPrimeIdealCount:
 
         fs = FieldSplitting(-7)
         monkeypatch.setattr(counting, "kronecker_array", spy)
-        counting._chi_table.cache_clear()
         for x in (100, 1000, 10_000):
             prime_ideal_count(fs, x)
-        assert calls == [7]
+        # no memo: every count builds the table it reads, at the |d_K| = 7 residues
+        assert calls == [7, 7, 7]
+        # one table serves every bound of one call
+        prime_ideal_count(fs, [100, 1000, 10_000])
+        assert calls == [7, 7, 7, 7]
         chi = counting._chi_table(fs.field_discriminant, 7)
-        assert calls == [7]
         assert chi.tolist() == [kronecker(-7, r) for r in range(7)]
-        with pytest.raises(ValueError, match="read-only"):
-            chi[1] = 0
 
     @pytest.mark.parametrize("d", [-3, -4, -7, -8, -15, -20, -24, -999983])
     def test_chi_table_equals_kronecker_at_every_residue(self, d):
-        counting._chi_table.cache_clear()
         chi = counting._chi_table(d, abs(d))
         assert chi.tolist() == [kronecker(d, r) for r in range(abs(d))]
 
@@ -291,7 +316,6 @@ class TestPrimeIdealCount:
             return kronecker_array(d, n)
 
         monkeypatch.setattr(counting, "kronecker_array", spy)
-        counting._chi_table.cache_clear()
         fs = FieldSplitting(-9999991)  # d_K = delta: 9,999,991 residues mod |d_K|
         assert prime_ideal_count(fs, 1000) == 185
         # a table of all |d_K| residues evaluated 9,999,991
