@@ -22,7 +22,7 @@ _EXPORTS = {
         "a_coefficient", "d_functions", "density_check", "norm_residue_subgroup",
         "prime_ideal_count",
     ),
-    "equidist": ("ks_statistic", "sample_angles", "sector_counts", "weyl_sum"),
+    "equidist": ("ks_statistic", "sector_counts", "weyl_sum"),
     "forms": ("RepTable", "empty_table", "representation_table"),
     "limits": ("beta", "integrate", "limit_ratio_moment", "limit_ratio_poly"),
     "polynomials": (

@@ -144,7 +144,8 @@ def main():
 
 
 @main.command("sieve")
-@click.option("--limit", type=int, default=None, help="sieve [2, limit]")
+@click.option("--limit", type=click.IntRange(min=2), default=None,
+              help="sieve [2, limit]")
 @click.option("--lo", type=int, default=None)
 @click.option("--hi", type=int, default=None)
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="write primes, one per line")
@@ -395,35 +396,21 @@ def cmd_equidist(form, mod, res, limit, max_count, w, conjugates, output,
         raise click.UsageError("need --limit (or a --cache covering the primes)")
     if conjugates and sectors == 0:
         raise click.UsageError("--conjugates only changes the --sectors counts; give --sectors")
-    import numpy as np
-
     seed = _load_seed(form, cache)
     # without --limit the cache's coverage is the bound
     blocks = forms.row_blocks(seed, seed.limit if limit is None else limit)
-    raws, thetas, left = [], [], max_count
+    w = w or equidist.root_count_for_form(form)
     with _write_csv(output, "p,x,y,raw_arg,theta") as write:
-        for block in blocks:
-            rows, raw, theta = equidist.sample_angles(block, cls, left, w)
-            write(rows.p, rows.x, rows.y, raw, theta)
-            raws.append(raw)
-            thetas.append(theta)
-            if left is not None:
-                left -= len(rows)
-                if left == 0:  # --count reached: the pass ends here
-                    break
-        if not any(raw.size for raw in raws):
-            raise ComputationError("no canonical representations in the requested range")
-    raw, theta = np.concatenate(raws), np.concatenate(thetas)
+        raw, theta = equidist.angle_pass(blocks, cls, w, max_count, write)
 
-    quarter = math.pi / 4
-    ks = equidist.ks_statistic(raw, quarter)
+    ks = equidist.ks_statistic(raw, equidist.RAW_ANGLE_INTERVAL)
     if stats_path:
         n = raw.size
         stride = stats_stride if stats_stride > 0 else max(1, n // 20)
         grid = list(range(stride, n + 1, stride))
         if not grid or grid[-1] != n:
             grid.append(n)
-        stats = equidist.prefix_statistics(raw, grid, quarter)
+        stats = equidist.prefix_statistics(raw, grid, equidist.RAW_ANGLE_INTERVAL)
         with _write_csv(stats_path, "N,ks,weyl_1,weyl_2,weyl_3,weyl_4,weyl_5") as write:
             write(grid, *stats.T)
     if sectors > 0:

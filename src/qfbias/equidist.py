@@ -7,9 +7,12 @@ delta = -1, 6 for delta = -3, else 2). One representative per prime covers
 only the fundamental domain of theta; `mirrored` appends the conjugate
 ideals' angles 2pi - theta and fills the circle.
 
-sample_angles selects rows of the table it is given and returns them with
-their raw_arg and theta arrays. The statistics (weyl_sum, ks_statistic,
-sector_counts) take float arrays, converted once with np.asarray.
+angle_pass is the `equidist` pass, one function of its row stream: per block
+it takes the rows in a class, capped at the count still owed, and writes them
+with their angle_arrays. The statistics (weyl_sum, ks_statistic,
+sector_counts) take float arrays, converted once with np.asarray; raw_arg is
+tested on RAW_ANGLE_INTERVAL, [0, pi/4), the image of the canonical pairs
+x > y >= 0 of x^2 + y^2.
 
 prefix_statistics is the `equidist --stats` sweep over growing prefixes. It
 computes the phases of each Weyl frequency once for all samples and averages
@@ -25,10 +28,13 @@ import math
 import numpy as np
 
 from .arith import squarefree_part
+from .errors import ComputationError
 from .forms import QuadraticForm, RepTable
 from .primes import CongruenceClass
 
 TWO_PI = 2.0 * math.pi
+# the raw angles' uniform reference: atan(y/x) of x^2 + y^2's canonical pairs
+RAW_ANGLE_INTERVAL = math.pi / 4
 
 
 def default_root_count(delta: int) -> int:
@@ -145,22 +151,28 @@ def angle_arrays(table: RepTable, w: int) -> tuple[np.ndarray, np.ndarray]:
     return raw, theta
 
 
-def sample_angles(
-    table: RepTable,
-    cls: CongruenceClass | None = None,
-    max_count: int | None = None,
-    w: int | None = None,
-) -> tuple[RepTable, np.ndarray, np.ndarray]:
-    """A table's canonical representations of primes in a class, with angles.
+def angle_pass(blocks, cls: CongruenceClass, w: int, max_count: int | None,
+               write) -> tuple[np.ndarray, np.ndarray]:
+    """The angle samples of a stream of row blocks in ascending p.
 
-    Returns (rows, raw, theta): the table's rows in the class, capped at the
-    first max_count by prime, and their angle_arrays. w defaults to the
-    field's root count.
+    Each block's rows in cls, capped at the max_count rows still owed (None:
+    no cap), go to write(p, x, y, raw_arg, theta) as one block, with their
+    angle_arrays at winding w. No block is pulled once max_count rows are
+    written, so the stream's sieve stops there. Returns the raw_arg and theta
+    arrays of every row written; ComputationError if there is none.
     """
-    if w is None:
-        w = root_count_for_form(table.form)
-    if cls is not None:
-        table = table.slice_class(cls)
-    if max_count is not None:
-        table = table.slice_first(max_count)
-    return (table, *angle_arrays(table, w))
+    raws, thetas, left = [], [], max_count
+    for block in blocks:
+        rows = block.slice_class(cls)
+        if left is not None:
+            rows = rows.slice_first(left)
+            left -= len(rows)
+        raw, theta = angle_arrays(rows, w)
+        write(rows.p, rows.x, rows.y, raw, theta)
+        raws.append(raw)
+        thetas.append(theta)
+        if left == 0:  # the count is met: the pass ends here
+            break
+    if not any(raw.size for raw in raws):
+        raise ComputationError("no canonical representations in the requested range")
+    return np.concatenate(raws), np.concatenate(thetas)

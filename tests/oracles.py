@@ -21,7 +21,10 @@ class, and `negative_bias_fraction` counts a whole series, against the
 fractions that `d_race` tallies as it streams. `table_rows`, `in_class` and `value_at` are
 the tests' per-row, class-membership and at-x lookups, which no command runs.
 `table_to` builds the tests' tables in one `representation_table` call over
-one `sieve_range`, independent of the `row_blocks` stream the commands read.
+one `sieve_range`, independent of the `row_blocks` stream the commands read,
+and `sample_angles` selects a whole table's rows in a class, capped at a
+count, with their angles: the reference for `equidist.angle_pass`, which
+takes the same rows block by block, and for the `equidist` CSV.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from qfbias.counting import BiasFractions, FieldSplitting
+from qfbias.equidist import angle_arrays, root_count_for_form
 from qfbias.forms import (
     DEFAULT_ORACLE_BOUND,
     QuadraticForm,
@@ -368,6 +372,27 @@ def table_to(form: QuadraticForm, limit: int) -> RepTable:
     """The table of form covering every prime <= limit."""
     table = representation_table(form, sieve_range(2, limit)) if limit >= 2 else empty_table(form)
     return replace(table, limit=limit)
+
+
+def sample_angles(
+    table: RepTable,
+    cls: CongruenceClass | None = None,
+    max_count: int | None = None,
+    w: int | None = None,
+) -> tuple[RepTable, np.ndarray, np.ndarray]:
+    """A table's canonical representations of primes in a class, with angles.
+
+    Returns (rows, raw, theta): the table's rows in the class, capped at the
+    first max_count by prime, and their angle_arrays. w defaults to the
+    field's root count.
+    """
+    if w is None:
+        w = root_count_for_form(table.form)
+    if cls is not None:
+        table = table.slice_class(cls)
+    if max_count is not None:
+        table = table.slice_first(max_count)
+    return (table, *angle_arrays(table, w))
 
 
 def table_rows(table: RepTable):

@@ -20,7 +20,7 @@ from qfbias.counting import (
     d_functions,
     density_check,
 )
-from qfbias.equidist import ks_statistic, mirrored, sample_angles, sector_counts, weyl_sum
+from qfbias.equidist import ks_statistic, mirrored, sector_counts, weyl_sum
 from qfbias.forms import (
     QuadraticForm,
     brute_force_representations,
@@ -39,6 +39,7 @@ from oracles import (
     d_race_rows,
     moment_sum,
     negative_bias_fraction,
+    sample_angles,
     table_rows,
 )
 

@@ -4,13 +4,12 @@ import pytest
 
 from qfbias import forms
 from qfbias.counting import d_functions
-from qfbias.equidist import sample_angles
 from qfbias.forms import QuadraticForm
 from qfbias.polynomials import parse_polynomial
 from qfbias.primes import CongruenceClass
 from qfbias.series import bias_series
 
-from oracles import moment_sum, nth_prime, poly_sum, table_to
+from oracles import moment_sum, nth_prime, poly_sum, sample_angles, table_to
 
 Q11 = QuadraticForm(1, 0, 1)
 C14 = CongruenceClass(1, 4)

@@ -22,7 +22,7 @@ from qfbias.equidist import (
     angle_arrays,
     ks_statistic,
     mirrored,
-    sample_angles,
+    root_count_for_form,
     sector_counts,
     weyl_sum,
 )
@@ -36,6 +36,7 @@ from oracles import (
     class_series,
     d_race_rows,
     negative_bias_fraction,
+    sample_angles,
     table_to,
 )
 
@@ -424,6 +425,13 @@ class TestSieveCommand:
         primes = sieve_range(lo, hi).tolist()
         assert out.read_bytes() == "".join(f"{p}\n" for p in primes).encode()
         assert result.stdout.strip() == str(len(primes))
+
+    @pytest.mark.parametrize("limit", ["1", "0"])
+    def test_limit_below_two_is_usage_error_naming_limit(self, runner, sieve_spy, limit):
+        result = runner.invoke(main, ["sieve", "--limit", limit])
+        assert result.exit_code == 2
+        assert "--limit" in result.stderr and "--lo" not in result.stderr
+        assert sieve_spy == []
 
     def test_streams_the_sieve_one_window_at_a_time(self, runner, sieve_spy):
         result = invoke(runner, "sieve", "--lo", "999999000", "--hi", "1001000000")
@@ -1010,6 +1018,22 @@ class TestEquidistCommand:
         rows, raw, _ = sample_angles(table_to(Q11, 2_000_000), max_count=70_000)
         assert len(out.read_bytes().splitlines()) == 1 + 70_000
         assert result.stdout == _fmt(ks_statistic(raw, math.pi / 4)) + "\n"
+
+    def test_winding_resolved_once_per_run(self, runner, tmp_path, monkeypatch, sieve_spy):
+        calls = []
+
+        def spy(form):
+            calls.append(form)
+            return root_count_for_form(form)
+
+        monkeypatch.setattr("qfbias.equidist.root_count_for_form", spy)
+        monkeypatch.setattr(primes_module, "DEFAULT_SEGMENT_SIZE", 1000)
+        out = tmp_path / "a.csv"
+        invoke(runner, "equidist", "--form", "1,0,1", "--limit", "5000", "-o", str(out))
+        assert len(sieve_spy) >= 3
+        assert calls == [Q11]
+        rows, _, _ = sample_angles(table_to(Q11, 5000))
+        assert len(out.read_bytes().splitlines()) == 1 + len(rows)
 
     def test_negative_count_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["equidist", "--form", "1,0,1", "--limit", "1000",

@@ -8,19 +8,20 @@ from hypothesis import strategies as st
 
 from qfbias.equidist import (
     angle_arrays,
+    angle_pass,
     default_root_count,
     ks_statistic,
     mirrored,
     prefix_statistics,
     root_count_for_form,
-    sample_angles,
     sector_counts,
     weyl_sum,
 )
+from qfbias.errors import ComputationError
 from qfbias.forms import QuadraticForm, RepTable, representation_table
 from qfbias.primes import CongruenceClass, sieve_range
 
-from oracles import canonical_pairs, in_class, table_to
+from oracles import canonical_pairs, in_class, sample_angles, table_to
 
 TWO_PI = 2 * math.pi
 
@@ -239,3 +240,46 @@ class TestSampleAngles:
         assert got[0].p.tolist() == want[0].p.tolist()
         for a, b in zip(got[1:], want[1:]):
             assert a.tolist() == b.tolist()
+
+
+class TestAnglePass:
+    @given(form=st.sampled_from([QuadraticForm(1, 0, 1), QuadraticForm(2, -1, 3)]),
+           limit=st.integers(2, 30_000), mod=st.sampled_from([1, 3, 4, 8, 12]),
+           w=st.integers(1, 8), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_cut_of_the_rows_equals_the_whole_table_oracle(self, form, limit, mod, w,
+                                                               data):
+        cls = CongruenceClass(
+            data.draw(st.sampled_from([r for r in range(mod) if math.gcd(r, mod) == 1])), mod)
+        table = table_to(form, limit)
+        in_cls = len(table.slice_class(cls))
+        max_count = data.draw(st.none() | st.integers(1, in_cls + 5))
+        # cut points with repeats, so some blocks are empty
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(table)), max_size=8)))
+        edges = [0, *cuts, len(table)]
+        blocks = [RepTable(form, table.p[i:j], table.x[i:j], table.y[i:j], table.limit)
+                  for i, j in zip(edges, edges[1:])]
+        written, owed_at_pull = [], []
+
+        def stream():
+            for block in blocks:
+                owed_at_pull.append(
+                    None if max_count is None else max_count - sum(len(c[0]) for c in written))
+                yield block
+
+        rows, raw, theta = sample_angles(table, cls, max_count, w)
+        if len(rows) == 0:
+            with pytest.raises(ComputationError, match="no canonical representations"):
+                angle_pass(stream(), cls, w, max_count, lambda *c: written.append(c))
+            return
+        got_raw, got_theta = angle_pass(stream(), cls, w, max_count,
+                                        lambda *c: written.append(c))
+        # one write per block pulled, and none pulled once the count is met
+        assert len(written) == len(owed_at_pull)
+        assert all(owed is None or owed > 0 for owed in owed_at_pull)
+        if len(owed_at_pull) < len(blocks):
+            assert sum(len(c[0]) for c in written) == max_count
+        cols = [np.concatenate(c).tolist() for c in zip(*written)]
+        assert cols == [rows.p.tolist(), rows.x.tolist(), rows.y.tolist(), raw.tolist(),
+                        theta.tolist()]
+        assert got_raw.tolist() == raw.tolist() and got_theta.tolist() == theta.tolist()

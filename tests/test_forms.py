@@ -74,7 +74,7 @@ class TestQuadraticForm:
 @pytest.mark.parametrize("module, names", [
     ("qfbias", ("Representation", "sqrt_mod", "cornacchia", "canonical_pairs", "splitting_type",
                 "nth_prime", "MomentSums", "moment_sum", "poly_sum", "negative_bias_fraction",
-                "CountSeries", "ensure_table")),
+                "CountSeries", "ensure_table", "sample_angles")),
     ("qfbias.forms",
      ("Representation", "sqrt_mod", "cornacchia", "_fast_pairs", "canonical_pairs",
       "ensure_table")),
@@ -82,6 +82,7 @@ class TestQuadraticForm:
                          "CountSeries")),
     ("qfbias.primes", ("_simple_prime_flags", "first_primes", "nth_prime")),
     ("qfbias.series", ("MAX_MOMENT_POWER", "MomentSums", "moment_sum", "poly_sum")),
+    ("qfbias.equidist", ("sample_angles",)),
 ])
 def test_per_prime_oracles_live_with_the_tests(module, names):
     # the package holds what its commands run; the oracles are in tests/oracles.py
