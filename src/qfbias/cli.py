@@ -144,31 +144,24 @@ def main():
 
 
 @main.command("sieve")
-@click.option("--limit", type=click.IntRange(min=2), default=None,
-              help="sieve [2, limit]")
-@click.option("--lo", type=int, default=None)
-@click.option("--hi", type=int, default=None)
+@click.option("--limit", type=click.IntRange(min=2), required=True,
+              help="sieve [lo, limit]")
+@click.option("--lo", type=int, default=2, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="write primes, one per line")
 @handle_errors
-def cmd_sieve(limit, lo, hi, out):
+def cmd_sieve(limit, lo, out):
     """Count (and optionally list) primes in a range."""
-    if limit is not None:
-        if lo is not None or hi is not None:
-            raise click.UsageError("--limit conflicts with --lo/--hi")
-        lo, hi = 2, limit
-    if lo is None or hi is None:
-        raise click.UsageError("need --limit or both --lo and --hi")
-    if lo > hi:
-        raise click.UsageError("--lo must not exceed --hi")
+    if lo > limit:
+        raise click.UsageError("--lo must not exceed --limit")
     t0 = time.perf_counter()
     count = 0
-    blocks = primes.segments(lo, hi)  # refuses a range past the capacity before --out opens
+    blocks = primes.segments(lo, limit)  # refuses a range past the capacity before --out opens
     with _write_csv(out, None) if out else contextlib.nullcontext() as write:
         for block in blocks:
             count += block.size
             if write:
                 write(block)
-    progress(f"sieved [{lo}, {hi}] in {time.perf_counter() - t0:.2f}s")
+    progress(f"sieved [{lo}, {limit}] in {time.perf_counter() - t0:.2f}s")
     click.echo(str(count))
 
 
@@ -374,8 +367,6 @@ def cmd_density(delta, mod, res, x_max, output):
 @click.option("--limit", type=int, default=None, help="prime bound for samples")
 @click.option("--count", "max_count", type=click.IntRange(min=1), default=None,
               help="sample count cap")
-@click.option("--w", type=click.IntRange(min=1), default=None,
-              help="winding (roots of unity); default by field")
 @click.option("--conjugates", is_flag=True,
               help="add the mirror angles 2pi - theta to the --sectors counts (needs --sectors)")
 @output_option
@@ -388,7 +379,7 @@ def cmd_density(delta, mod, res, x_max, output):
 @cache_option
 @threads_option
 @handle_errors
-def cmd_equidist(form, mod, res, limit, max_count, w, conjugates, output,
+def cmd_equidist(form, mod, res, limit, max_count, conjugates, output,
                  stats_path, stats_stride, sectors, cache):
     """Angle samples and equidistribution statistics for represented primes."""
     cls = _class_from(mod, res)
@@ -396,10 +387,12 @@ def cmd_equidist(form, mod, res, limit, max_count, w, conjugates, output,
         raise click.UsageError("need --limit (or a --cache covering the primes)")
     if conjugates and sectors == 0:
         raise click.UsageError("--conjugates only changes the --sectors counts; give --sectors")
+    if stats_stride > 0 and not stats_path:
+        raise click.UsageError("--stats-stride only sets the --stats sweep's stride; give --stats")
     seed = _load_seed(form, cache)
     # without --limit the cache's coverage is the bound
     blocks = forms.row_blocks(seed, seed.limit if limit is None else limit)
-    w = w or equidist.root_count_for_form(form)
+    w = equidist.root_count_for_form(form)
     with _write_csv(output, "p,x,y,raw_arg,theta") as write:
         raw, theta = equidist.angle_pass(blocks, cls, w, max_count, write)
 
@@ -426,13 +419,11 @@ def cmd_equidist(form, mod, res, limit, max_count, w, conjugates, output,
 
 @main.command("repro")
 @click.option("--outdir", type=click.Path(file_okay=False), default="repro_out", show_default=True)
-@click.option("--figure", type=click.Choice(["all", "1", "2", "3", "4"]), default="all",
-              show_default=True)
 @click.option("--scale", type=float, default=1.0, show_default=True,
               help="shrink factor for the default desk-scale bounds")
 @threads_option
 @handle_errors
-def cmd_repro(outdir, figure, scale):
+def cmd_repro(outdir, scale):
     """Regenerate the experiment CSV files behind the four figures."""
     # each figure runs the step of the series, ratio or dfunc command, so its
     # files equal that command's output; each form's series come from one fold
@@ -440,19 +431,15 @@ def cmd_repro(outdir, figure, scale):
         raise click.UsageError("--scale must be in (0, 1]")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    want = {"1", "2", "3", "4"} if figure == "all" else {figure}
     form11 = QuadraticForm(1, 0, 1)
     n11 = max(int(500_000 * scale), 1000)
     x_max = max(int(1_000_000 * scale), 10_000)
     cc = primes.CongruenceClass
     # fig4 is dfunc over a table of the primes below x_max, and that table
     # seeds the x^2 + y^2 fold, so no prime is enumerated twice
-    seed, fractions = forms.empty_table(form11), None
-    if "4" in want:
-        seed = forms.representation_table(form11, primes.sieve_range(2, x_max - 1))
-        _, fractions = _dfunc_run(outdir / "fig4_dfunctions.csv", seed, x_max)
-    if want & {"1", "3"}:
-        s1, s5, s_all = series.fold_series(seed, (cc(1, 8), cc(5, 8), cc.trivial()), n11)
+    seed = forms.representation_table(form11, primes.sieve_range(2, x_max - 1))
+    _, fractions = _dfunc_run(outdir / "fig4_dfunctions.csv", seed, x_max)
+    s1, s5, s_all = series.fold_series(seed, (cc(1, 8), cc(5, 8), cc.trivial()), n11)
     del seed  # fig2's fold runs without the table
 
     def bias_pair(fig, s1, s2):
@@ -466,20 +453,16 @@ def cmd_repro(outdir, figure, scale):
             f"{count} sign changes of the difference"
         )
 
-    if "1" in want:
-        bias_pair("1", s1, s5)
-    if "2" in want:
-        bias_pair("2", *series.fold_series(
-            forms.empty_table(QuadraticForm(1, 1, 1)), (cc(1, 12), cc(7, 12)),
-            max(int(100_000 * scale), 1000),
-        ))
-    if "3" in want:
-        for ser in (s1, s5):
-            final = _ratio_step(outdir / f"fig3_ratio{ser.cls.residue}mod8.csv", ser, s_all)
-            progress(f"fig3: final R[{ser.cls}]={_fmt_opt(final)}")
-    if fractions:
-        f1, f2 = fractions
-        progress(f"fig4: negative fractions D1 {f1.negative:.4f}, D2 {f2.negative:.4f}")
+    bias_pair("1", s1, s5)
+    bias_pair("2", *series.fold_series(
+        forms.empty_table(QuadraticForm(1, 1, 1)), (cc(1, 12), cc(7, 12)),
+        max(int(100_000 * scale), 1000),
+    ))
+    for ser in (s1, s5):
+        final = _ratio_step(outdir / f"fig3_ratio{ser.cls.residue}mod8.csv", ser, s_all)
+        progress(f"fig3: final R[{ser.cls}]={_fmt_opt(final)}")
+    f1, f2 = fractions
+    progress(f"fig4: negative fractions D1 {f1.negative:.4f}, D2 {f2.negative:.4f}")
     click.echo(str(outdir))
 
 

@@ -119,7 +119,7 @@ def assert_one_pass_each(folds, enumerated):
     ["dfunc", "--xmax", "5000000000", "-o", "d.csv"],
     ["equidist", "--form", "1,0,1", "--limit", "5000000000", "-o", "a.csv"],
     ["sieve", "--limit", "5000000000", "--out", "p.txt"],
-    ["sieve", "--lo", "4000000000", "--hi", "4000000001", "--out", "p.txt"],
+    ["sieve", "--lo", "4000000000", "--limit", "4000000001", "--out", "p.txt"],
 ])
 def test_capacity_refused_before_sieving(runner, tmp_path, monkeypatch, sieve_spy, args):
     monkeypatch.chdir(tmp_path)
@@ -410,13 +410,13 @@ class TestSieveCommand:
 
     def test_writes_primes(self, runner, tmp_path):
         out = tmp_path / "p.txt"
-        invoke(runner, "sieve", "--lo", "10", "--hi", "30", "--out", str(out))
+        invoke(runner, "sieve", "--lo", "10", "--limit", "30", "--out", str(out))
         assert out.read_text().split() == ["11", "13", "17", "19", "23", "29"]
 
     @pytest.mark.parametrize("args", [
         ["--limit", "200000"],
-        ["--lo", "999000", "--hi", "1000000"],
-        ["--lo", "24", "--hi", "28"],
+        ["--lo", "999000", "--limit", "1000000"],
+        ["--lo", "24", "--limit", "28"],
     ])
     def test_out_file_is_one_prime_per_line(self, runner, tmp_path, args):
         out = tmp_path / "p.txt"
@@ -434,7 +434,7 @@ class TestSieveCommand:
         assert sieve_spy == []
 
     def test_streams_the_sieve_one_window_at_a_time(self, runner, sieve_spy):
-        result = invoke(runner, "sieve", "--lo", "999999000", "--hi", "1001000000")
+        result = invoke(runner, "sieve", "--lo", "999999000", "--limit", "1001000000")
         assert_windows_cover(sieve_spy, 999_999_000, 1_001_000_000)
         assert result.stdout == "48200\n"
 
@@ -469,9 +469,11 @@ class TestSieveCommand:
         if existing is not None:
             assert out.read_bytes() == existing
 
-    def test_conflicting_flags(self, runner):
-        result = runner.invoke(main, ["sieve", "--limit", "5", "--lo", "2", "--hi", "9"])
+    def test_conflicting_flags(self, runner, sieve_spy):
+        result = runner.invoke(main, ["sieve", "--lo", "9", "--limit", "5"])
         assert result.exit_code == 2
+        assert "--lo" in result.stderr and "--limit" in result.stderr
+        assert sieve_spy == []
 
 
 # primitive positive-definite forms, b < 0 included
@@ -1056,11 +1058,8 @@ class TestEquidistCommand:
         assert not (tmp_path / "a.csv").exists()
         assert sample_angles(table_to(Q11, 1000), max_count=0)[0].p.size == 0
 
-    def test_winding_below_one_is_usage_error(self, runner, tmp_path):
-        result = runner.invoke(main, ["equidist", "--form", "1,0,1", "--limit", "1000",
-                                      "--w", "0", "-o", str(tmp_path / "a.csv")])
-        assert result.exit_code == 2
-        assert not (tmp_path / "a.csv").exists()
+    def test_winding_below_one_is_usage_error(self):
+        # the command winds by the field's own root count; the library refuses w < 1
         with pytest.raises(ValueError, match="positive"):
             sample_angles(table_to(QuadraticForm(1, 0, 1), 1000), w=0)
 
@@ -1071,15 +1070,23 @@ class TestEquidistCommand:
         assert result.exit_code == 2
         assert not (tmp_path / "a.csv").exists()
 
-    def test_conjugates_without_sectors_is_usage_error(self, runner, tmp_path, sieve_spy):
-        # the mirror angles only enter the sector counts, so the flag alone
-        # would change nothing; it is refused before any table is built
-        result = runner.invoke(main, ["equidist", "--form", "1,0,1", "--limit", "1000",
-                                      "--conjugates", "-o", str(tmp_path / "a.csv")])
-        assert result.exit_code == 2
-        assert "--sectors" in result.stderr
-        assert sieve_spy == []
-        assert not (tmp_path / "a.csv").exists()
+    def test_conjugates_without_sectors_is_usage_error(self, runner, tmp_path, monkeypatch,
+                                                       sieve_spy):
+        # the mirror angles only enter the sector counts, and the stride only
+        # the sweep, so either flag alone would change nothing; each is refused
+        # before any cache is read or table built
+        monkeypatch.setattr("qfbias.cache.read_cache", lambda *a, **k: pytest.fail("read"))
+        cache = tmp_path / "c.qfr"
+        write_cache(cache, Q11, [table_to(Q11, 1000)])
+        for flag, needed in ((["--conjugates"], "give --sectors"),
+                             (["--stats-stride", "5"], "give --stats")):
+            result = runner.invoke(main, ["equidist", "--form", "1,0,1", "--limit", "1000",
+                                          *flag, "--cache", str(cache),
+                                          "-o", str(tmp_path / "a.csv")])
+            assert result.exit_code == 2
+            assert needed in result.stderr
+            assert sieve_spy == []
+            assert not (tmp_path / "a.csv").exists()
 
     def test_empty_selection_is_computation_error(self, runner, tmp_path):
         result = runner.invoke(main, ["equidist", "--form", "1,0,1", "--mod", "4",
@@ -1117,10 +1124,21 @@ class TestReproCommand:
         assert "--scale must be in (0, 1]" in result.stderr
         assert not outdir.exists()
 
+    def test_figures_1_and_2_match_series(self, runner, tmp_path):
+        outdir = tmp_path / "repro"
+        invoke(runner, "repro", "--outdir", str(outdir), "--scale", "0.002")
+        # at this scale both figures run to N = 1000
+        for fig, form, mod, res in ((1, "1,0,1", 8, 1), (1, "1,0,1", 8, 5),
+                                    (2, "1,1,1", 12, 1), (2, "1,1,1", 12, 7)):
+            out = tmp_path / f"s{fig}_{res}.csv"
+            invoke(runner, "series", "--form", form, "--mod", str(mod), "--res", str(res),
+                   "--nmax", "1000", "--stride", "100", "-o", str(out))
+            assert (outdir / f"fig{fig}_class{res}mod{mod}.csv").read_bytes() == out.read_bytes()
+
     def test_figures_3_and_4_match_ratio_and_dfunc(self, runner, tmp_path):
         outdir = tmp_path / "repro"
-        invoke(runner, "repro", "--outdir", str(outdir), "--scale", "0.002", "--figure", "3")
-        invoke(runner, "repro", "--outdir", str(outdir), "--scale", "0.002", "--figure", "4")
+        invoke(runner, "repro", "--outdir", str(outdir), "--scale", "0.002")
+        # at this scale fig3 runs to N = 1000 and fig4 to x = 1e4
         for m in (1, 5):
             out = tmp_path / f"r{m}.csv"
             invoke(runner, "ratio", "--form", "1,0,1", "--mod", "8", "--res", str(m),
@@ -1130,29 +1148,18 @@ class TestReproCommand:
         invoke(runner, "dfunc", "--xmax", "10000", "-o", str(out))
         assert (outdir / "fig4_dfunctions.csv").read_bytes() == out.read_bytes()
 
-    def test_figures_1_and_2_match_series(self, runner, tmp_path):
-        outdir = tmp_path / "repro"
-        invoke(runner, "repro", "--outdir", str(outdir), "--scale", "0.002", "--figure", "1")
-        invoke(runner, "repro", "--outdir", str(outdir), "--scale", "0.002", "--figure", "2")
-        # at this scale both figures run to N = 1000
-        for fig, form, mod, res in ((1, "1,0,1", 8, 1), (1, "1,0,1", 8, 5),
-                                    (2, "1,1,1", 12, 1), (2, "1,1,1", 12, 7)):
-            out = tmp_path / f"s{fig}_{res}.csv"
-            invoke(runner, "series", "--form", form, "--mod", str(mod), "--res", str(res),
-                   "--nmax", "1000", "--stride", "100", "-o", str(out))
-            assert (outdir / f"fig{fig}_class{res}mod{mod}.csv").read_bytes() == out.read_bytes()
-
-    def test_all_equals_separate_figures(self, runner, tmp_path):
-        together = invoke(runner, "repro", "--outdir", str(tmp_path / "all"), "--scale", "0.002")
-        stderr = ""
-        for fig in "1234":
-            stderr += invoke(runner, "repro", "--outdir", str(tmp_path / "one"),
-                             "--scale", "0.002", "--figure", fig).stderr
-        assert together.stderr == stderr
-        names = sorted(p.name for p in (tmp_path / "all").iterdir())
-        assert names == sorted(p.name for p in (tmp_path / "one").iterdir())
-        for name in names:
-            assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+    def test_progress_lines_in_figure_order(self, runner, tmp_path):
+        result = invoke(runner, "repro", "--outdir", str(tmp_path), "--scale", "0.002")
+        assert result.stderr.splitlines() == [
+            "fig1: final F[1 (mod 8)]=2.325625117503 F[5 (mod 8)]=2.436710054707; "
+            "1 sign changes of the difference",
+            "fig2: final F[1 (mod 12)]=2.584348641050 F[7 (mod 12)]=2.736674816626; "
+            "2 sign changes of the difference",
+            "fig3: final R[1 (mod 8)]=0.976712885984",
+            "fig3: final R[5 (mod 8)]=1.023366187408",
+            "fig4: negative fractions D1 0.8750, D2 0.3651",
+        ]
+        assert result.stdout == f"{tmp_path}\n"
 
     def test_all_computes_each_series_once(self, runner, tmp_path, passes):
         invoke(runner, "repro", "--outdir", str(tmp_path), "--scale", "0.01")
@@ -1221,6 +1228,21 @@ class TestReproCommand:
         self.assert_fig4_is_dfunc(runner, tmp_path, outdir)
 
 
+@pytest.mark.parametrize("removed, args", [
+    ("--figure", ["repro", "--outdir", "out", "--scale", "0.002", "--figure", "1"]),
+    ("--w", ["equidist", "--form", "1,0,1", "--limit", "1000", "--w", "4", "-o", "a.csv"]),
+    ("--hi", ["sieve", "--lo", "2", "--hi", "10", "--out", "p.txt"]),
+], ids=["repro", "equidist", "sieve"])
+def test_removed_option_is_usage_error(runner, tmp_path, monkeypatch, removed, args):
+    # repro always writes all four figures, equidist winds by the field's
+    # root count, and sieve's one upper bound is --limit
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "No such option" in result.stderr and removed in result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 THREADED_COMMANDS = {
     "represent": ["--form", "1,0,1", "--limit", "100", "--cache", "c.qfr"],
     "series": ["--form", "1,0,1", "--mod", "4", "--res", "1", "--nmax", "10",
@@ -1229,7 +1251,7 @@ THREADED_COMMANDS = {
               "--stride", "10", "-o", "r.csv"],
     "dfunc": ["--xmax", "20", "-o", "d.csv"],
     "equidist": ["--form", "1,0,1", "--limit", "200", "-o", "a.csv"],
-    "repro": ["--outdir", "out", "--scale", "0.002", "--figure", "3"],
+    "repro": ["--outdir", "out", "--scale", "0.002"],
 }
 
 
