@@ -18,9 +18,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "counting": (
-        "BiasFractions", "DensityReport", "FieldSplitting", "NormResidueSubgroup",
-        "a_coefficient", "d_functions", "density_check", "norm_residue_subgroup",
-        "prime_ideal_count",
+        "BiasFractions", "FieldSplitting", "NormResidueSubgroup", "a_coefficient",
+        "d_functions", "density_check", "norm_residue_subgroup", "prime_ideal_count",
     ),
     "equidist": ("ks_statistic", "sector_counts", "weyl_sum"),
     "forms": ("RepTable", "empty_table", "representation_table"),

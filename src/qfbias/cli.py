@@ -352,12 +352,12 @@ def cmd_density(delta, mod, res, x_max, output):
         checkpoints.append(x)
         x *= 10
     checkpoints.append(x_max)
-    reports = counting.density_check(fs, cls, checkpoints)
+    empirical, predicted = counting.density_check(fs, cls, checkpoints)
+    # NaN (an empty field) where the prediction is exactly 0
+    ratio = [n / q if q else math.nan for n, q in zip(empirical.tolist(), predicted.tolist())]
     with _write_csv(output, "x,empirical,predicted,ratio") as write:
-        write(checkpoints, [r.empirical for r in reports], [r.predicted for r in reports],
-              [r.ratio for r in reports])
-    final = reports[-1].ratio
-    click.echo("exact-zero" if math.isnan(final) else _fmt(final))
+        write(checkpoints, empirical, predicted, ratio)
+    click.echo("exact-zero" if math.isnan(ratio[-1]) else _fmt(ratio[-1]))
 
 
 @main.command("equidist")

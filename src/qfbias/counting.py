@@ -227,58 +227,41 @@ def a_coefficient(fs: FieldSplitting, cls: CongruenceClass) -> int:
 
 
 # ---------------------------------------------------------------------------
-# density reports
+# density checks
 # ---------------------------------------------------------------------------
 
 
 def log_integral(x: float) -> float:
     """Offset logarithmic integral: integral from 2 to x of dt / ln t."""
-    from .limits import integrate  # only density reports load the quadrature
+    from .limits import integrate  # only density checks load the quadrature
 
     if x < 2:
         return 0.0
     return integrate(lambda t: 1.0 / math.log(t), 2.0, float(x), tol=1e-6)
 
 
-@dataclass(frozen=True)
-class DensityReport:
-    x: int
-    a_coeff: int
-    empirical: int
-    predicted: float
-
-    @property
-    def ratio(self) -> float:
-        """empirical / predicted, NaN where the prediction is exactly 0."""
-        if self.predicted == 0.0:
-            return math.nan
-        return self.empirical / self.predicted
-
-
 def density_check(
     fs: FieldSplitting, cls: CongruenceClass, xs: list[int]
-) -> list[DensityReport]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Empirical prime-ideal counts against the leading term A*Li(x)/phi(M).
 
-    One report per checkpoint in xs, every count from one prime_ideal_count
-    call. When A = 0 only the finitely many ramified ideals can slip
-    through; any larger empirical count at a checkpoint signals a bug and
-    raises.
+    The columns at the checkpoints xs: the int64 counts, all from one
+    prime_ideal_count call, and the float64 predictions, 0.0 throughout when
+    A = 0. Then only the finitely many ramified ideals can slip through; any
+    larger empirical count at a checkpoint signals a bug and raises.
     """
     if min(xs, default=0) < 100:
         raise ValueError("density check needs x >= 100")
-    counts = prime_ideal_count(fs, xs, cls).tolist()
+    counts = prime_ideal_count(fs, xs, cls)
     a = a_coefficient(fs, cls)
     if a == 0:
         exceptional = len(distinct_prime_factors(fs.field_discriminant))
-        for empirical in counts:
-            if empirical > exceptional:
-                raise ConsistencyError(
-                    f"A=0 for {cls} but {empirical} ideals counted "
-                    f"(at most {exceptional} exceptional ideals possible)"
-                )
+        over = counts[counts > exceptional]
+        if over.size:
+            raise ConsistencyError(
+                f"A=0 for {cls} but {over[0]} ideals counted "
+                f"(at most {exceptional} exceptional ideals possible)"
+            )
+        return counts, np.zeros(len(xs))
     phi = euler_phi(cls.modulus)
-    return [
-        DensityReport(x, a, n, predicted=a * log_integral(x) / phi if a else 0.0)
-        for x, n in zip(xs, counts)
-    ]
+    return counts, np.array([a * log_integral(x) / phi for x in xs])

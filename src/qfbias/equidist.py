@@ -2,10 +2,11 @@
 
 Each canonical representation (x, y) yields a coordinate angle
 raw_arg = atan(y/x) and the wound angle theta = w * atan2(y, x) (mod 2pi),
-where w is the number of roots of unity of the relevant field (4 for
-delta = -1, 6 for delta = -3, else 2). One representative per prime covers
-only the fundamental domain of theta; `mirrored` appends the conjugate
-ideals' angles 2pi - theta and fills the circle.
+where w is the number of roots of unity of the form's field, read off
+D = -disc: 4 when D is a perfect square, 6 when D/3 is, else 2. One
+representative per prime covers only the fundamental domain of theta;
+`mirrored` appends the conjugate ideals' angles 2pi - theta and fills the
+circle.
 
 angle_pass is the `equidist` pass, one function of its row stream: per block
 it takes the rows in a class, capped at the count still owed, and writes them
@@ -27,7 +28,6 @@ import math
 
 import numpy as np
 
-from .arith import squarefree_part
 from .errors import ComputationError
 from .forms import QuadraticForm, RepTable
 from .primes import CongruenceClass
@@ -37,20 +37,15 @@ TWO_PI = 2.0 * math.pi
 RAW_ANGLE_INTERVAL = math.pi / 4
 
 
-def default_root_count(delta: int) -> int:
-    """Roots of unity in the field for squarefree delta < 0: 4, 6, or 2."""
-    if delta >= 0:
-        raise ValueError("delta must be negative")
-    if delta == -1:
+def root_count_for_form(form: QuadraticForm) -> int:
+    """Default winding for a form: 4 when D = -disc is a perfect square (the
+    field Q(i)), 6 when D/3 is (Q(sqrt -3)), else 2."""
+    d = form.D
+    if math.isqrt(d) ** 2 == d:
         return 4
-    if delta == -3:
+    if d % 3 == 0 and math.isqrt(d // 3) ** 2 == d // 3:
         return 6
     return 2
-
-
-def root_count_for_form(form: QuadraticForm) -> int:
-    """Default winding for a form, from the squarefree part of its discriminant."""
-    return default_root_count(squarefree_part(form.disc))
 
 
 def mirrored(theta: np.ndarray) -> np.ndarray:

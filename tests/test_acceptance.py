@@ -188,9 +188,10 @@ def test_criterion_09_density():
     gauss = FieldSplitting(-1)
     ratios = []
     for m in (1, 5):
-        rep = density_check(gauss, CongruenceClass(m, 8), [10**7])[0]
-        assert rep.ratio is not None and 0.95 <= rep.ratio <= 1.05, (m, rep)
-        ratios.append(f"(m={m}) {rep.ratio:.4f}")
+        [empirical], [predicted] = density_check(gauss, CongruenceClass(m, 8), [10**7])
+        ratio = empirical / predicted
+        assert 0.95 <= ratio <= 1.05, (m, empirical, predicted)
+        ratios.append(f"(m={m}) {ratio:.4f}")
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     report(9, f"ideal-count ratios at 1e7: {', '.join(ratios)} in {elapsed:.1f}s")

@@ -859,6 +859,29 @@ class TestDensityCommand:
         assert lines[0] == "x,empirical,predicted,ratio"
         assert [ln.split(",")[0] for ln in lines[1:]] == ["100", "1000", "10000", "100000"]
 
+    @pytest.mark.parametrize("args,stdout,rows", [
+        (("--delta", "-1", "--x", "100000"), "0.997116573037", [
+            "100,25,29.080977807254,0.859668480396",
+            "1000,167,176.564494211278,0.945830025147",
+            "10000,1232,1245.092052120205,0.989485072933",
+            "100000,9601,9628.763837270966,0.997116573037",
+        ]),
+        # A = 0: every prediction is exactly 0 and every ratio field empty
+        (("--delta", "-7", "--mod", "7", "--res", "3", "--x", "100000"), "exact-zero", [
+            f"{x},0,0.000000000000," for x in (100, 1000, 10000, 100000)
+        ]),
+        (("--delta", "-9999991", "--mod", "3", "--res", "1", "--x", "1000"), "0.951493677993", [
+            "100,7,14.540488903627,0.481414349022",
+            "1000,84,88.282247105639,0.951493677993",
+        ]),
+    ])
+    def test_pinned_bytes(self, runner, tmp_path, args, stdout, rows):
+        out = tmp_path / "den.csv"
+        result = invoke(runner, "density", *args, "-o", str(out))
+        assert result.stdout == stdout + "\n"
+        assert out.read_bytes() == "".join(
+            line + "\n" for line in ["x,empirical,predicted,ratio", *rows]).encode()
+
     def test_every_checkpoint_from_one_sieve(self, runner, tmp_path, sieve_spy):
         out = tmp_path / "den.csv"
         invoke(runner, "density", "--delta", "-1", "--mod", "8", "--res", "1",

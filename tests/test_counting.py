@@ -528,23 +528,24 @@ class TestDensity:
             assert log_integral(x) == pytest.approx(oracle, abs=1e-4)
 
     def test_trivial_class_ratio_near_one(self):
-        report = density_check(GAUSS, CongruenceClass.trivial(), [10**6])[0]
-        assert report.a_coeff == 1
-        assert 0.95 <= report.ratio <= 1.05
+        assert a_coefficient(GAUSS, CongruenceClass.trivial()) == 1
+        [empirical], [predicted] = density_check(GAUSS, CongruenceClass.trivial(), [10**6])
+        assert 0.95 <= empirical / predicted <= 1.05
 
     def test_zero_coefficient_class_is_exactly_empty(self):
-        report = density_check(GAUSS, CongruenceClass(3, 8), [10**6])[0]
-        assert report.a_coeff == 0
-        assert report.empirical == 0
-        assert report.predicted == 0.0
-        assert math.isnan(report.ratio)
+        assert a_coefficient(GAUSS, CongruenceClass(3, 8)) == 0
+        empirical, predicted = density_check(GAUSS, CongruenceClass(3, 8), [10**6])
+        assert empirical.tolist() == [0]
+        assert predicted.tolist() == [0.0]
 
-    def test_one_report_per_checkpoint_equals_single_checkpoints(self):
+    def test_columns_equal_single_checkpoints(self):
         cls = CongruenceClass(1, 8)
         xs = [100, 1000, 10_000, 12_345]
-        reports = density_check(GAUSS, cls, xs)
-        assert [r.x for r in reports] == xs
-        assert reports == [density_check(GAUSS, cls, [x])[0] for x in xs]
+        empirical, predicted = density_check(GAUSS, cls, xs)
+        assert (empirical.dtype, predicted.dtype) == (np.int64, np.float64)
+        singles = [density_check(GAUSS, cls, [x]) for x in xs]
+        assert empirical.tolist() == [int(n[0]) for n, _ in singles]
+        assert predicted.tolist() == [float(q[0]) for _, q in singles]
 
     def test_zero_coefficient_checked_at_every_checkpoint(self, monkeypatch):
         # a wrong A = 0 for the trivial class must be caught at the first checkpoint

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfbias.arith import squarefree_part
 from qfbias.equidist import (
     angle_arrays,
     angle_pass,
-    default_root_count,
     ks_statistic,
     mirrored,
     prefix_statistics,
@@ -63,12 +63,25 @@ class TestHeckeAngle:
         assert not np.signbit(mirrored(np.array([0.0]))[1])
 
     def test_default_winding(self):
-        assert default_root_count(-1) == 4
-        assert default_root_count(-3) == 6
-        assert default_root_count(-5) == 2
         assert root_count_for_form(QuadraticForm(1, 0, 1)) == 4
         assert root_count_for_form(QuadraticForm(1, 1, 1)) == 6
         assert root_count_for_form(QuadraticForm(1, 0, 5)) == 2
+
+    def test_winding_matches_squarefree_part_rule(self):
+        # reference: the field Q(sqrt d), d the squarefree part of disc, has
+        # 4 roots of unity for d = -1, 6 for d = -3 and 2 otherwise
+        def by_squarefree_part(form):
+            return {-1: 4, -3: 6}.get(squarefree_part(form.disc), 2)
+
+        grid = [
+            QuadraticForm(a, b, c)
+            for a in range(1, 41) for b in range(-a, a + 1) for c in range(a, 60)
+            if math.gcd(a, b, c) == 1
+        ]
+        assert len(grid) == 45_847
+        big = [QuadraticForm(1, 0, 999999937), QuadraticForm(1, 1, 999999999)]
+        for form in grid + big:
+            assert root_count_for_form(form) == by_squarefree_part(form), form
 
 
 class TestWeylSum:
