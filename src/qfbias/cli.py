@@ -2,14 +2,14 @@
 
 Machine-readable results go to standard output; progress and timing go to
 standard error. Exit codes: 0 success, 2 usage error, 3 computation error,
-4 I/O error.
+4 I/O error. Codes 2/3/4 are decided once, by `Command`, the class `main`
+builds every command with, so a command added with `@main.command` gets them.
 """
 
 from __future__ import annotations
 
 import atexit
 import contextlib
-import functools
 import gc
 import math
 import os
@@ -51,43 +51,46 @@ def progress(msg: str) -> None:
     click.echo(msg, err=True)
 
 
-def handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class Command(click.Command):
+    """A command whose callback's errors end the run with their exit code; a
+    ValueError (a violated call contract) is a usage error naming the command."""
+
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except ComputationError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
         except ValueError as exc:
-            # contract violations surface as usage errors at the CLI boundary
-            raise click.UsageError(str(exc)) from exc
+            raise click.UsageError(str(exc), ctx) from exc
         except OSError as exc:
             click.echo(f"i/o error: {exc}", err=True)
             sys.exit(4)
 
-    return wrapper
+
+def _parsed_by(parse):
+    """An option callback: None passes, parse's ValueError is a BadParameter."""
+
+    def callback(ctx, param, value):
+        if value is None:
+            return None
+        try:
+            return parse(value)
+        except ValueError as exc:
+            raise click.BadParameter(str(exc)) from exc
+
+    return callback
 
 
-def _parse_form(ctx, param, value) -> QuadraticForm | None:
-    if value is None:
-        return None
-    try:
-        parts = [int(t) for t in value.split(",")]
-        if len(parts) != 3:
-            raise ValueError("expected three comma-separated integers")
-        return QuadraticForm(*parts)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc)) from exc
+def _form(text: str) -> QuadraticForm:
+    parts = [int(t) for t in text.split(",")]
+    if len(parts) != 3:
+        raise ValueError("expected three comma-separated integers")
+    return QuadraticForm(*parts)
 
 
-def _parse_poly(ctx, param, value):
-    if value is None:
-        return None
-    try:
-        return polynomials.parse_polynomial(value)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc)) from exc
+# the lambda defers loading `polynomials` to the first --f or --g
+_parse_poly = _parsed_by(lambda text: polynomials.parse_polynomial(text))
 
 
 def _class_from(mod: int, res: int | None) -> primes.CongruenceClass:
@@ -119,7 +122,7 @@ def _load_seed(form: QuadraticForm, cache_file: str | None) -> forms.RepTable:
 
 
 form_option = click.option(
-    "--form", callback=_parse_form, required=True, help="form coefficients a,b,c"
+    "--form", callback=_parsed_by(_form), required=True, help="form coefficients a,b,c"
 )
 mod_option = click.option("--mod", type=int, default=1, show_default=True, help="congruence modulus M")
 res_option = click.option("--res", type=int, default=None, help="congruence residue m")
@@ -140,6 +143,9 @@ def main():
     """Prime representations by quadratic forms: bias series and statistics."""
 
 
+main.command_class = Command  # every @main.command below is built as a Command
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -148,7 +154,6 @@ def main():
               help="sieve [lo, limit]")
 @click.option("--lo", type=int, default=2, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="write primes, one per line")
-@handle_errors
 def cmd_sieve(limit, lo, out):
     """Count (and optionally list) primes in a range."""
     if lo > limit:
@@ -170,7 +175,6 @@ def cmd_sieve(limit, lo, out):
 @click.option("--limit", type=click.IntRange(min=2), required=True, help="prime bound (inclusive)")
 @click.option("--cache", "cache_out", required=True, help="QFR1 cache file to write")
 @threads_option
-@handle_errors
 def cmd_represent(form, limit, cache_out):
     """Compute canonical representations up to a bound and cache them."""
     t0 = time.perf_counter()
@@ -254,7 +258,6 @@ def _dfunc_run(path, seed: forms.RepTable, x_max: int):
 @output_option
 @cache_option
 @threads_option
-@handle_errors
 def cmd_series(form, mod, res, nmax, stride, output, cache):
     """Bias series: cumulative coordinate sums at every stride-th prime index."""
     cls = _class_from(mod, res)
@@ -272,7 +275,6 @@ def cmd_series(form, mod, res, nmax, stride, output, cache):
 @output_option
 @cache_option
 @threads_option
-@handle_errors
 def cmd_ratio(form, mod, res, nmax, stride, output, cache):
     """Ratio series: class bias series normalized by the all-primes series."""
     cls = _class_from(mod, res)
@@ -291,7 +293,6 @@ def cmd_ratio(form, mod, res, nmax, stride, output, cache):
 @click.option("--f", "poly_f", callback=_parse_poly, default=None, help="numerator polynomial")
 @click.option("--g", "poly_g", callback=_parse_poly, default=None, help="denominator polynomial")
 @click.option("--tol", type=float, default=1e-12, show_default=True)
-@handle_errors
 def cmd_limit(form, k, poly_f, poly_g, tol):
     """Exact limit of the bias series, by quadrature of the closed form."""
     if (k is None) == (poly_f is None and poly_g is None):
@@ -310,7 +311,6 @@ def cmd_limit(form, k, poly_f, poly_g, tol):
 @output_option
 @cache_option
 @threads_option
-@handle_errors
 def cmd_dfunc(xmax, output, cache):
     """Counting-function differences for p = a^2 + 4b^2 in classes 1, 5 mod 8."""
     (d1, d2), (f1, f2) = _dfunc_run(output, _load_seed(QuadraticForm(1, 0, 1), cache), xmax)
@@ -325,7 +325,6 @@ def cmd_dfunc(xmax, output, cache):
 @click.option("--delta", type=int, required=True, help="squarefree negative field input")
 @click.option("--mod", type=int, required=True)
 @click.option("--res", type=int, required=True)
-@handle_errors
 def cmd_acoeff(delta, mod, res):
     """Density coefficient A(m, M) as a norm-residue subgroup index."""
     fs = counting.FieldSplitting(delta)
@@ -339,7 +338,6 @@ def cmd_acoeff(delta, mod, res):
 @res_option
 @click.option("--x", "x_max", type=int, required=True)
 @output_option
-@handle_errors
 def cmd_density(delta, mod, res, x_max, output):
     """Prime-ideal counts against the predicted leading term, at checkpoints."""
     fs = counting.FieldSplitting(delta)
@@ -378,7 +376,6 @@ def cmd_density(delta, mod, res, x_max, output):
               help="print counts for this many sectors")
 @cache_option
 @threads_option
-@handle_errors
 def cmd_equidist(form, mod, res, limit, max_count, conjugates, output,
                  stats_path, stats_stride, sectors, cache):
     """Angle samples and equidistribution statistics for represented primes."""
@@ -422,7 +419,6 @@ def cmd_equidist(form, mod, res, limit, max_count, conjugates, output,
 @click.option("--scale", type=float, default=1.0, show_default=True,
               help="shrink factor for the default desk-scale bounds")
 @threads_option
-@handle_errors
 def cmd_repro(outdir, scale):
     """Regenerate the experiment CSV files behind the four figures."""
     # each figure runs the step of the series, ratio or dfunc command, so its

@@ -16,7 +16,7 @@ from qfbias import __version__
 from qfbias import primes as primes_module
 from qfbias import series as series_module
 from qfbias.cache import read_cache, write_cache
-from qfbias.cli import _dfunc_run, _fmt, main
+from qfbias.cli import Command, _dfunc_run, _fmt, main
 from qfbias.counting import d_functions
 from qfbias.equidist import (
     angle_arrays,
@@ -26,6 +26,7 @@ from qfbias.equidist import (
     sector_counts,
     weyl_sum,
 )
+from qfbias.errors import ComputationError
 from qfbias.forms import QuadraticForm, empty_table, representation_table
 from qfbias.primes import DEFAULT_SEGMENT_SIZE, CongruenceClass, sieve_range
 from qfbias.series import bias_series, fold_series
@@ -1263,6 +1264,48 @@ def test_removed_option_is_usage_error(runner, tmp_path, monkeypatch, removed, a
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert "No such option" in result.stderr and removed in result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+# an argument list each command parses, so its callback runs; a command
+# registered later joins this table
+COMMAND_ARGS = {
+    "acoeff": ["--delta", "-1", "--mod", "8", "--res", "1"],
+    "density": ["--delta", "-1", "--x", "100", "-o", "d.csv"],
+    "dfunc": ["--xmax", "20", "-o", "d.csv"],
+    "equidist": ["--form", "1,0,1", "--limit", "200", "-o", "a.csv"],
+    "limit": ["--form", "1,0,1", "--k", "1"],
+    "ratio": ["--form", "1,0,1", "--mod", "8", "--res", "1", "--nmax", "10", "-o", "r.csv"],
+    "repro": ["--outdir", "out"],
+    "represent": ["--form", "1,0,1", "--limit", "100", "--cache", "c.qfr"],
+    "series": ["--form", "1,0,1", "--nmax", "10", "-o", "s.csv"],
+    "sieve": ["--limit", "10"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(main.commands))
+@pytest.mark.parametrize("error, code, stderr", [
+    (ComputationError, 3, "error: boom\n"),
+    (ValueError, 2, "Usage: qfbias {name} [OPTIONS]\n"
+                    "Try 'qfbias {name} --help' for help.\n\nError: boom\n"),
+    (OSError, 4, "i/o error: boom\n"),
+], ids=["computation", "contract", "io"])
+def test_command_class_maps_errors_to_exit_codes(runner, tmp_path, monkeypatch,
+                                                 name, error, code, stderr):
+    # one rule for every command, usage line included, whatever its callback raises
+    assert sorted(main.commands) == sorted(COMMAND_ARGS)
+    command = main.commands[name]
+    assert isinstance(command, Command)
+
+    def fail(**params):
+        raise error("boom")
+
+    monkeypatch.setattr(command, "callback", fail)
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, [name, *COMMAND_ARGS[name]], prog_name="qfbias")
+    assert result.exit_code == code
+    assert result.stdout == ""
+    assert result.stderr == stderr.format(name=name)
     assert list(tmp_path.iterdir()) == []
 
 
